@@ -17,7 +17,7 @@ from pathlib import Path
 from pixqa.checkpoint import load_checkpoint
 from pixqa.cli import main as cli
 from pixqa.data import load_mpdocvqa
-from pixqa.evaluate import iter_page_scores
+from pixqa.evaluate import encode_page, retrieve
 
 
 def main() -> None:
@@ -51,17 +51,11 @@ def main() -> None:
     baseline, _ = tracemalloc.get_traced_memory()
     for sample in dataset.questions:
         doc = dataset.document_for(sample)
-        best_idx, best_score, count = 0, -1.0, 0
-        gold_score = None
-        n_above_gold = 0
-        scores_seen = []
-        for idx, value in enumerate(iter_page_scores(sample.question, doc, model, scorer)):
-            scores_seen.append(value)
-            if value > best_score:
-                best_idx, best_score = idx, value
-            count += 1
-        gold_score = scores_seen[sample.answer_page_index]
-        n_above_gold = sum(1 for v in scores_seen if v > gold_score)
+        best_idx, _, scores = retrieve(
+            doc.n_pages, lambda index: encode_page(sample.question, doc, index, model), scorer
+        )
+        gold_score = scores[sample.answer_page_index] if scores else None  # one page: not scored
+        n_above_gold = sum(1 for v in scores if v > gold_score)
         results.append(
             {
                 "question_id": sample.question_id,
@@ -71,7 +65,7 @@ def main() -> None:
                 "top1": best_idx,
                 "gold_rank": 1 + n_above_gold,
                 "gold_score": gold_score,
-                "top_score": best_score,
+                "top_score": scores[best_idx] if scores else None,
             }
         )
     current, peak = tracemalloc.get_traced_memory()

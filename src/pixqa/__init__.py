@@ -1,7 +1,7 @@
 """OCR-free multi-page document VQA with self-attention page scoring."""
 
 from .data import Dataset, Document, QASample, SynthConfig, gen_synthetic, load_mpdocvqa, split
-from .evaluate import MetricsReport, anls, anls_single, answer_question, levenshtein, score_document, top1
+from .evaluate import MetricsReport, anls, anls_single, answer_question, encode_page, levenshtein, retrieve
 from .model import EncoderFeature, ModelConfig, VqaModel
 from .render import PatchGrid, RasterImage, concat_question_page, patchify, render_text, resize_to_patch_budget
 from .scorer import ScorerConfig, SelfAttentionScorer, aggregate

@@ -56,6 +56,13 @@ def save_checkpoint(path: Path, model: VqaModel, scorer: SelfAttentionScorer | N
             fh.write(np.ascontiguousarray(arrays[entry["name"]], dtype="<f8").tobytes())
 
 
+def _config(cls, values: dict, path: Path):
+    try:
+        return cls(**values)
+    except TypeError as exc:  # an unknown field, or a value of the wrong type
+        raise CheckpointError(f"{path}: invalid {cls.__name__} in header: {exc}") from None
+
+
 def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
     path = Path(path)
     try:
@@ -88,14 +95,14 @@ def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
         entries = header["entries"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: header missing field {exc}") from None
-    model_cfg = ModelConfig(**model_cfg_dict)
+    model_cfg = _config(ModelConfig, model_cfg_dict, path)
     model = VqaModel(model_cfg)
 
     scorer = None
     if scorer_cfg_dict is not None:
         if scorer_cfg_dict.get("head_dims") is not None:
             scorer_cfg_dict["head_dims"] = tuple(scorer_cfg_dict["head_dims"])
-        scorer = SelfAttentionScorer(ScorerConfig(**scorer_cfg_dict), d_model=model_cfg.d_model)
+        scorer = SelfAttentionScorer(_config(ScorerConfig, scorer_cfg_dict, path), d_model=model_cfg.d_model)
 
     expected: dict[str, Tensor] = {}
     for name, p in model.params.items():

@@ -86,7 +86,10 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     cfg_path = getattr(args, "config", None)
     if cfg_path is None:
         return {}
-    payload = json.loads(_require_path(Path(cfg_path), "config file").read_text())
+    try:
+        payload = json.loads(_require_path(Path(cfg_path), "config file").read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"config file {cfg_path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file {cfg_path} must hold a JSON object")
     return payload
@@ -95,6 +98,9 @@ def _load_config_file(args: argparse.Namespace) -> dict:
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags (flags parse to None when absent)."""
     file_cfg = _load_config_file(args)
+    unknown = sorted(set(file_cfg) - set(defaults))
+    if unknown:
+        raise UsageError(f"config file {args.config} has keys this command does not take: {', '.join(unknown)}")
     resolved = {}
     for dest, default in defaults.items():
         value = getattr(args, dest, None)

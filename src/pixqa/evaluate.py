@@ -1,10 +1,11 @@
 """Inference pipeline and metrics.
 
-Retrieval works page by page: each page of a document is fused with the
-question, encoded, and scored; the top-1 page is then fed through the full
-encoder-decoder to generate the answer. Pages are streamed one at a time,
-so peak memory stays bounded by a single page's pipeline no matter how
-long the document is.
+Retrieval works page by page: `encode_page` fuses each page of a document
+with the question and encodes it, and `retrieve` scores the pages as they
+stream past and keeps the top-1. Retrieval runs without autograd, and the
+answer is decoded from the feature it retrieved, so no page is encoded
+twice. Only one page's pipeline plus the best feature so far is alive at
+a time, so peak memory stays bounded no matter how long the document is.
 
 Answer quality uses normalized Levenshtein similarity averaged over
 questions (scores whose normalized distance reaches the threshold count
@@ -13,13 +14,16 @@ as zero); retrieval quality uses top-1 page accuracy.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Document, QASample
+from . import autograd as ag
+from .data import Dataset, Document
+from .errors import NumericError
 from .model import EncoderFeature, VqaModel
 from .render import fuse_question_page
 from .scorer import SelfAttentionScorer
@@ -84,13 +88,12 @@ def page_accuracy(predicted_pages: Iterable[int], gt_pages: Iterable[int]) -> fl
 # Retrieval pipeline
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PageScores:
-    doc_id: str
-    scores: tuple[float, ...]
+def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> EncoderFeature:
+    """Load page `index` of `doc`, fuse the question on top of it and encode the result.
 
-
-def _encode_page(question: str, doc: Document, index: int, model: VqaModel) -> EncoderFeature:
+    Autograd follows the caller: stage 1 trains through this call, retrieval
+    runs it under ``no_grad``.
+    """
     img = doc.load_page(index)
     grid = fuse_question_page(
         question, img, patch_size=model.cfg.patch_size, max_patches=model.cfg.max_patches
@@ -98,25 +101,32 @@ def _encode_page(question: str, doc: Document, index: int, model: VqaModel) -> E
     return model.encode_grid(grid)
 
 
-def iter_page_scores(
-    question: str, doc: Document, model: VqaModel, scorer: SelfAttentionScorer
-) -> Iterator[float]:
-    """Score pages one at a time; only one page's buffers are alive at once."""
-    for index in range(doc.n_pages):
-        yield scorer.score_value(_encode_page(question, doc, index, model))
+def retrieve(
+    n_pages: int, page_feature: Callable[[int], EncoderFeature], scorer: SelfAttentionScorer
+) -> tuple[int, EncoderFeature, list[float]]:
+    """Stream pages 0..n_pages-1 through `page_feature` and the scorer; keep the top-1.
 
-
-def score_document(
-    question: str, doc: Document, model: VqaModel, scorer: SelfAttentionScorer
-) -> PageScores:
-    return PageScores(doc_id=doc.doc_id, scores=tuple(iter_page_scores(question, doc, model, scorer)))
-
-
-def top1(scores: PageScores | Iterable[float]) -> int:
-    values = scores.scores if isinstance(scores, PageScores) else tuple(scores)
-    if not values:
-        raise ValueError("cannot take top-1 of an empty score list")
-    return int(np.argmax(values))  # ties resolve to the lowest index
+    Returns the best page index, its feature and every page's score. Only the
+    best feature stays alive while the other pages stream past, and a tie
+    goes to the lowest index. A one-page document is not scored, so its
+    score list is empty. Runs without autograd.
+    """
+    if n_pages < 1:
+        raise ValueError("cannot retrieve from a document without pages")
+    with ag.no_grad():
+        if n_pages == 1:
+            return 0, page_feature(0), []
+        best_idx, best_feature, scores = 0, None, []
+        for index in range(n_pages):
+            feature = page_feature(index)
+            value = scorer.score_value(feature)
+            if not math.isfinite(value):
+                raise NumericError(f"page {index} scored {value}")
+            scores.append(value)
+            if index == 0 or value > scores[best_idx]:
+                best_idx, best_feature = index, feature
+            del feature
+    return best_idx, best_feature, scores
 
 
 def answer_question(
@@ -126,16 +136,8 @@ def answer_question(
     scorer: SelfAttentionScorer,
     max_answer_len: int | None = None,
 ) -> tuple[int, str]:
-    """Retrieve the best page, then decode the answer from that page alone."""
-    if doc.n_pages == 1:
-        best = 0
-    else:
-        best_idx, best_score = 0, -1.0
-        for index, value in enumerate(iter_page_scores(question, doc, model, scorer)):
-            if value > best_score:
-                best_idx, best_score = index, value
-        best = best_idx
-    feature = _encode_page(question, doc, best, model)
+    """Retrieve the best page, then decode the answer from its feature alone."""
+    best, feature, _ = retrieve(doc.n_pages, lambda index: encode_page(question, doc, index, model), scorer)
     return best, model.generate_answer(feature, max_answer_len)
 
 

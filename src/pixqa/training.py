@@ -20,9 +20,9 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import ConfigError
-from .evaluate import anls_single
+from .evaluate import anls_single, encode_page, retrieve
 from .model import EncoderFeature, VqaModel
-from .render import fuse_question_page
+from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
 from .scorer import SelfAttentionScorer
 
 LogFn = Callable[[str], None]
@@ -150,18 +150,13 @@ def _restore(params: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
         p.data = snap[k].copy()
 
 
-def _gold_grid(sample, doc: Document, model: VqaModel):
-    img = doc.load_page(sample.answer_page_index)
-    return fuse_question_page(sample.question, img, patch_size=model.cfg.patch_size, max_patches=model.cfg.max_patches)
-
-
 def validation_anls(valid_set: Dataset, model: VqaModel) -> float:
     """Single-page answer quality: decode each question's gold page."""
     scores = []
     for sample in valid_set.questions:
         doc = valid_set.document_for(sample)
         with ag.no_grad():
-            feature = model.encode_grid(_gold_grid(sample, doc, model))
+            feature = encode_page(sample.question, doc, sample.answer_page_index, model)
         scores.append(anls_single(model.generate_answer(feature), sample.answers))
     return float(np.mean(scores))
 
@@ -182,12 +177,7 @@ class FrozenFeatureCache:
         feature = self._store.get(key)
         if feature is None:
             with ag.no_grad():
-                img = doc.load_page(page_idx)
-                grid = fuse_question_page(
-                    sample.question, img,
-                    patch_size=self.model.cfg.patch_size, max_patches=self.model.cfg.max_patches,
-                )
-                feature = self.model.encode_grid(grid)
+                feature = encode_page(sample.question, doc, page_idx, self.model)
             self._store[key] = feature
         return feature
 
@@ -196,24 +186,16 @@ def validation_page_accuracy(
     valid_set: Dataset,
     model: VqaModel,
     scorer: SelfAttentionScorer,
-    cache: FrozenFeatureCache | None = None,
+    cache: FrozenFeatureCache,
 ) -> float:
-    """Fraction (%) of validation questions whose top-scoring page is the gold one."""
+    """Fraction (%) of validation questions whose top-scoring page is the gold one.
+
+    Page features come from `cache`, which holds `model`'s features.
+    """
     hits = 0
     for sample in valid_set.questions:
         doc = valid_set.document_for(sample)
-        best_idx, best_score = 0, -1.0
-        for index in range(doc.n_pages):
-            if cache is not None:
-                value = scorer.score_value(cache.get(sample, doc, index))
-            else:
-                with ag.no_grad():
-                    img = doc.load_page(index)
-                    grid = fuse_question_page(sample.question, img, patch_size=model.cfg.patch_size,
-                                              max_patches=model.cfg.max_patches)
-                    value = scorer.score_value(model.encode_grid(grid))
-            if value > best_score:
-                best_idx, best_score = index, value
+        best_idx, _, _ = retrieve(doc.n_pages, lambda index: cache.get(sample, doc, index), scorer)
         hits += best_idx == sample.answer_page_index
     return 100.0 * hits / len(valid_set.questions)
 
@@ -244,7 +226,7 @@ def train_stage1(
             for idx in batch:
                 sample = train_set.questions[int(idx)]
                 doc = train_set.document_for(sample)
-                feature = model.encode_grid(_gold_grid(sample, doc, model))
+                feature = encode_page(sample.question, doc, sample.answer_page_index, model)
                 loss = model.vqa_loss(feature, sample.answers[0])
                 loss.backward()
                 losses.append(float(loss.data))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,19 @@ CFG = ModelConfig(
     d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16,
     patch_size=4, max_patches=8, vocab_chars="abc", max_answer_len=3, seed=1,
 )
+
+
+def rewrite_header(path, edit) -> dict:
+    """Apply `edit` to the JSON header of the checkpoint at `path` in place; return the new header."""
+    blob = path.read_bytes()
+    magic_end = blob.index(b"\n") + 1
+    header_len_end = blob.index(b"\n", magic_end) + 1
+    header_len = int(blob[magic_end : header_len_end - 1])
+    header = json.loads(blob[header_len_end : header_len_end + header_len])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:magic_end] + f"{len(new_header)}\n".encode() + new_header + blob[header_len_end + header_len :])
+    return header
 
 
 def make_pair():
@@ -87,36 +102,25 @@ class TestCorruption:
             load_checkpoint(tmp_path / "absent.ckpt")
 
     def test_shape_mismatch_names_entry(self, tmp_path):
-        import json
-
         model, _ = make_pair()
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, model)
-        blob = path.read_bytes()
-        magic_end = blob.index(b"\n") + 1
-        header_len_end = blob.index(b"\n", magic_end) + 1
-        header_len = int(blob[magic_end : header_len_end - 1])
-        header = json.loads(blob[header_len_end : header_len_end + header_len])
-        header["entries"][0]["shape"] = [1, 1]
-        name = header["entries"][0]["name"]
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:magic_end] + f"{len(new_header)}\n".encode() + new_header + blob[header_len_end + header_len :])
-        with pytest.raises(CheckpointError, match=name.replace("/", "/")):
+        header = rewrite_header(path, lambda h: h["entries"][0].update(shape=[1, 1]))
+        with pytest.raises(CheckpointError, match=header["entries"][0]["name"]):
             load_checkpoint(path)
 
     def test_unexpected_entry_rejected(self, tmp_path):
-        import json
-
         model, _ = make_pair()
         path = tmp_path / "u.ckpt"
         save_checkpoint(path, model)
-        blob = path.read_bytes()
-        magic_end = blob.index(b"\n") + 1
-        header_len_end = blob.index(b"\n", magic_end) + 1
-        header_len = int(blob[magic_end : header_len_end - 1])
-        header = json.loads(blob[header_len_end : header_len_end + header_len])
-        header["entries"][0]["name"] = "model/not.a.real.parameter"
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:magic_end] + f"{len(new_header)}\n".encode() + new_header + blob[header_len_end + header_len :])
+        rewrite_header(path, lambda h: h["entries"][0].update(name="model/not.a.real.parameter"))
         with pytest.raises(CheckpointError, match="not.a.real.parameter"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["model_config", "scorer_config"])
+    def test_unknown_config_key_rejected(self, tmp_path, section):
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(path, *make_pair())
+        rewrite_header(path, lambda h: h[section].update(not_a_field=1))
+        with pytest.raises(CheckpointError, match="not_a_field"):
             load_checkpoint(path)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +143,6 @@ class TestEvalAnswerReport:
         ckpt, _ = stage2
         doc_dir = sorted((corpus / "images").glob("doc0000_p*.pgm"))[0].parent
         # build a single-document directory
-        import shutil
-
         one_doc = doc_dir.parent.parent / "onedoc"
         one_doc.mkdir(exist_ok=True)
         for p in sorted(doc_dir.glob("doc0000_p*.pgm")):
@@ -154,6 +153,24 @@ class TestEvalAnswerReport:
         captured = capsys.readouterr()
         assert rc == 0
         assert captured.out.startswith("page ")
+
+    def test_answer_with_nan_scorer_is_runtime_error(self, corpus, stage2, tmp_path, capsys):
+        from pixqa.checkpoint import load_checkpoint, save_checkpoint
+
+        ckpt, _ = stage2
+        model, scorer = load_checkpoint(ckpt)
+        scorer.params["head.b3"].data[:] = np.nan
+        broken = tmp_path / "nan.ckpt"
+        save_checkpoint(broken, model, scorer)
+        doc_dir = tmp_path / "doc"
+        doc_dir.mkdir()
+        for p in sorted((corpus / "images").glob("doc0000_p*.pgm")):
+            shutil.copy(p, doc_dir / p.name)
+        assert len(list(doc_dir.iterdir())) > 1
+        rc = main(["answer", "--checkpoint", str(broken), "--question", "what is the value of ABC?",
+                   "--doc-dir", str(doc_dir)])
+        assert rc == 1
+        assert "scored nan" in capsys.readouterr().err
 
     def test_report_from_results(self, corpus, stage2, tmp_path, capsys):
         ckpt, _ = stage2
@@ -207,3 +224,17 @@ class TestExitCodes:
         rc = main(["sweep", "--data", str(corpus), "--checkpoint", str(ckpt), "--out", str(tmp_path / "s"),
                    "--layers", "x:y", "--heads", "2"])
         assert rc == 2
+
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"docs": 1,')
+        assert main(gen_args(tmp_path / "c") + ["--config", str(cfg_file)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_unknown_config_keys_are_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"pagez": "1:2", "docs": 1, "d_model": 16}))
+        assert main(gen_args(tmp_path / "c") + ["--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert "d_model, pagez" in err
+        assert not (tmp_path / "c").exists()

@@ -3,17 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pixqa.autograd import Tensor
+from pixqa.data import SynthConfig, gen_synthetic
+from pixqa.errors import NumericError
 from pixqa.evaluate import (
-    PageScores,
     anls,
     anls_single,
+    answer_question,
+    encode_page,
     levenshtein,
     page_accuracy,
     page_histogram,
     quadrant_report,
     report_from_records,
-    top1,
+    retrieve,
 )
+from pixqa.model import EncoderFeature, ModelConfig, VqaModel
+from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
 
 def levenshtein_oracle(a: str, b: str) -> int:
@@ -114,25 +120,103 @@ class TestAnlsMean:
             anls([])
 
 
+class StubScorer:
+    """Scores a feature by its single entry and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def score_value(self, feature):
+        self.calls += 1
+        return float(feature.array[0, 0])
+
+
+def retrieve_stub(scores):
+    """retrieve() over one-entry features that hold the given scores."""
+    features = [EncoderFeature(Tensor(np.array([[s]]))) for s in scores]
+    scorer = StubScorer()
+    best, feature, seen = retrieve(len(scores), features.__getitem__, scorer)
+    assert feature is features[best]
+    return best, seen, scorer
+
+
 class TestTop1:
     def test_tie_breaks_to_lowest_index(self):
-        assert top1(PageScores(doc_id="d", scores=(0.2, 0.9, 0.9))) == 1
+        best, seen, _ = retrieve_stub([0.2, 0.9, 0.9])
+        assert best == 1
+        assert seen == [0.2, 0.9, 0.9]
 
     def test_singleton(self):
-        assert top1([0.7]) == 0
+        best, seen, scorer = retrieve_stub([0.7])
+        assert (best, seen, scorer.calls) == (0, [], 0)
 
     def test_strictly_increasing(self):
-        assert top1(list(np.linspace(0.1, 0.9, 7))) == 6
+        assert retrieve_stub(list(np.linspace(0.1, 0.9, 7)))[0] == 6
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             scores = list(rng.random(6))
-            assert top1(scores) == top1([np.exp(4 * s) for s in scores])
+            assert retrieve_stub(scores)[0] == retrieve_stub([np.exp(4 * s) for s in scores])[0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            top1([])
+            retrieve_stub([])
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_score_raises(self, position):
+        scores = [0.3, 0.6, 0.9]
+        scores[position] = float("nan")
+        with pytest.raises(NumericError):
+            retrieve_stub(scores)
+
+
+TINY_MODEL = ModelConfig(
+    d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=32,
+    patch_size=16, max_patches=64, max_answer_len=4, seed=0,
+)
+
+
+class TestAnswerQuestion:
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        cfg = SynthConfig(
+            n_documents=1, pages_per_doc=(3, 3), facts_per_page=1, questions_per_doc=1,
+            key_alphabet="ABCDEFGH", key_len=3, value_alphabet="01", value_len=2,
+            page_width=208, page_height=16, seed=3,
+        )
+        ds = gen_synthetic(cfg, tmp_path_factory.mktemp("doc"))
+        q = ds.questions[0]
+        scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16, seed=1)
+        return q.question, ds.document_for(q), VqaModel(TINY_MODEL), scorer
+
+    def test_encodes_each_page_once(self, pipeline, monkeypatch):
+        question, doc, model, scorer = pipeline
+        grids = []
+        encode_grid = VqaModel.encode_grid
+        monkeypatch.setattr(VqaModel, "encode_grid", lambda self, grid: grids.append(grid) or encode_grid(self, grid))
+        answer_question(question, doc, model, scorer)
+        assert len(grids) == doc.n_pages
+
+    def test_decodes_the_retrieved_page(self, pipeline):
+        question, doc, model, scorer = pipeline
+        page, answer = answer_question(question, doc, model, scorer)
+        _, _, scores = retrieve(doc.n_pages, lambda i: encode_page(question, doc, i, model), scorer)
+        assert page == scores.index(max(scores))
+        assert answer == model.generate_answer(encode_page(question, doc, page, model))
+
+    def test_retrieved_feature_has_no_graph(self, pipeline):
+        question, doc, model, scorer = pipeline
+        _, feature, _ = retrieve(doc.n_pages, lambda i: encode_page(question, doc, i, model), scorer)
+        assert not feature.vectors.requires_grad
+        assert feature.vectors._parents == ()
+
+    def test_nan_scorer_raises(self, pipeline):
+        question, doc, model, _ = pipeline
+        scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16, seed=1)
+        scorer.params["head.b3"].data[:] = np.nan
+        with pytest.raises(NumericError, match="scored nan"):
+            answer_question(question, doc, model, scorer)
 
 
 class TestPageAccuracy:

@@ -6,16 +6,19 @@ import pytest
 from pixqa.autograd import Tensor
 from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, split
 from pixqa.errors import ConfigError
+from pixqa.evaluate import encode_page, retrieve
 from pixqa.model import ModelConfig, VqaModel
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 from pixqa.training import (
     Adam,
+    FrozenFeatureCache,
     Sgd,
     TrainConfig,
     mse_smoothed_loss,
     sample_negative,
     train_stage1,
     train_stage2,
+    validation_page_accuracy,
 )
 
 TINY_MODEL = ModelConfig(
@@ -247,13 +250,23 @@ class TestStage2:
             TrainConfig(stage=2, learning_rate=0.05, batch_size=1, max_epochs=30,
                         early_stop_patience=30, optimizer="adam", seed=0),
         )
-        from pixqa.evaluate import score_document
-
         q = ds.questions[0]
-        scores = score_document(q.question, ds.document_for(q), model, scorer).scores
+        doc = ds.document_for(q)
+        _, _, scores = retrieve(doc.n_pages, lambda i: encode_page(q.question, doc, i, model), scorer)
         pos = scores[q.answer_page_index]
         neg = scores[1 - q.answer_page_index]
         assert pos > neg
+
+    def test_cached_validation_matches_direct_encoding(self, corpus, trained):
+        _, valid = corpus
+        model, scorer, _, _ = trained
+        cached = validation_page_accuracy(valid, model, scorer, FrozenFeatureCache(model))
+        hits = 0
+        for q in valid.questions:
+            doc = valid.document_for(q)
+            best, _, _ = retrieve(doc.n_pages, lambda i: encode_page(q.question, doc, i, model), scorer)
+            hits += best == q.answer_page_index
+        assert cached == 100.0 * hits / len(valid.questions)
 
     def test_reproducible(self, corpus):
         train, valid = corpus
