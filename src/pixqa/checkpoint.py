@@ -90,11 +90,15 @@ def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
     payload = rest[header_start + header_len + 1 :]
 
     try:
-        model_cfg_dict = dict(header["model_config"])
+        model_cfg_dict = header["model_config"]
         scorer_cfg_dict = header["scorer_config"]
         entries = header["entries"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: header missing field {exc}") from None
+    if not isinstance(model_cfg_dict, dict):
+        raise CheckpointError(f"{path}: header model_config must be a JSON object")
+    if not (scorer_cfg_dict is None or isinstance(scorer_cfg_dict, dict)):
+        raise CheckpointError(f"{path}: header scorer_config must be null or a JSON object")
     model_cfg = _config(ModelConfig, model_cfg_dict, path)
     model = VqaModel(model_cfg)
 

@@ -95,12 +95,27 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     return payload
 
 
+def _typed(key: str, value, default, cfg_path) -> object:
+    """A config-file value checked against the type of the command's default (str where that is None)."""
+    expected = str if default is None else type(default)
+    if value is None and default is None:
+        return None
+    if expected is float and type(value) is int:
+        return float(value)
+    if type(value) is not expected:  # JSON true/false is not an int here
+        raise UsageError(
+            f"config file {cfg_path}: {key!r} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+        )
+    return value
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags (flags parse to None when absent)."""
     file_cfg = _load_config_file(args)
     unknown = sorted(set(file_cfg) - set(defaults))
     if unknown:
         raise UsageError(f"config file {args.config} has keys this command does not take: {', '.join(unknown)}")
+    file_cfg = {key: _typed(key, value, defaults[key], args.config) for key, value in file_cfg.items()}
     resolved = {}
     for dest, default in defaults.items():
         value = getattr(args, dest, None)

@@ -10,6 +10,7 @@ from . import autograd as ag
 from .autograd import Tensor
 
 LN_EPS = 1e-12
+ATTENTION_TILE = 64  # query rows per attention block
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -58,8 +59,17 @@ def multi_head_attention(
 ) -> Tensor:
     """Multi-head scaled dot-product attention with an output projection.
 
-    ``mask`` is an additive constant broadcast over heads (e.g. a causal
-    mask of -1e30 above the diagonal).
+    ``mask`` is an additive constant of shape (len_q, len_k) broadcast over
+    heads (e.g. a causal mask of -1e30 above the diagonal).
+
+    Q, K and V are projected once; logits, softmax and context then run
+    over blocks of ``ATTENTION_TILE`` query rows, whose contexts are joined
+    before the output projection. Each output row depends only on its own
+    query row, so tiling is exact, and no online softmax is needed because
+    every tile sees all keys. Without autograd only one tile's
+    (heads, tile, len_k) logits are alive at a time: memory is
+    O(tile * len_k), not O(heads * len_q * len_k). A query sequence that
+    fits in one tile runs as a single block with no extra graph node.
     """
     p = params
     len_q, d_model = q_in.shape
@@ -69,15 +79,26 @@ def multi_head_attention(
     def split_heads(x: Tensor, length: int) -> Tensor:
         return ag.transpose(ag.reshape(x, (length, n_heads, head_dim)), (1, 0, 2))
 
-    q = split_heads(linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), len_q)
-    k = split_heads(linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), len_k)
+    q = linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k_t = ag.transpose(split_heads(linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), len_k), (0, 2, 1))
     v = split_heads(linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), len_k)
 
-    logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(head_dim))
-    if mask is not None:
-        logits = logits + mask
-    attn = ag.softmax_last(logits)
-    context = ag.reshape(ag.transpose(ag.matmul(attn, v), (1, 0, 2)), (len_q, d_model))
+    def attend(q_rows: Tensor, tile_mask: np.ndarray | None) -> Tensor:
+        n = q_rows.shape[0]
+        logits = ag.mul(ag.matmul(split_heads(q_rows, n), k_t), 1.0 / math.sqrt(head_dim))
+        if tile_mask is not None:
+            logits = logits + tile_mask
+        attn = ag.softmax_last(logits)
+        return ag.reshape(ag.transpose(ag.matmul(attn, v), (1, 0, 2)), (n, d_model))
+
+    if len_q <= ATTENTION_TILE:
+        context = attend(q, mask)
+    else:
+        tiles = []
+        for start in range(0, len_q, ATTENTION_TILE):
+            rows = np.arange(start, min(start + ATTENTION_TILE, len_q))
+            tiles.append(attend(ag.take_rows(q, rows), None if mask is None else mask[rows]))
+        context = ag.concat_rows(tiles)
     return linear(context, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 

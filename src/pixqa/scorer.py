@@ -5,6 +5,13 @@ encoder feature (no positional encoding of its own), pools the output
 sequence to a single vector, and squashes it through a small MLP ending in
 a logistic unit. Three pooling strategies are supported; taking the first
 output vector is the default.
+
+With ``first`` or ``cls`` pooling the last self-attention layer attends
+from the pooled row only: row 0 is its single query and the whole sequence
+its keys and values. Each attention output row depends only on its own
+query row, so the score and every gradient are those of full attention
+followed by pooling, at O(length) cost instead of O(length^2) per head.
+Earlier layers, and the last layer under ``avgpool``, attend from every row.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .layers import glorot, init_attention, linear, multi_head_attention
 from .model import EncoderFeature
 
 AGGREGATIONS = ("first", "cls", "avgpool")
+FIRST_ROW = np.array([0])
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ def aggregate(outputs: Tensor, strategy: str) -> Tensor:
     was prepended before attention ran); "avgpool" averages all positions.
     """
     if strategy in ("first", "cls"):
-        return ag.take_rows(outputs, np.array([0]))
+        return ag.take_rows(outputs, FIRST_ROW)
     if strategy == "avgpool":
         return ag.mean_axis(outputs, axis=0, keepdims=True)
     raise ConfigError(f"unknown aggregation {strategy!r}")
@@ -99,8 +107,12 @@ class SelfAttentionScorer:
         """Scalar matching score in [0, 1]. Deterministic unless training."""
         cfg, p = self.cfg, self.params
         x = self.attention_inputs(feature)
+        last = cfg.n_sa_layers - 1
         for i in range(cfg.n_sa_layers):
-            x = multi_head_attention(x, x, p, f"sa.{i}", cfg.n_heads)
+            queries = x
+            if i == last and cfg.aggregation in ("first", "cls"):
+                queries = ag.take_rows(x, FIRST_ROW)  # the only output row pooling reads
+            x = multi_head_attention(queries, x, p, f"sa.{i}", cfg.n_heads)
         pooled = aggregate(x, cfg.aggregation)
         if training and cfg.dropout_p > 0.0:
             if rng is None:

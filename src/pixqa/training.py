@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluate import anls_single, encode_page, retrieve
 from .model import EncoderFeature, VqaModel
 from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
@@ -200,6 +200,23 @@ def validation_page_accuracy(
     return 100.0 * hits / len(valid_set.questions)
 
 
+def check_answers(dataset: Dataset, model: VqaModel) -> None:
+    """Raise DataError naming the first question whose training answer the decoder cannot emit."""
+    limit = model.cfg.max_answer_len
+    for sample in dataset.questions:
+        answer = sample.answers[0]
+        unknown = sorted(set(answer) - set(model.vocab.chars))
+        if unknown:
+            raise DataError(
+                f"question {sample.question_id}: answer {answer!r} has characters outside the vocabulary: {unknown}"
+            )
+        if len(answer) > limit:
+            raise DataError(
+                f"question {sample.question_id}: answer {answer!r} has {len(answer)} characters, "
+                f"max_answer_len is {limit}"
+            )
+
+
 def train_stage1(
     train_set: Dataset,
     valid_set: Dataset,
@@ -208,11 +225,16 @@ def train_stage1(
     log: LogFn | None = None,
     on_best: Callable[[int], None] | None = None,
 ) -> TrainHistory:
-    """Fit the encoder-decoder on gold pages; keep the best-validation epoch."""
+    """Fit the encoder-decoder on gold pages; keep the best-validation epoch.
+
+    Every training answer is checked against the vocabulary and
+    ``max_answer_len`` before the first epoch (see `check_answers`).
+    """
     if not train_set.questions:
         raise ValueError("stage-1 training requires a non-empty training set")
     if cfg.stage != 1:
         raise ConfigError("train_stage1 needs a stage-1 TrainConfig")
+    check_answers(train_set, model)
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg, model.params)
     history = TrainHistory()

@@ -124,3 +124,15 @@ class TestCorruption:
         rewrite_header(path, lambda h: h[section].update(not_a_field=1))
         with pytest.raises(CheckpointError, match="not_a_field"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("model_config", "d_model=8"), ("model_config", None), ("model_config", [["d_model", 8]]),
+         ("scorer_config", "first"), ("scorer_config", 3)],
+    )
+    def test_config_section_of_wrong_type_rejected(self, tmp_path, section, value):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, *make_pair())
+        rewrite_header(path, lambda h: h.update({section: value}))
+        with pytest.raises(CheckpointError, match=section):
+            load_checkpoint(path)

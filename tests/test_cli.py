@@ -238,3 +238,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "d_model, pagez" in err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [("docs", "many", "int"), ("docs", True, "int"), ("docs", 2.0, "int"), ("pages", 4, "str"),
+         ("key_alphabet", 7, "str")],
+    )
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, key, value, expected):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        assert main(["gen", "--out", str(tmp_path / "c"), "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and f"must be {expected}" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_config_int_accepted_for_float(self, corpus, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lr": 1, "label_smooth": 0}))
+        out = tmp_path / "s1"
+        rc = main(["train-vqa", "--data", str(corpus), "--out", str(out), "--config", str(cfg_file),
+                   "--epochs", "1"] + MODEL_FLAGS)
+        assert rc == 0
+        train = json.loads((out / "manifest.json").read_text())["config"]["train"]
+        assert (train["learning_rate"], train["label_smooth_eps"]) == (1.0, 0.0)
+
+    def test_answer_outside_vocabulary_is_runtime_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "s1"
+        rc = main(["train-vqa", "--data", str(corpus), "--out", str(out), "--vocab", "ab"]
+                  + MODEL_FLAGS + FAST_TRAIN)
+        assert rc == 1
+        assert "outside the vocabulary" in capsys.readouterr().err
+        assert not (out / "stage1.ckpt").exists()

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pixqa.autograd import Tensor
+from pixqa.autograd import Tensor, no_grad
 from pixqa.data import SynthConfig, gen_synthetic
 from pixqa.errors import NumericError
 from pixqa.evaluate import (
@@ -19,6 +21,7 @@ from pixqa.evaluate import (
     retrieve,
 )
 from pixqa.model import EncoderFeature, ModelConfig, VqaModel
+from pixqa.render import PatchGrid
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
 
@@ -217,6 +220,25 @@ class TestAnswerQuestion:
         scorer.params["head.b3"].data[:] = np.nan
         with pytest.raises(NumericError, match="scored nan"):
             answer_question(question, doc, model, scorer)
+
+
+class TestPaperBudgetMemory:
+    def test_one_page_at_2048_patches_stays_under_64_mib(self):
+        """Encoding and scoring a page at the paper's patch budget holds no (heads, L, L) attention."""
+        cfg = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384,
+                          max_patches=2048, max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
+        model = VqaModel(cfg)
+        scorer = SelfAttentionScorer(ScorerConfig(n_heads=16), d_model=cfg.d_model, seed=1)
+        grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(0).random((2048, 256)))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                score = scorer.score_value(model.encode_grid(grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= score <= 1.0
+        assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPageAccuracy:

@@ -1,0 +1,82 @@
+import numpy as np
+import pytest
+
+from pixqa import autograd as ag
+from pixqa import layers
+from pixqa.autograd import Tensor
+from pixqa.layers import ATTENTION_TILE, init_attention, multi_head_attention
+from pixqa.model import NEG_MASK
+
+D_MODEL, N_HEADS = 8, 2
+
+
+def attention_params(seed=0) -> dict[str, Tensor]:
+    params: dict[str, Tensor] = {}
+    init_attention(params, "a", D_MODEL, np.random.default_rng(seed))
+    return params
+
+
+def run(q_in, kv_in, params, mask, grad: bool):
+    """Output, then (when grad) the gradients of a fixed random projection of it."""
+    for t in (q_in, kv_in, *params.values()):
+        t.zero_grad()
+    if not grad:
+        with ag.no_grad():
+            return multi_head_attention(q_in, kv_in, params, "a", N_HEADS, mask=mask).data, {}
+    out = multi_head_attention(q_in, kv_in, params, "a", N_HEADS, mask=mask)
+    weights = np.random.default_rng(1).normal(0.0, 1.0, out.shape)
+    ag.sum_axis(ag.mul(out, weights)).backward()
+    named = {"q_in": q_in, "kv_in": kv_in, **params}
+    return out.data, {name: t.grad.copy() for name, t in named.items()}
+
+
+class TestQueryTiling:
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize(
+        "len_q, len_k, causal",
+        [(150, 150, False), (150, 150, True), (150, 90, False), (ATTENTION_TILE + 1, 40, False)],
+    )
+    def test_tiled_matches_untiled(self, monkeypatch, len_q, len_k, causal, grad):
+        assert len_q > ATTENTION_TILE and len_q % ATTENTION_TILE != 0
+        r = np.random.default_rng(7)
+        q_in = Tensor(r.normal(0.0, 1.0, (len_q, D_MODEL)), requires_grad=True)
+        kv_in = q_in if len_q == len_k else Tensor(r.normal(0.0, 1.0, (len_k, D_MODEL)), requires_grad=True)
+        mask = np.triu(np.full((len_q, len_k), NEG_MASK), k=1) if causal else None
+        params = attention_params()
+
+        tiled, tiled_grads = run(q_in, kv_in, params, mask, grad)
+        monkeypatch.setattr(layers, "ATTENTION_TILE", len_q)  # one block of every query row
+        untiled, untiled_grads = run(q_in, kv_in, params, mask, grad)
+
+        assert np.abs(tiled - untiled).max() <= 1e-12
+        assert tiled_grads.keys() == untiled_grads.keys()
+        for name, g in untiled_grads.items():
+            assert np.abs(tiled_grads[name] - g).max() <= 1e-12, name
+
+    def test_causal_mask_sliced_by_tile_rows(self):
+        # Row i may only see keys 0..i, so changing the last key leaves all earlier rows unchanged.
+        r = np.random.default_rng(3)
+        n = 2 * ATTENTION_TILE + 5
+        x = r.normal(0.0, 1.0, (n, D_MODEL))
+        mask = np.triu(np.full((n, n), NEG_MASK), k=1)
+        params = attention_params()
+        with ag.no_grad():
+            base = multi_head_attention(Tensor(x), Tensor(x), params, "a", N_HEADS, mask=mask).data
+            x[-1] += 1.0
+            moved = multi_head_attention(Tensor(x), Tensor(x), params, "a", N_HEADS, mask=mask).data
+        assert (base[:-1] == moved[:-1]).all()
+        assert not np.allclose(base[-1], moved[-1])
+
+    def test_one_tile_adds_no_graph_node(self):
+        def graph_size(len_q: int) -> int:
+            x = Tensor(np.random.default_rng(4).normal(0.0, 1.0, (len_q, D_MODEL)))
+            root = multi_head_attention(x, x, attention_params(), "a", N_HEADS)
+            seen, stack = set(), [root]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        assert graph_size(1) == graph_size(ATTENTION_TILE) < graph_size(ATTENTION_TILE + 1)

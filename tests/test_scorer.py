@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pixqa import autograd as ag
 from pixqa.autograd import Tensor
 from pixqa.errors import ConfigError
+from pixqa.layers import linear, multi_head_attention
 from pixqa.model import EncoderFeature
 from pixqa.scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer, aggregate
 
@@ -155,3 +157,44 @@ class TestPermutationInvariance:
         assert s.score_value(EncoderFeature(Tensor(arr))) != pytest.approx(
             s.score_value(EncoderFeature(Tensor(swapped))), abs=1e-12
         )
+
+
+def full_attention_score(s: SelfAttentionScorer, f: EncoderFeature, rng: np.random.Generator | None = None) -> Tensor:
+    """The score with every layer attending from all rows, then pooling; dropout when given an rng."""
+    cfg, p = s.cfg, s.params
+    x = s.attention_inputs(f)
+    for i in range(cfg.n_sa_layers):
+        x = multi_head_attention(x, x, p, f"sa.{i}", cfg.n_heads)
+    pooled = aggregate(x, cfg.aggregation)
+    if rng is not None:
+        pooled = ag.mul(pooled, (rng.random(pooled.shape) >= cfg.dropout_p) / (1.0 - cfg.dropout_p))
+    h = ag.relu(linear(pooled, p["head.w1"], p["head.b1"]))
+    h = ag.relu(linear(h, p["head.w2"], p["head.b2"]))
+    return ag.reshape(ag.sigmoid(linear(h, p["head.w3"], p["head.b3"])), ())
+
+
+def score_and_grads(s: SelfAttentionScorer, score_fn) -> tuple[float, dict[str, np.ndarray]]:
+    out = score_fn()
+    out.backward()
+    grads = {name: p.grad.copy() for name, p in s.params.items() if p.grad is not None}
+    for p in s.params.values():
+        p.zero_grad()
+    return float(out.data), grads
+
+
+class TestFullAttentionEquivalence:
+    """The scorer's pooled-row attention equals full attention followed by pooling."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("agg", AGGREGATIONS)
+    def test_score_and_gradients_match(self, agg, layers):
+        s = scorer(agg=agg, heads=2, layers=layers, dropout=0.1)
+        f = feature(length=70, seed=11)  # longer than one attention tile
+        got, got_grads = score_and_grads(s, lambda: s.score(f, training=True, rng=np.random.default_rng(5)))
+        want, want_grads = score_and_grads(s, lambda: full_attention_score(s, f, np.random.default_rng(5)))
+        assert got == pytest.approx(want, abs=1e-12)
+        with ag.no_grad():
+            assert s.score_value(f) == pytest.approx(float(full_attention_score(s, f).data), abs=1e-12)
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert np.abs(got_grads[name] - g).max() <= 1e-12, name

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from pixqa.autograd import Tensor
 from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, split
-from pixqa.errors import ConfigError
+from pixqa.errors import ConfigError, DataError
 from pixqa.evaluate import encode_page, retrieve
 from pixqa.model import ModelConfig, VqaModel
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
@@ -150,6 +151,21 @@ class TestStage1:
         train, valid = corpus
         with pytest.raises(ConfigError):
             train_stage1(train, valid, VqaModel(TINY_MODEL), TrainConfig(stage=2))
+
+    @pytest.mark.parametrize(
+        "answer, problem",
+        [("12x4", "outside the vocabulary"), ("1" * (TINY_MODEL.max_answer_len + 1), "max_answer_len")],
+    )
+    def test_bad_answer_rejected_before_training(self, corpus, answer, problem):
+        train, valid = corpus
+        bad = replace(train.questions[-1], answers=(answer,))
+        train = replace(train, questions=[*train.questions[:-1], bad])
+        model = VqaModel(replace(TINY_MODEL, vocab_chars="0123456789"))
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        with pytest.raises(DataError, match=problem) as info:
+            train_stage1(train, valid, model, TrainConfig(stage=1, max_epochs=1))
+        assert str(bad.question_id) in str(info.value)
+        assert all((p.data == before[k]).all() for k, p in model.params.items())
 
     def test_single_sample_memorization(self, tmp_path):
         cfg = SynthConfig(
