@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough machinery for a small transformer: elementwise arithmetic,
-(batched) matmul, reshape/transpose, reductions, stable softmax variants,
-relu/sigmoid, row gathers and row concatenation. Everything is double
-precision; gradients are validated against central finite differences in
-the test suite.
+(batched) matmul, reshape/transpose, reductions, fused attention weights
+(scaled, masked, max-shifted softmax of q @ k_t), a stable log-softmax,
+layer-norm standardization, relu/sigmoid, row gathers and row
+concatenation. Everything is double precision; gradients are validated
+against central finite differences in the test suite.
 
 Inside a ``no_grad()`` block (or when no input requires gradients) the same
 ops run as plain numpy with no graph recorded, which is the evaluation path.
@@ -247,18 +248,33 @@ def sigmoid(a) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def softmax_last(a) -> Tensor:
-    """Softmax over the last axis, max-shifted for stability."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(scale * (q @ k_t) + mask) over the last axis, max-shifted for stability.
+
+    One fused node: every step after the matmul runs in place in the
+    matmul's output, so a call allocates one (..., len_q, len_k) buffer.
+    The arithmetic, forward and backward, is that of composing matmul, mul,
+    add and a max-shifted softmax as separate ops, in the same order, so
+    values and gradients are bit-identical to that composition. ``mask``
+    is an additive constant broadcast against the logits; it gets no
+    gradient.
+    """
+    q, k_t = _as_tensor(q), _as_tensor(k_t)
+    data = q.data @ k_t.data
+    data *= scale
+    if mask is not None:
+        data += mask
+    data -= data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        _accum(a, data * (g - inner))
+        gl = data * (g - inner) * scale
+        _accum(q, _unbroadcast(gl @ np.swapaxes(k_t.data, -1, -2), q.data.shape))
+        _accum(k_t, _unbroadcast(np.swapaxes(q.data, -1, -2) @ gl, k_t.data.shape))
 
-    return _node(data, (a,), backward)
+    return _node(data, (q, k_t), backward)
 
 
 def log_softmax_last(a) -> Tensor:

@@ -12,13 +12,15 @@ under ``scorer/``; a stage-2 file is a strict superset of a stage-1 file.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import math
+from dataclasses import asdict, fields
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import Tensor
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, VqaModel
 from .scorer import ScorerConfig, SelfAttentionScorer
 
@@ -57,13 +59,64 @@ def save_checkpoint(path: Path, model: VqaModel, scorer: SelfAttentionScorer | N
 
 
 def _config(cls, values: dict, path: Path):
+    """``cls(**values)``, each value first checked against the type of its field's default."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in defaults:
+            raise CheckpointError(f"{path}: unknown {cls.__name__} field {key!r} in header")
+        default = defaults[key]
+        if default is None:  # head_dims: null, or a list of ints stored as a tuple
+            if not (value is None or (type(value) is list and all(type(v) is int for v in value))):
+                raise CheckpointError(f"{path}: {cls.__name__}.{key} must be null or a list of ints, got {value!r}")
+            value = None if value is None else tuple(value)
+        elif not (type(value) is type(default) or (type(default) is float and type(value) is int)):
+            # JSON true/false is not an int here
+            raise CheckpointError(f"{path}: {cls.__name__}.{key} must be {type(default).__name__}, got {value!r}")
+        kwargs[key] = value
     try:
-        return cls(**values)
-    except TypeError as exc:  # an unknown field, or a value of the wrong type
+        return cls(**kwargs)
+    except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid {cls.__name__} in header: {exc}") from None
 
 
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _entry_bytes(entries, payload: memoryview, path: Path) -> dict[str, tuple[tuple[int, ...], memoryview]]:
+    """Each header entry's shape and its bytes in the payload, after checking its fields."""
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{path}: header entries must be a JSON list")
+    found: dict[str, tuple[tuple[int, ...], memoryview]] = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: header entry {i} must be a JSON object, got {type(entry).__name__}")
+        name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: header entry {i} needs a string name, got {name!r}")
+        if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+            raise CheckpointError(f"{path}: entry {name!r} needs a shape of non-negative ints, got {shape!r}")
+        if not _is_count(offset):
+            raise CheckpointError(f"{path}: entry {name!r} needs a non-negative int offset, got {offset!r}")
+        if name in found:
+            raise CheckpointError(f"{path}: duplicate parameter entry {name!r}")
+        nbytes = math.prod(shape) * 8
+        chunk = payload[offset : offset + nbytes]
+        if len(chunk) != nbytes:
+            raise CheckpointError(f"{path}: entry {name!r} truncated ({len(chunk)} of {nbytes} bytes)")
+        found[name] = tuple(shape), chunk
+    return found
+
+
 def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
+    """Model and scorer (None for a stage-1 file) rebuilt from a checkpoint.
+
+    Every header field is checked, and the configs' parameter shapes are
+    matched against the entries before any parameter is allocated, so a
+    malformed or inconsistent file raises ``CheckpointError`` and a header
+    cannot make the loader allocate more than the payload holds.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -85,9 +138,9 @@ def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int past 4300 digits, deep nesting
         raise CheckpointError(f"{path}: invalid header JSON: {exc}") from exc
-    payload = rest[header_start + header_len + 1 :]
+    payload = memoryview(rest)[header_start + header_len + 1 :]
 
     try:
         model_cfg_dict = header["model_config"]
@@ -100,38 +153,33 @@ def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
     if not (scorer_cfg_dict is None or isinstance(scorer_cfg_dict, dict)):
         raise CheckpointError(f"{path}: header scorer_config must be null or a JSON object")
     model_cfg = _config(ModelConfig, model_cfg_dict, path)
-    model = VqaModel(model_cfg)
+    scorer_cfg = None if scorer_cfg_dict is None else _config(ScorerConfig, scorer_cfg_dict, path)
+    found = _entry_bytes(entries, payload, path)
 
-    scorer = None
-    if scorer_cfg_dict is not None:
-        if scorer_cfg_dict.get("head_dims") is not None:
-            scorer_cfg_dict["head_dims"] = tuple(scorer_cfg_dict["head_dims"])
-        scorer = SelfAttentionScorer(_config(ScorerConfig, scorer_cfg_dict, path), d_model=model_cfg.d_model)
-
-    expected: dict[str, Tensor] = {}
-    for name, p in model.params.items():
-        expected[f"model/{name}"] = p
-    if scorer is not None:
-        for name, p in scorer.params.items():
-            expected[f"scorer/{name}"] = p
-
-    seen = set()
-    for entry in entries:
-        name = entry.get("name")
+    shapes = ((f"model/{n}", s) for n, s in VqaModel.param_shapes(model_cfg))
+    if scorer_cfg is not None:
+        shapes = chain(shapes, ((f"scorer/{n}", s) for n, s in SelfAttentionScorer.param_shapes(scorer_cfg, model_cfg.d_model)))
+    expected = dict(islice(shapes, len(found) + 1))  # a header's layer counts may be huge
+    if len(expected) > len(found):
+        raise CheckpointError(f"{path}: missing parameter entries: {[n for n in expected if n not in found][:3]}")
+    for name, (shape, _) in found.items():
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected parameter entry {name!r}")
-        shape = tuple(entry["shape"])
-        param = expected[name]
-        if shape != param.data.shape:
-            raise CheckpointError(f"{path}: entry {name!r} has shape {shape}, expected {param.data.shape}")
-        offset = int(entry["offset"])
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: entry {name!r} truncated ({len(chunk)} of {nbytes} bytes)")
-        param.data = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        seen.add(name)
-    missing = set(expected) - seen
-    if missing:
-        raise CheckpointError(f"{path}: missing parameter entries: {sorted(missing)[:3]}")
-    return model, scorer
+        if shape != expected[name]:
+            raise CheckpointError(f"{path}: entry {name!r} has shape {shape}, expected {expected[name]}")
+
+    def params(namespace: str) -> dict[str, Tensor]:
+        out = {}
+        for name, shape in expected.items():
+            if name.startswith(namespace):
+                data = np.frombuffer(found[name][1], dtype="<f8").reshape(shape).copy()
+                out[name.removeprefix(namespace)] = Tensor(data, requires_grad=True)
+        return out
+
+    model = VqaModel(model_cfg, params("model/"))
+    if scorer_cfg is None:
+        return model, None
+    try:
+        return model, SelfAttentionScorer(scorer_cfg, d_model=model_cfg.d_model, params=params("scorer/"))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: invalid scorer in header: {exc}") from None

@@ -31,8 +31,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return ag.mul(normalize(x), gain) + bias
 
 
-def attention_param_names(prefix: str) -> list[str]:
-    return [f"{prefix}.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+def attention_shapes(prefix: str, d_model: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Names and shapes of ``init_attention``'s parameters, in its order."""
+    weights = [(f"{prefix}.{n}", (d_model, d_model)) for n in ("wq", "wk", "wv", "wo")]
+    return weights + [(f"{prefix}.{n}", (d_model,)) for n in ("bq", "bk", "bv", "bo")]
 
 
 def init_attention(params: dict[str, Tensor], prefix: str, d_model: int, rng: np.random.Generator) -> None:
@@ -62,14 +64,16 @@ def multi_head_attention(
     ``mask`` is an additive constant of shape (len_q, len_k) broadcast over
     heads (e.g. a causal mask of -1e30 above the diagonal).
 
-    Q, K and V are projected once; logits, softmax and context then run
+    Q, K and V are projected once; attention weights and context then run
     over blocks of ``ATTENTION_TILE`` query rows, whose contexts are joined
     before the output projection. Each output row depends only on its own
     query row, so tiling is exact, and no online softmax is needed because
-    every tile sees all keys. Without autograd only one tile's
-    (heads, tile, len_k) logits are alive at a time: memory is
-    O(tile * len_k), not O(heads * len_q * len_k). A query sequence that
-    fits in one tile runs as a single block with no extra graph node.
+    every tile sees all keys. A tile's weights come from one fused
+    ``ag.attention_weights`` node (QK^T, scale, mask and softmax in one
+    (heads, tile, len_k) buffer). Without autograd only one tile's buffer
+    is alive at a time: memory is O(heads * tile * len_k), not
+    O(heads * len_q * len_k). A query sequence that fits in one tile runs
+    as a single block with no extra graph node.
     """
     p = params
     len_q, d_model = q_in.shape
@@ -85,10 +89,7 @@ def multi_head_attention(
 
     def attend(q_rows: Tensor, tile_mask: np.ndarray | None) -> Tensor:
         n = q_rows.shape[0]
-        logits = ag.mul(ag.matmul(split_heads(q_rows, n), k_t), 1.0 / math.sqrt(head_dim))
-        if tile_mask is not None:
-            logits = logits + tile_mask
-        attn = ag.softmax_last(logits)
+        attn = ag.attention_weights(split_heads(q_rows, n), k_t, 1.0 / math.sqrt(head_dim), tile_mask)
         return ag.reshape(ag.transpose(ag.matmul(attn, v), (1, 0, 2)), (n, d_model))
 
     if len_q <= ATTENTION_TILE:

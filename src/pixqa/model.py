@@ -10,6 +10,7 @@ stands in for a large pretrained one.
 from __future__ import annotations
 
 import string
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .autograd import Tensor
 from .errors import BudgetError, ConfigError, NumericError
 from .layers import (
     apply_layer_norm,
+    attention_shapes,
     ffn,
     glorot,
     init_attention,
@@ -84,10 +86,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        sizes = (self.d_model, self.n_heads, self.n_enc_layers, self.n_dec_layers, self.d_ff,
+                 self.max_answer_len, self.patch_size, self.max_patches)
+        if min(sizes) < 1:
+            raise ConfigError("widths, head and layer counts, lengths and sizes must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if min(self.n_enc_layers, self.n_dec_layers, self.max_answer_len, self.patch_size, self.max_patches) < 1:
-            raise ConfigError("layer counts, lengths and sizes must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         Vocab(self.vocab_chars)  # validates uniqueness
 
 
@@ -121,6 +127,31 @@ class VqaModel:
         self.cfg = cfg
         self.vocab = Vocab(cfg.vocab_chars)
         self.params = params if params is not None else self._init_params()
+
+    @staticmethod
+    def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """Name and shape of every parameter ``_init_params`` makes, in its order, allocating nothing."""
+        d, d_ff, n_vocab = cfg.d_model, cfg.d_ff, Vocab(cfg.vocab_chars).size
+
+        def norm_shapes(prefix):
+            return [(f"{prefix}.g", (d,)), (f"{prefix}.b", (d,))]
+
+        def ffn_shapes(prefix):
+            return [(f"{prefix}.w1", (d, d_ff)), (f"{prefix}.b1", (d_ff,)), (f"{prefix}.w2", (d_ff, d)), (f"{prefix}.b2", (d,))]
+
+        yield from [("embed.proj_w", (cfg.patch_size**2, d)), ("embed.proj_b", (d,)),
+                    ("embed.row_emb", (cfg.max_patches, d)), ("embed.col_emb", (cfg.max_patches, d))]
+        for i in range(cfg.n_enc_layers):
+            yield from (norm_shapes(f"enc.{i}.ln1") + attention_shapes(f"enc.{i}.attn", d)
+                        + norm_shapes(f"enc.{i}.ln2") + ffn_shapes(f"enc.{i}.ffn"))
+        yield from norm_shapes("enc.final_ln")
+        yield from [("dec.tok_emb", (n_vocab, d)), ("dec.pos_emb", (cfg.max_answer_len + 1, d))]
+        for i in range(cfg.n_dec_layers):
+            yield from (norm_shapes(f"dec.{i}.ln1") + attention_shapes(f"dec.{i}.self_attn", d)
+                        + norm_shapes(f"dec.{i}.ln2") + attention_shapes(f"dec.{i}.cross_attn", d)
+                        + norm_shapes(f"dec.{i}.ln3") + ffn_shapes(f"dec.{i}.ffn"))
+        yield from norm_shapes("dec.final_ln")
+        yield from [("dec.out_w", (d, n_vocab)), ("dec.out_b", (n_vocab,))]
 
     def _init_params(self) -> dict[str, Tensor]:
         cfg = self.cfg

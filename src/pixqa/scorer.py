@@ -16,6 +16,7 @@ Earlier layers, and the last layer under ``avgpool``, attend from every row.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError
-from .layers import glorot, init_attention, linear, multi_head_attention
+from .layers import attention_shapes, glorot, init_attention, linear, multi_head_attention
 from .model import EncoderFeature
 
 AGGREGATIONS = ("first", "cls", "avgpool")
@@ -41,13 +42,15 @@ class ScorerConfig:
     def __post_init__(self):
         if self.n_sa_layers < 1:
             raise ConfigError("scorer needs at least one self-attention layer")
+        if self.n_heads < 1:
+            raise ConfigError(f"scorer needs at least one head, got {self.n_heads}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
         if self.head_dims is not None:
-            if len(self.head_dims) != 3 or self.head_dims[-1] != 1:
-                raise ConfigError("head_dims must be three widths ending in 1")
+            if len(self.head_dims) != 3 or self.head_dims[-1] != 1 or min(self.head_dims) < 1:
+                raise ConfigError("head_dims must be three positive widths ending in 1")
 
     def resolve_head_dims(self, d_model: int) -> tuple[int, int, int]:
         return self.head_dims if self.head_dims is not None else (d_model, max(1, d_model // 2), 1)
@@ -75,6 +78,17 @@ class SelfAttentionScorer:
         self.cfg = cfg
         self.d_model = d_model
         self.params = params if params is not None else self._init_params(seed)
+
+    @staticmethod
+    def param_shapes(cfg: ScorerConfig, d_model: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """Name and shape of every parameter ``_init_params`` makes, in its order, allocating nothing."""
+        for i in range(cfg.n_sa_layers):
+            yield from attention_shapes(f"sa.{i}", d_model)
+        yield "cls", (1, d_model)
+        fan_in = d_model
+        for j, width in enumerate(cfg.resolve_head_dims(d_model), start=1):
+            yield from [(f"head.w{j}", (fan_in, width)), (f"head.b{j}", (width,))]
+            fan_in = width
 
     def _init_params(self, seed: int) -> dict[str, Tensor]:
         cfg = self.cfg

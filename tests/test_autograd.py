@@ -4,6 +4,7 @@ import pytest
 from pixqa import autograd as ag
 from pixqa.autograd import Tensor
 from pixqa.layers import layer_norm, multi_head_attention, normalize
+from pixqa.model import NEG_MASK
 
 
 def finite_diff(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -95,24 +96,58 @@ class TestReductionsAndSoftmax:
         a = leaf(4, 3)
         check_op(lambda: ag.sum_axis(ag.mul(ag.mean_axis(a, axis=0), [1.0, 2.0, 3.0])), a)
 
-    def test_softmax_rows_sum_to_one(self):
-        a = leaf(5, 9)
-        s = ag.softmax_last(a)
-        assert np.allclose(s.data.sum(axis=-1), 1.0)
-
-    def test_softmax_gradient(self):
-        a = leaf(2, 4)
-        w = rng.normal(0, 1, (2, 4))
-        check_op(lambda: ag.sum_axis(ag.mul(ag.softmax_last(a), w)), a)
-
     def test_log_softmax_gradient(self):
         a = leaf(3, 5)
         w = rng.normal(0, 1, (3, 5))
         check_op(lambda: ag.sum_axis(ag.mul(ag.log_softmax_last(a), w)), a)
 
-    def test_softmax_stable_for_large_logits(self):
-        s = ag.softmax_last(Tensor(np.array([[1e6, 1e6 - 1.0]])))
-        assert np.isfinite(s.data).all()
+
+def causal(n: int) -> np.ndarray:
+    return np.triu(np.full((n, n), NEG_MASK), k=1)
+
+
+def unfused_attention_weights(q, k_t, scale, mask, g):
+    """Plain numpy of the matmul -> mul -> add -> softmax chain: weights, then the q and k_t gradients for `g`."""
+    logits = (q @ k_t) * scale
+    if mask is not None:
+        logits = logits + mask
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    data = e / e.sum(axis=-1, keepdims=True)
+    g_logits = data * (g - (g * data).sum(axis=-1, keepdims=True))
+    g_logits = g_logits * scale
+    return data, g_logits @ np.swapaxes(k_t, -1, -2), np.swapaxes(q, -1, -2) @ g_logits
+
+
+class TestAttentionWeights:
+    def test_rows_sum_to_one(self):
+        q, k_t = leaf(2, 5, 3), leaf(2, 3, 9)
+        w = ag.attention_weights(q, k_t, 0.5)
+        assert w.shape == (2, 5, 9)
+        assert np.allclose(w.data.sum(axis=-1), 1.0)
+
+    def test_stable_for_large_logits(self):
+        q = Tensor(np.array([[1e3, 0.0]]))
+        k_t = Tensor(np.array([[1e3, 1e3 - 1e-3], [0.0, 0.0]]))  # logits 1e6 and 1e6 - 1
+        w = ag.attention_weights(q, k_t, 1.0)
+        assert np.isfinite(w.data).all()
+        assert np.allclose(w.data, [[1.0 / (1.0 + np.exp(-1.0)), 1.0 / (1.0 + np.exp(1.0))]])
+
+    def test_gradient_with_scale_and_causal_mask(self):
+        q, k_t = leaf(2, 4, 3), leaf(2, 3, 4)
+        w = rng.normal(0, 1, (2, 4, 4))
+        check_op(lambda: ag.sum_axis(ag.mul(ag.attention_weights(q, k_t, 0.37, causal(4)), w)), q, k_t)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bit_identical_to_unfused_chain(self, masked):
+        q, k_t = leaf(4, 6, 5), leaf(4, 5, 6)
+        mask = causal(6) if masked else None
+        g = rng.normal(0, 1, (4, 6, 6))
+        out = ag.attention_weights(q, k_t, 1.0 / np.sqrt(5), mask)
+        ag.sum_axis(ag.mul(out, g)).backward()
+        data, g_q, g_k = unfused_attention_weights(q.data, k_t.data, 1.0 / np.sqrt(5), mask, g)
+        assert np.array_equal(out.data, data)
+        assert np.array_equal(q.grad, g_q)
+        assert np.array_equal(k_t.grad, g_k)
 
 
 class TestGatherConcat:

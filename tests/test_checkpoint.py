@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pixqa.checkpoint import load_checkpoint, save_checkpoint
+from pixqa.cli import main
 from pixqa.errors import CheckpointError
 from pixqa.model import ModelConfig, VqaModel
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
@@ -136,3 +139,91 @@ class TestCorruption:
         rewrite_header(path, lambda h: h.update({section: value}))
         with pytest.raises(CheckpointError, match=section):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda h: h.update(entries="model/embed.proj_w"), "entries"),
+            (lambda h: h["entries"].__setitem__(0, "model/embed.proj_w"), "entry 0"),
+            (lambda h: h["entries"][0].pop("shape"), "dec.0.cross_attn.bk"),
+            (lambda h: h["entries"][0].update(offset="x"), "dec.0.cross_attn.bk"),
+            (lambda h: h["scorer_config"].update(head_dims=5), "head_dims"),
+        ],
+        ids=["entries-not-a-list", "entry-not-an-object", "entry-without-shape", "offset-not-an-int", "head-dims-not-a-list"],
+    )
+    def test_malformed_entry_or_field_names_it(self, tmp_path, edit, names):
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(path, *make_pair())
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=names):
+            load_checkpoint(path)
+
+    def test_config_cannot_make_the_loader_allocate_past_the_payload(self, tmp_path):
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, *make_pair())
+        rewrite_header(path, lambda h: h["model_config"].update(d_model=2**40, n_enc_layers=10**12))
+        with pytest.raises(CheckpointError, match="missing parameter entries"):
+            load_checkpoint(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def header_fields(header: dict) -> list[tuple]:
+    """Paths of the header's fields: top-level keys, config fields, entries and entry fields."""
+    paths = [(key,) for key in header]
+    paths += [(section, key) for section in ("model_config", "scorer_config") for key in header[section]]
+    for i, entry in enumerate(header["entries"]):
+        paths += [("entries", i)] + [("entries", i, key) for key in entry]
+    return paths
+
+
+def has_field(node, key) -> bool:
+    return (isinstance(node, dict) and key in node) or (isinstance(node, list) and isinstance(key, int) and key < len(node))
+
+
+def replace_field(header: dict, path: tuple, value) -> None:
+    """Set the field at `path` to `value`, unless an earlier replacement removed it."""
+    node = header
+    for key in path[:-1]:
+        node = node[key] if has_field(node, key) else None
+    if has_field(node, path[-1]):
+        node[path[-1]] = value
+
+
+class TestHeaderFuzz:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        corpus = root / "corpus"
+        gen = ["gen", "--out", str(corpus), "--seed", "1", "--docs", "4", "--pages", "2:2", "--facts-per-page", "1",
+               "--page-width", "208", "--page-height", "32", "--fractions", "0.5,0.25,0.25"]
+        assert main(gen) == 0
+        clean = root / "clean.ckpt"
+        save_checkpoint(clean, *make_pair())
+        return corpus, clean, rewrite_header(clean, lambda h: None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_only_checkpoint_error_escapes(self, saved, data):
+        """With header fields replaced by arbitrary JSON values a checkpoint loads or raises
+        CheckpointError, and when it raises, `pixqa eval` exits 1."""
+        corpus, clean, header = saved
+        paths = data.draw(st.lists(st.sampled_from(header_fields(header)), min_size=1, max_size=3, unique=True))
+
+        def edit(h):
+            for field in paths:
+                replace_field(h, field, data.draw(JSON_VALUES, label=str(field)))
+
+        path = clean.with_name("fuzzed.ckpt")
+        path.write_bytes(clean.read_bytes())
+        rewrite_header(path, edit)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            out = path.with_name("eval")
+            assert main(["eval", "--checkpoint", str(path), "--data", str(corpus), "--out", str(out)]) == 1

@@ -223,8 +223,9 @@ class TestAnswerQuestion:
 
 
 class TestPaperBudgetMemory:
-    def test_one_page_at_2048_patches_stays_under_64_mib(self):
-        """Encoding and scoring a page at the paper's patch budget holds no (heads, L, L) attention."""
+    @pytest.fixture(scope="class")
+    def score_and_peak(self) -> tuple[float, int]:
+        """Score and tracemalloc peak of encoding and scoring one page at the paper's patch budget."""
         cfg = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384,
                           max_patches=2048, max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
         model = VqaModel(cfg)
@@ -237,8 +238,18 @@ class TestPaperBudgetMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return score, peak
+
+    def test_one_page_at_2048_patches_stays_under_64_mib(self, score_and_peak):
+        """Encoding and scoring a page at the paper's patch budget holds no (heads, L, L) attention."""
+        score, peak = score_and_peak
         assert 0.0 <= score <= 1.0
         assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_one_page_at_2048_patches_holds_one_attention_buffer_per_tile(self, score_and_peak):
+        """Each 64-row tile's QK^T, scale, mask and softmax share one (heads, 64, L) buffer (8 MiB here)."""
+        _, peak = score_and_peak
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPageAccuracy:

@@ -58,6 +58,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(d_model=10, n_heads=4)
 
+    @pytest.mark.parametrize("field", ["d_model", "n_heads", "n_enc_layers", "d_ff", "max_patches"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError):
+            ModelConfig(**{field: value})
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError):
+            ModelConfig(seed=-1)
+
+    @pytest.mark.parametrize("cfg", [TINY, ModelConfig(n_dec_layers=3)], ids=["tiny", "default-3-dec"])
+    def test_param_shapes_match_init(self, cfg):
+        model = VqaModel(cfg)
+        assert list(VqaModel.param_shapes(cfg)) == [(name, p.shape) for name, p in model.params.items()]
+
     def test_defaults_are_paper_gap_decisions(self):
         cfg = ModelConfig()
         assert (cfg.d_model, cfg.n_enc_layers, cfg.n_dec_layers, cfg.n_heads) == (64, 2, 2, 4)

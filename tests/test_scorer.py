@@ -47,6 +47,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SelfAttentionScorer(ScorerConfig(n_heads=3), d_model=8)
 
+    @pytest.mark.parametrize("cfg", [{"n_heads": 0}, {"n_heads": -4}, {"head_dims": (8, 0, 1)}, {"head_dims": (-8, 4, 1)}])
+    def test_heads_and_widths_must_be_positive(self, cfg):
+        with pytest.raises(ConfigError):
+            ScorerConfig(**cfg)
+
+    @pytest.mark.parametrize(
+        "cfg", [ScorerConfig(), ScorerConfig(n_sa_layers=2, n_heads=2, aggregation="cls", head_dims=(5, 3, 1))]
+    )
+    def test_param_shapes_match_init(self, cfg):
+        head = SelfAttentionScorer(cfg, d_model=8 if cfg.n_heads == 2 else 16)
+        assert list(SelfAttentionScorer.param_shapes(cfg, head.d_model)) == [(n, p.shape) for n, p in head.params.items()]
+
 
 class TestAggregate:
     def test_first_selects_position_zero(self):
