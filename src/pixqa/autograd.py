@@ -230,7 +230,7 @@ def mean_axis(a, axis=None, keepdims: bool = False) -> Tensor:
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-    data = np.where(mask, a.data, 0.0)
+    data = np.maximum(a.data, 0.0)
 
     def backward(g):
         _accum(a, g * mask)
@@ -248,7 +248,7 @@ def sigmoid(a) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> Tensor:
+def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None, out: np.ndarray | None = None) -> Tensor:
     """softmax(scale * (q @ k_t) + mask) over the last axis, max-shifted for stability.
 
     One fused node: every step after the matmul runs in place in the
@@ -257,10 +257,13 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> T
     add and a max-shifted softmax as separate ops, in the same order, so
     values and gradients are bit-identical to that composition. ``mask``
     is an additive constant broadcast against the logits; it gets no
-    gradient.
+    gradient. ``out``, when given, is the buffer to compute in: an array of
+    the result's shape that the returned tensor's data then shares, so a
+    caller can allocate it on one thread and fill it on another, or reuse
+    it once the previous result is consumed.
     """
     q, k_t = _as_tensor(q), _as_tensor(k_t)
-    data = q.data @ k_t.data
+    data = np.matmul(q.data, k_t.data, out=out)
     data *= scale
     if mask is not None:
         data += mask
@@ -311,9 +314,9 @@ def normalize_last(a, eps: float = 1e-12) -> Tensor:
 
 
 def take_rows(a, indices) -> Tensor:
-    """Gather rows along axis 0 (embedding lookup)."""
+    """Gather rows along axis 0 (embedding lookup); a slice of rows is a view, not a copy."""
     a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
     def backward(g):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,14 +24,31 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, Document, PageRef, SynthConfig, gen_synthetic, load_mpdocvqa, split, write_annotations
-from .errors import PixqaError
+from .errors import DataError, PixqaError
 from .evaluate import evaluate_dataset, page_histogram, report_from_records
+from .layers import attention_workers
 from .model import ModelConfig, VqaModel
 from .scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
 from .training import TrainConfig, TrainHistory, train_stage1, train_stage2
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
+
+
+def run_environment() -> dict:
+    """What a run's speed depends on: numpy, its BLAS, and the CPUs attention splits its heads over."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas_name = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "cpu_count": os.cpu_count(),
+        "attention_workers": attention_workers(),
+    }
 
 
 @dataclass
@@ -40,6 +59,7 @@ class RunManifest:
     config: dict
     checkpoints: dict[str, str]
     output_dir: str
+    environment: dict = field(default_factory=run_environment)
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -395,6 +415,8 @@ def cmd_train_scorer(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     ckpt_path = _require_path(Path(args.checkpoint), "checkpoint")
     dataset = _load_split(Path(args.data), args.split)
+    if not dataset.questions:
+        raise DataError(f"the {args.split} split of {args.data} has no questions to evaluate")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -491,9 +513,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# Fields `report` reads from each results.jsonl record, with their JSON types.
+RESULT_FIELDS = {"doc_id": str, "doc_pages": int, "pred_page": int, "gold_page": int, "anls": (int, float)}
+
+
+def _read_results(path: Path) -> list[dict]:
+    """The records of a results.jsonl file; a line that is not one raises DataError naming it."""
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, ValueError) as exc:  # a directory, or bytes that are not UTF-8
+        raise DataError(f"cannot read results file {path}: {exc}") from None
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path} line {lineno}: not valid JSON: {exc}") from None
+        if not isinstance(record, dict) or not all(
+            isinstance(record.get(name), kind) for name, kind in RESULT_FIELDS.items()
+        ):
+            fields = ", ".join(f"{name} ({getattr(kind, '__name__', 'number')})" for name, kind in RESULT_FIELDS.items())
+            raise DataError(f"{path} line {lineno}: a result record is an object with {fields}")
+        records.append(record)
+    return records
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     results_path = _require_path(Path(args.results), "results file")
-    records = [json.loads(line) for line in results_path.read_text().splitlines() if line.strip()]
+    records = _read_results(results_path)
     if not records:
         raise PixqaError(f"results file {results_path} is empty")
     report = report_from_records(records)

@@ -151,49 +151,63 @@ class Dataset:
 # Loader
 # ----------------------------------------------------------------------------
 
+RECORD_FIELDS = ("questionId", "question", "doc_id", "page_ids", "answers", "answer_page_idx")
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+
+
 def load_mpdocvqa(annotations_path: Path, images_dir: Path) -> Dataset:
-    """Load a corpus in the multi-page DocVQA annotation schema."""
+    """Load a corpus in the multi-page DocVQA annotation schema.
+
+    Every way the file can break the schema (bytes that are not UTF-8 JSON,
+    nesting too deep to parse, a field of the wrong type) raises
+    ``AnnotationParseError``; a page image that cannot be found raises
+    ``DataError``.
+    """
     annotations_path = Path(annotations_path)
     images_dir = Path(images_dir)
     if not annotations_path.exists():
         raise DataError(f"annotations file not found: {annotations_path}")
     try:
-        payload = json.loads(annotations_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationParseError(f"{annotations_path}: invalid JSON: {exc}") from exc
+        blob = annotations_path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read annotations file {annotations_path}: {exc}") from None
+    try:
+        payload = json.loads(blob)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, bytes that are not UTF-8, nesting too deep
+        raise AnnotationParseError(f"{annotations_path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("data"), list):
         raise AnnotationParseError(f"{annotations_path}: top level must be an object with a 'data' list")
+    split = payload.get("dataset_split", "full")
+    if not isinstance(split, str):
+        raise AnnotationParseError(f"{annotations_path}: dataset_split must be a string, got {type(split).__name__}")
 
-    split = str(payload.get("dataset_split", "full"))
     questions: list[QASample] = []
     doc_pages: dict[str, list[str]] = {}
     for idx, rec in enumerate(payload["data"]):
-        try:
-            qid = rec["questionId"]
-            question = rec["question"]
-            doc_id = rec["doc_id"]
-            page_ids = rec["page_ids"]
-            answers = rec["answers"]
-            gold = rec["answer_page_idx"]
-        except (TypeError, KeyError) as exc:
-            raise AnnotationParseError(f"record {idx}: missing field {exc}") from None
-        if not isinstance(page_ids, list) or not page_ids:
-            raise AnnotationParseError(f"record {idx}: page_ids must be a non-empty list")
-        if not isinstance(answers, list) or not answers:
-            raise AnnotationParseError(f"record {idx}: answers must be a non-empty list")
-        if not isinstance(gold, int) or not 0 <= gold < len(page_ids):
+        if not isinstance(rec, dict):
+            raise AnnotationParseError(f"record {idx}: must be an object, got {type(rec).__name__}")
+        missing = [name for name in RECORD_FIELDS if name not in rec]
+        if missing:
+            raise AnnotationParseError(f"record {idx}: missing field {missing[0]!r}")
+        qid, question, doc_id, page_ids, answers, gold = (rec[name] for name in RECORD_FIELDS)
+        if type(qid) not in (int, str):  # JSON true/false is not an id
+            raise AnnotationParseError(f"record {idx}: questionId must be an int or a string")
+        if not isinstance(question, str) or not isinstance(doc_id, str):
+            raise AnnotationParseError(f"record {idx}: question and doc_id must be strings")
+        if not _is_str_list(page_ids):
+            raise AnnotationParseError(f"record {idx}: page_ids must be a non-empty list of strings")
+        if not _is_str_list(answers):
+            raise AnnotationParseError(f"record {idx}: answers must be a non-empty list of strings")
+        if type(gold) is not int or not 0 <= gold < len(page_ids):
             raise AnnotationParseError(f"record {idx}: answer_page_idx {gold!r} out of range for {len(page_ids)} pages")
         if doc_id in doc_pages and doc_pages[doc_id] != page_ids:
             raise AnnotationParseError(f"record {idx}: document {doc_id!r} listed with inconsistent page_ids")
         doc_pages.setdefault(doc_id, list(page_ids))
         questions.append(
-            QASample(
-                question_id=qid,
-                question=str(question),
-                doc_id=str(doc_id),
-                answers=tuple(str(a) for a in answers),
-                answer_page_index=gold,
-            )
+            QASample(question_id=qid, question=question, doc_id=doc_id, answers=tuple(answers), answer_page_index=gold)
         )
 
     documents: dict[str, Document] = {}
@@ -201,9 +215,13 @@ def load_mpdocvqa(annotations_path: Path, images_dir: Path) -> Dataset:
         refs = []
         for page_id in page_ids:
             path = images_dir / f"{page_id}.pgm"
-            if not path.exists():
+            try:
+                found = path.exists()
+            except OSError:  # e.g. a page id longer than a file name may be
+                found = False
+            if not found:
                 raise DataError(f"page image not found for page id {page_id!r} (looked at {path})")
-            refs.append(PageRef(page_id=str(page_id), path=path))
+            refs.append(PageRef(page_id=page_id, path=path))
         documents[doc_id] = Document(doc_id=doc_id, pages=tuple(refs))
     return Dataset(split=split, questions=questions, documents=documents)
 

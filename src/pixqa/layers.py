@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 import numpy as np
 
@@ -51,6 +54,19 @@ def init_attention(params: dict[str, Tensor], prefix: str, d_model: int, rng: np
         params[f"{prefix}.{b_name}"] = Tensor(np.zeros(d_model), requires_grad=True)
 
 
+def attention_workers() -> int:
+    """CPUs this process may run on: tiled attention splits its heads into this many groups at most."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@cache
+def _attention_pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=max(1, attention_workers() - 1), thread_name_prefix="pixqa-attention")
+
+
 def multi_head_attention(
     q_in: Tensor,
     kv_in: Tensor,
@@ -70,36 +86,73 @@ def multi_head_attention(
     query row, so tiling is exact, and no online softmax is needed because
     every tile sees all keys. A tile's weights come from one fused
     ``ag.attention_weights`` node (QK^T, scale, mask and softmax in one
-    (heads, tile, len_k) buffer). Without autograd only one tile's buffer
-    is alive at a time: memory is O(heads * tile * len_k), not
-    O(heads * len_q * len_k). A query sequence that fits in one tile runs
-    as a single block with no extra graph node.
+    (heads, tile, len_k) buffer). A query sequence that fits in one tile
+    runs as a single block with no extra graph node.
+
+    A tiled call splits the heads into ``min(attention_workers(), n_heads)``
+    contiguous groups, one tile loop each: the calling thread runs the
+    first group and a shared pool of ``attention_workers() - 1`` threads
+    runs the others (with one group no pool is made). Every head's
+    arithmetic is the same whatever the group count, so outputs and
+    gradients are bit-identical across CPU counts; ``backward`` stays
+    serial. The calling thread allocates the one weight buffer and the tile
+    loops fill their heads' part of it in place (``out=``), since buffers
+    allocated on pool threads stay in per-thread malloc arenas. Without
+    autograd it is one (heads, tile, len_k) buffer that every tile reuses,
+    so memory is O(heads * tile * len_k), not O(heads * len_q * len_k);
+    with autograd it is (heads, len_q, len_k) and each tile keeps its own
+    rows, which the graph holds anyway. Two rules keep the workers safe:
+    they call only ``ag`` ops, never a model or scorer method that a tracer
+    might wrap, and they never enter ``no_grad`` (the grad switch is one
+    module global, which they only read while the caller waits).
     """
     p = params
     len_q, d_model = q_in.shape
     len_k = kv_in.shape[0]
     head_dim = d_model // n_heads
+    scale = 1.0 / math.sqrt(head_dim)
 
     def split_heads(x: Tensor, length: int) -> Tensor:
         return ag.transpose(ag.reshape(x, (length, n_heads, head_dim)), (1, 0, 2))
 
-    q = linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    def merge_heads(x: Tensor) -> Tensor:
+        return ag.reshape(ag.transpose(x, (1, 0, 2)), (x.shape[1], d_model))
+
+    q = split_heads(linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), len_q)
     k_t = ag.transpose(split_heads(linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), len_k), (0, 2, 1))
     v = split_heads(linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), len_k)
 
-    def attend(q_rows: Tensor, tile_mask: np.ndarray | None) -> Tensor:
-        n = q_rows.shape[0]
-        attn = ag.attention_weights(split_heads(q_rows, n), k_t, 1.0 / math.sqrt(head_dim), tile_mask)
-        return ag.reshape(ag.transpose(ag.matmul(attn, v), (1, 0, 2)), (n, d_model))
-
     if len_q <= ATTENTION_TILE:
-        context = attend(q, mask)
-    else:
+        return linear(merge_heads(ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)),
+                      p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+
+    starts = range(0, len_q, ATTENTION_TILE)
+    keep = q.requires_grad or k_t.requires_grad  # the graph will hold every tile's weights
+
+    def group_tiles(q_g: Tensor, k_g: Tensor, v_g: Tensor, buf: np.ndarray) -> list[Tensor]:
+        """One head group's tile contexts, (group, tile, head_dim) each; runs on a worker."""
         tiles = []
-        for start in range(0, len_q, ATTENTION_TILE):
-            rows = np.arange(start, min(start + ATTENTION_TILE, len_q))
-            tiles.append(attend(ag.take_rows(q, rows), None if mask is None else mask[rows]))
-        context = ag.concat_rows(tiles)
+        for start in starts:
+            stop = min(start + ATTENTION_TILE, len_q)
+            out = buf[:, start:stop] if keep else buf[:, : stop - start]
+            q_tile = ag.transpose(ag.take_rows(q_g, slice(start, stop)), (1, 0, 2))
+            attn = ag.attention_weights(q_tile, k_g, scale, None if mask is None else mask[start:stop], out=out)
+            tiles.append(ag.matmul(attn, v_g))
+        return tiles
+
+    # A head group takes views (row slices of the head axis) of Q, K, V and the one weight buffer.
+    groups = [slice(h[0], h[-1] + 1) for h in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
+    buf = np.empty((n_heads, len_q if keep else ATTENTION_TILE, len_k))
+    jobs = [(ag.transpose(ag.take_rows(q, heads), (1, 0, 2)), ag.take_rows(k_t, heads), ag.take_rows(v, heads),
+             buf[heads]) for heads in groups]
+    rest = [_attention_pool().submit(group_tiles, *job) for job in jobs[1:]]
+    try:
+        first = group_tiles(*jobs[0])
+    finally:  # even when the first group fails, wait for the others and read their errors
+        others = [job.result() for job in rest]
+    per_group = [first, *others]
+    del buf, jobs  # without autograd nothing else holds the buffer: free it before the joins
+    context = ag.concat_rows([merge_heads(ag.concat_rows(list(parts))) for parts in zip(*per_group)])
     return linear(context, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 

@@ -60,6 +60,22 @@ class TestElementwise:
         a = Tensor(np.array([-1.0, -0.3, 0.4, 2.0]), requires_grad=True)
         check_op(lambda: ag.sum_axis(ag.mul(ag.relu(a), ag.relu(a))), a)
 
+    def test_relu_forward_equals_masked_select(self):
+        # Same values and zero signs as np.where(a > 0, a, 0.0), the formula relu used before np.maximum.
+        a = np.array([-0.0, 0.0, -1e-300, 1e-300, -2.5, 3.0, -np.inf, np.inf])
+        out = ag.relu(Tensor(a)).data
+        old = np.where(a > 0, a, 0.0)
+        assert np.array_equal(out, old)
+        assert np.array_equal(np.signbit(out), np.signbit(old))
+
+    def test_relu_gradient_is_the_positive_mask(self):
+        a = Tensor(np.array([-0.0, 0.0, -1.0, 2.0]), requires_grad=True)
+        ag.sum_axis(ag.relu(a)).backward()
+        assert np.array_equal(a.grad, [0.0, 0.0, 0.0, 1.0])
+
+    def test_relu_propagates_nan(self):
+        assert np.isnan(ag.relu(Tensor(np.array([np.nan]))).data).all()
+
     def test_sigmoid(self):
         a = leaf(7)
         check_op(lambda: ag.sum_axis(ag.sigmoid(a)), a)
@@ -150,11 +166,25 @@ class TestAttentionWeights:
         assert np.array_equal(k_t.grad, g_k)
 
 
+    def test_out_buffer_holds_the_result(self):
+        q, k_t = leaf(2, 5, 3), leaf(2, 3, 9)
+        buf = np.full((2, 5, 9), np.nan)
+        w = ag.attention_weights(q, k_t, 0.5, causal(9)[:5], out=buf)
+        assert np.shares_memory(w.data, buf)
+        assert np.array_equal(w.data, ag.attention_weights(q, k_t, 0.5, causal(9)[:5]).data)
+
+
 class TestGatherConcat:
     def test_take_rows_scatters_gradient(self):
         table = leaf(6, 3)
         idx = np.array([0, 2, 2, 5])
         check_op(lambda: ag.sum_axis(ag.mul(ag.take_rows(table, idx), ag.take_rows(table, idx))), table)
+
+    def test_take_rows_slice_is_a_view(self):
+        table = leaf(6, 3)
+        assert np.shares_memory(ag.take_rows(table, slice(1, 4)).data, table.data)
+        w = rng.normal(0, 1, (3, 3))
+        check_op(lambda: ag.sum_axis(ag.mul(ag.take_rows(table, slice(1, 4)), w)), table)
 
     def test_concat_rows(self):
         a, b = leaf(2, 3), leaf(4, 3)

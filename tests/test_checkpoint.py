@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonfuzz import JSON_VALUES, replace_field
 
 from pixqa.checkpoint import load_checkpoint, save_checkpoint
 from pixqa.cli import main
@@ -166,13 +167,6 @@ class TestCorruption:
             load_checkpoint(path)
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=6,
-)
-
-
 def header_fields(header: dict) -> list[tuple]:
     """Paths of the header's fields: top-level keys, config fields, entries and entry fields."""
     paths = [(key,) for key in header]
@@ -180,19 +174,6 @@ def header_fields(header: dict) -> list[tuple]:
     for i, entry in enumerate(header["entries"]):
         paths += [("entries", i)] + [("entries", i, key) for key in entry]
     return paths
-
-
-def has_field(node, key) -> bool:
-    return (isinstance(node, dict) and key in node) or (isinstance(node, list) and isinstance(key, int) and key < len(node))
-
-
-def replace_field(header: dict, path: tuple, value) -> None:
-    """Set the field at `path` to `value`, unless an earlier replacement removed it."""
-    node = header
-    for key in path[:-1]:
-        node = node[key] if has_field(node, key) else None
-    if has_field(node, path[-1]):
-        node[path[-1]] = value
 
 
 class TestHeaderFuzz:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from pixqa.cli import main
+from pixqa.layers import attention_workers
 
 MODEL_FLAGS = [
     "--d-model", "16", "--heads", "2", "--enc-layers", "1", "--dec-layers", "1",
@@ -75,6 +77,13 @@ class TestGen:
         assert manifest["command"] == "gen"
         assert manifest["config"]["synth"]["n_documents"] == 4
         assert manifest["seeds"] == {"corpus": 3}
+
+    def test_manifest_records_environment(self, corpus):
+        env = json.loads((corpus / "manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"], str) and env["blas"]
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["attention_workers"] == attention_workers() >= 1
 
 
 class TestTraining:
@@ -269,3 +278,34 @@ class TestExitCodes:
         assert rc == 1
         assert "outside the vocabulary" in capsys.readouterr().err
         assert not (out / "stage1.ckpt").exists()
+
+    def test_eval_of_a_split_without_questions_is_runtime_error(self, corpus, stage2, tmp_path, capsys):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus, data)
+        (data / "annotations.test.json").write_text(json.dumps({"dataset_split": "test", "data": []}))
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(stage2[0]), "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert "no questions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "not json",
+            "[1, 2]",
+            '{"doc_id": ["d"], "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": 1.0}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": "high"}',
+        ],
+        ids=["not-json", "not-an-object", "unhashable-doc-id", "missing-anls", "anls-not-a-number"],
+    )
+    def test_malformed_results_line_is_runtime_error_naming_it(self, tmp_path, capsys, bad_line):
+        good = '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 1, "anls": 0.5}'
+        results = tmp_path / "results.jsonl"
+        results.write_text(good + "\n\n" + bad_line + "\n")
+        assert main(["report", "--results", str(results)]) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    def test_results_file_not_utf8_is_runtime_error(self, tmp_path):
+        results = tmp_path / "results.jsonl"
+        results.write_bytes(b"\xff\xfe\n")
+        assert main(["report", "--results", str(results)]) == 1

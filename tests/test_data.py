@@ -3,7 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonfuzz import DELETE, JSON_VALUES, replace_field
 
+from pixqa.checkpoint import save_checkpoint
+from pixqa.cli import main
 from pixqa.data import (
     Dataset,
     Document,
@@ -19,10 +24,12 @@ from pixqa.data import (
     write_annotations,
     write_pgm,
 )
-from pixqa.errors import AnnotationParseError, ConfigError, DataError
+from pixqa.errors import AnnotationParseError, ConfigError, DataError, PixqaError
 from pixqa.evaluate import page_histogram
 from pixqa.font import builtin_font
+from pixqa.model import ModelConfig, VqaModel
 from pixqa.render import RasterImage, render_text
+from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
 TINY = SynthConfig(n_documents=3, pages_per_doc=(2, 4), questions_per_doc=2, seed=5)
 
@@ -134,6 +141,61 @@ class TestLoader:
         payload["data"][1]["page_ids"] = payload["data"][1]["page_ids"][:2]
         ann.write_text(json.dumps(payload))
         with pytest.raises(AnnotationParseError, match="record 1"):
+            load_mpdocvqa(ann, images)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"data": [], "dataset_split": "\xff\xfe"}',  # not UTF-8
+            b"[" * 100_000 + b"]" * 100_000,  # nested deeper than the parser recurses
+            b'{"data": [' + b"1" * 5000 + b"]}",  # an int past the parser's digit limit
+        ],
+        ids=["invalid-utf8", "deep-nesting", "huge-int"],
+    )
+    def test_unparsable_file_raises_parse_error(self, tmp_path, content):
+        ann, images = self._write_fixture(tmp_path)
+        ann.write_bytes(content)
+        with pytest.raises(AnnotationParseError, match="invalid JSON"):
+            load_mpdocvqa(ann, images)
+
+    @pytest.mark.parametrize(
+        "record, value",
+        [
+            (0, {"doc_id": ["docA"]}),  # unhashable
+            (0, {"questionId": True}),
+            (1, {"question": 7}),
+            (1, {"page_ids": ["docA_p000", 3]}),
+            (0, {"answers": [None]}),
+            (1, {"answer_page_idx": 1.0}),
+            (0, "not an object"),
+        ],
+    )
+    def test_field_of_wrong_type_names_record(self, tmp_path, record, value):
+        ann, images = self._write_fixture(tmp_path)
+        payload = json.loads(ann.read_text())
+        if isinstance(value, dict):
+            payload["data"][record].update(value)
+        else:
+            payload["data"][record] = value
+        ann.write_text(json.dumps(payload))
+        with pytest.raises(AnnotationParseError, match=f"record {record}"):
+            load_mpdocvqa(ann, images)
+
+    def test_split_name_must_be_a_string(self, tmp_path):
+        ann, images = self._write_fixture(tmp_path)
+        payload = json.loads(ann.read_text())
+        payload["dataset_split"] = ["test"]
+        ann.write_text(json.dumps(payload))
+        with pytest.raises(AnnotationParseError, match="dataset_split"):
+            load_mpdocvqa(ann, images)
+
+    def test_page_id_too_long_for_a_file_name(self, tmp_path):
+        ann, images = self._write_fixture(tmp_path)
+        payload = json.loads(ann.read_text())
+        for rec in payload["data"]:
+            rec["page_ids"][0] = "p" * 5000
+        ann.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="page image not found"):
             load_mpdocvqa(ann, images)
 
     def test_missing_annotations_file(self, tmp_path):
@@ -267,3 +329,57 @@ class TestSplit:
     def test_bad_fractions_rejected(self):
         with pytest.raises(ConfigError):
             split(self._fake_dataset(4), (0.5, 0.2, 0.2), seed=0)
+
+
+def annotation_fields(payload: dict) -> list[tuple]:
+    """Paths of the fields of an annotations payload: top-level keys, records, record fields, list items."""
+    paths = [(key,) for key in payload]
+    for i, rec in enumerate(payload["data"]):
+        paths += [("data", i)] + [("data", i, key) for key in rec]
+        paths += [("data", i, key, j) for key in ("page_ids", "answers") for j in range(len(rec[key]))]
+    return paths
+
+
+class TestAnnotationFuzz:
+    """Only PixqaError subclasses escape the loader, and `pixqa eval` exits 0, 1 or 2."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("annotation-fuzz")
+        corpus = root / "corpus"
+        gen = ["gen", "--out", str(corpus), "--seed", "2", "--docs", "4", "--pages", "2:2", "--facts-per-page", "1",
+               "--page-width", "208", "--page-height", "32", "--fractions", "0.5,0.25,0.25"]
+        assert main(gen) == 0
+        cfg = ModelConfig(d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16, patch_size=4,
+                          max_patches=8, vocab_chars="abc", max_answer_len=3, seed=1)
+        ckpt = root / "stage2.ckpt"
+        save_checkpoint(ckpt, VqaModel(cfg), SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=8, seed=2))
+        assert main(["eval", "--data", str(corpus), "--checkpoint", str(ckpt), "--out", str(root / "eval")]) == 0
+        return corpus, ckpt, json.loads((corpus / "annotations.test.json").read_text())
+
+    def check(self, corpus, ckpt, content: bytes) -> None:
+        ann = corpus / "annotations.test.json"
+        ann.write_bytes(content)
+        try:
+            load_mpdocvqa(ann, corpus / "images")
+            loaded = True
+        except PixqaError:
+            loaded = False
+        rc = main(["eval", "--data", str(corpus), "--checkpoint", str(ckpt), "--out", str(corpus.parent / "eval")])
+        assert rc in (0, 1) if loaded else rc == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fields_replaced_by_arbitrary_json(self, corpus, data):
+        corpus_dir, ckpt, clean = corpus
+        payload = json.loads(json.dumps(clean))
+        paths = data.draw(st.lists(st.sampled_from(annotation_fields(payload)), min_size=1, max_size=3, unique=True))
+        for path in paths:
+            replace_field(payload, path, data.draw(JSON_VALUES | st.just(DELETE), label=str(path)))
+        self.check(corpus_dir, ckpt, json.dumps(payload).encode())
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+    def test_arbitrary_bytes(self, corpus, content):
+        corpus_dir, ckpt, _ = corpus
+        self.check(corpus_dir, ckpt, content)

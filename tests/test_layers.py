@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from pixqa import autograd as ag
 from pixqa import layers
 from pixqa.autograd import Tensor
 from pixqa.layers import ATTENTION_TILE, init_attention, multi_head_attention
-from pixqa.model import NEG_MASK
+from pixqa.model import NEG_MASK, ModelConfig, VqaModel
+from pixqa.render import PatchGrid
 
 D_MODEL, N_HEADS = 8, 2
 
@@ -80,3 +83,78 @@ class TestQueryTiling:
             return len(seen)
 
         assert graph_size(1) == graph_size(ATTENTION_TILE) < graph_size(ATTENTION_TILE + 1)
+
+
+def force_workers(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(layers, "attention_workers", lambda: n)
+
+
+class TestHeadGroups:
+    """Tiled attention split across 1, 2 or more head groups gives the same bits."""
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("len_q, len_k, causal", [(150, 150, False), (150, 150, True), (150, 90, False)])
+    def test_groups_are_bit_identical(self, monkeypatch, len_q, len_k, causal, grad):
+        r = np.random.default_rng(11)
+        q_in = Tensor(r.normal(0.0, 1.0, (len_q, D_MODEL)), requires_grad=True)
+        kv_in = q_in if len_q == len_k else Tensor(r.normal(0.0, 1.0, (len_k, D_MODEL)), requires_grad=True)
+        mask = np.triu(np.full((len_q, len_k), NEG_MASK), k=1) if causal else None
+        params = attention_params()
+
+        results = []
+        for workers in (1, 2, 5):  # 5 is capped at N_HEADS groups
+            force_workers(monkeypatch, workers)
+            results.append(run(q_in, kv_in, params, mask, grad))
+        (one, one_grads), *others = results
+        for out, grads in others:
+            assert np.array_equal(out, one)
+            assert grads.keys() == one_grads.keys()
+            for name, g in one_grads.items():
+                assert np.array_equal(grads[name], g), name
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        """Eight head groups on their own pool threads, switching threads as often as the interpreter can."""
+        d_model, n_heads = 16, 8
+        params: dict[str, Tensor] = {}
+        init_attention(params, "a", d_model, np.random.default_rng(13))
+        x = Tensor(np.random.default_rng(14).normal(0.0, 1.0, (200, d_model)), requires_grad=True)
+
+        def attend() -> list[np.ndarray]:
+            for t in (x, *params.values()):
+                t.zero_grad()
+            out = multi_head_attention(x, x, params, "a", n_heads)
+            ag.sum_axis(ag.mul(out, out)).backward()
+            return [out.data, x.grad.copy(), *(t.grad.copy() for t in params.values())]
+
+        force_workers(monkeypatch, 1)
+        expected = attend()
+        force_workers(monkeypatch, n_heads)
+        layers._attention_pool.cache_clear()  # a pool with n_heads - 1 threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert all(np.array_equal(a, b) for a, b in zip(attend(), expected))
+        finally:
+            sys.setswitchinterval(interval)
+            layers._attention_pool().shutdown()
+            layers._attention_pool.cache_clear()
+
+    def test_one_group_runs_inline(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        monkeypatch.setattr(layers, "_attention_pool", lambda: pytest.fail("one head group must not use the pool"))
+        x = Tensor(np.random.default_rng(12).normal(0.0, 1.0, (150, D_MODEL)))
+        with ag.no_grad():
+            multi_head_attention(x, x, attention_params(), "a", N_HEADS)
+
+    def test_paper_budget_encode_is_bit_identical(self, monkeypatch):
+        cfg = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384,
+                          max_patches=2048, max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
+        model = VqaModel(cfg)
+        grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(0).random((2048, 256)))
+        features = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with ag.no_grad():
+                features.append(model.encode_grid(grid).array)
+        assert np.array_equal(features[0], features[1])
