@@ -198,10 +198,9 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     data = a.data.transpose(axes)
-    inverse = np.argsort(axes)
 
     def backward(g):
-        _accum(a, g.transpose(inverse))
+        _accum(a, g.transpose(np.argsort(axes)))
 
     return _node(data, (a,), backward)
 

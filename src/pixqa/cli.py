@@ -16,7 +16,9 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,19 +53,37 @@ def run_environment() -> dict:
     }
 
 
+def git_revision() -> str | None:
+    """HEAD of the git checkout this package runs from; None outside a checkout or without git."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 @dataclass
 class RunManifest:
     command: str
     argv: list[str]
+    elapsed_s: float
     seeds: dict[str, int]
     config: dict
     checkpoints: dict[str, str]
     output_dir: str
     environment: dict = field(default_factory=run_environment)
+    git_revision: str | None = field(default_factory=git_revision)
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+
+
+def _manifest(args: argparse.Namespace, **fields) -> RunManifest:
+    """This run's manifest: ``fields``, the command line, and the wall time since ``main`` parsed it."""
+    return RunManifest(command=args.command, argv=list(args.raw_argv),
+                       elapsed_s=round(time.perf_counter() - args.started, 3), **fields)
 
 
 class UsageError(Exception):
@@ -322,9 +342,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     fractions = _parse_fractions(r["fractions"])
     for part in split(dataset, fractions, seed=r["seed"]):
         write_annotations(part, out_dir / f"annotations.{part.split}.json")
-    RunManifest(
-        command="gen",
-        argv=list(args.raw_argv),
+    _manifest(
+        args,
         seeds={"corpus": r["seed"]},
         config={"synth": asdict(cfg), "fractions": list(fractions)},
         checkpoints={},
@@ -359,9 +378,8 @@ def cmd_train_vqa(args: argparse.Namespace) -> int:
         log.close()
     save_checkpoint(ckpt_path, model)  # best parameters restored by the trainer
     _write_history(history, out_dir)
-    RunManifest(
-        command="train-vqa",
-        argv=list(args.raw_argv),
+    _manifest(
+        args,
         seeds={"model": model_cfg.seed, "train": train_cfg.seed},
         config={"model": asdict(model_cfg), "train": asdict(train_cfg), "data": str(args.data)},
         checkpoints={"stage1": str(ckpt_path)},
@@ -394,9 +412,8 @@ def cmd_train_scorer(args: argparse.Namespace) -> int:
         log.close()
     save_checkpoint(ckpt_path, model, scorer)
     _write_history(history, out_dir)
-    RunManifest(
-        command="train-scorer",
-        argv=list(args.raw_argv),
+    _manifest(
+        args,
         seeds={"scorer": r["scorer_seed"], "train": train_cfg.seed},
         config={
             "model": asdict(model.cfg),
@@ -428,9 +445,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     (out_dir / "metrics.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    RunManifest(
-        command="eval",
-        argv=list(args.raw_argv),
+    _manifest(
+        args,
         seeds={},
         config={"model": asdict(model.cfg), "scorer": asdict(scorer.cfg), "data": str(args.data), "split": args.split},
         checkpoints={"eval": str(ckpt_path)},
@@ -502,9 +518,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fh.write("sa_layers\tsa_heads\tpage_accuracy_pct\tanls\n")
         for cell in cells:
             fh.write(f"{cell['sa_layers']}\t{cell['sa_heads']}\t{cell['page_accuracy_pct']:.2f}\t{cell['anls']:.4f}\n")
-    RunManifest(
-        command="sweep",
-        argv=list(args.raw_argv),
+    _manifest(
+        args,
         seeds={"scorer": r["scorer_seed"], "train": train_cfg.seed},
         config={"train": asdict(train_cfg), "layers": layer_grid, "heads": head_grid, "data": str(args.data)},
         checkpoints={"stage1": str(ckpt_in)},
@@ -551,9 +566,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        RunManifest(
-            command="report",
-            argv=list(args.raw_argv),
+        _manifest(
+            args,
             seeds={},
             config={"results": str(results_path)},
             checkpoints={},
@@ -646,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.raw_argv = argv
+    args.raw_argv, args.started = argv, time.perf_counter()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -67,6 +67,19 @@ def _attention_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=max(1, attention_workers() - 1), thread_name_prefix="pixqa-attention")
 
 
+def project_kv(kv_in: Tensor, params: dict[str, Tensor], prefix: str, n_heads: int) -> tuple[Tensor, Tensor]:
+    """Keys and values of ``kv_in``, each (len_k, n_heads, head_dim).
+
+    Row-major in the key axis, so a decoder's self-attention cache grows by
+    ``ag.concat_rows``; ``attend`` takes the head-major views it needs.
+    """
+    p = params
+    len_k, d_model = kv_in.shape
+    shape = (len_k, n_heads, d_model // n_heads)
+    return (ag.reshape(linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), shape),
+            ag.reshape(linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), shape))
+
+
 def multi_head_attention(
     q_in: Tensor,
     kv_in: Tensor,
@@ -80,8 +93,27 @@ def multi_head_attention(
     ``mask`` is an additive constant of shape (len_q, len_k) broadcast over
     heads (e.g. a causal mask of -1e30 above the diagonal).
 
-    Q, K and V are projected once; attention weights and context then run
-    over blocks of ``ATTENTION_TILE`` query rows, whose contexts are joined
+    The composition of ``project_kv`` (K and V of ``kv_in``) and ``attend``
+    (everything else). The decoder calls the two apart: it projects the
+    encoder feature's K/V once per answer and keeps its self-attention K/V
+    rows in a cache that grows by one row per generated token.
+    """
+    return attend(q_in, *project_kv(kv_in, params, prefix, n_heads), params, prefix, n_heads, mask=mask)
+
+
+def attend(
+    q_in: Tensor,
+    k: Tensor,
+    v: Tensor,
+    params: dict[str, Tensor],
+    prefix: str,
+    n_heads: int,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Attention of ``q_in``'s rows over keys ``k`` and values ``v`` from ``project_kv``.
+
+    Q is projected once; attention weights and context then run over
+    blocks of ``ATTENTION_TILE`` query rows, whose contexts are joined
     before the output projection. Each output row depends only on its own
     query row, so tiling is exact, and no online softmax is needed because
     every tile sees all keys. A tile's weights come from one fused
@@ -108,19 +140,16 @@ def multi_head_attention(
     """
     p = params
     len_q, d_model = q_in.shape
-    len_k = kv_in.shape[0]
+    len_k = k.shape[0]
     head_dim = d_model // n_heads
     scale = 1.0 / math.sqrt(head_dim)
-
-    def split_heads(x: Tensor, length: int) -> Tensor:
-        return ag.transpose(ag.reshape(x, (length, n_heads, head_dim)), (1, 0, 2))
 
     def merge_heads(x: Tensor) -> Tensor:
         return ag.reshape(ag.transpose(x, (1, 0, 2)), (x.shape[1], d_model))
 
-    q = split_heads(linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), len_q)
-    k_t = ag.transpose(split_heads(linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), len_k), (0, 2, 1))
-    v = split_heads(linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), len_k)
+    q = ag.transpose(ag.reshape(linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), (len_q, n_heads, head_dim)), (1, 0, 2))
+    k_t = ag.transpose(k, (1, 2, 0))
+    v = ag.transpose(v, (1, 0, 2))
 
     if len_q <= ATTENTION_TILE:
         return linear(merge_heads(ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)),

@@ -2,7 +2,11 @@
 
 The encoder turns the fused question+page patch sequence into a contextual
 feature matrix; the decoder generates the answer character by character with
-cross-attention over that feature. Deliberately small: the retrieval
+cross-attention over that feature. Decoding is incremental: a
+``DecoderCache`` holds the feature's cross-attention K/V, projected once per
+answer, and each layer's self-attention K/V rows, so a greedy step runs the
+decoder on the one new token. Teacher forcing runs the same per-layer code
+on every token at once. Deliberately small: the retrieval
 mechanism built on top is backbone-agnostic, so a desk-scale transformer
 stands in for a large pretrained one.
 """
@@ -20,6 +24,7 @@ from .autograd import Tensor
 from .errors import BudgetError, ConfigError, NumericError
 from .layers import (
     apply_layer_norm,
+    attend,
     attention_shapes,
     ffn,
     glorot,
@@ -28,6 +33,7 @@ from .layers import (
     init_layer_norm,
     linear,
     multi_head_attention,
+    project_kv,
 )
 from .render import PatchGrid
 
@@ -116,8 +122,27 @@ class EncoderFeature:
             raise ValueError("encoder feature must be a non-empty (length, d_model) matrix")
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    return np.triu(np.full((n, n), NEG_MASK), k=1)
+def _causal_mask(n: int, past: int) -> np.ndarray | None:
+    """Additive mask for ``n`` query rows at positions ``past``.. over keys 0..past+n-1.
+
+    None for a single row: the newest token may see every key.
+    """
+    return None if n == 1 else np.triu(np.full((n, past + n), NEG_MASK), k=past + 1)
+
+
+@dataclass
+class DecoderCache:
+    """One answer's decoder state.
+
+    ``cross`` holds each layer's cross-attention K/V of the encoder feature,
+    projected once per answer. ``self_kv`` holds each layer's self-attention
+    K/V of the ``length`` tokens decoded so far, (length, n_heads, head_dim)
+    each, or None before the first token.
+    """
+
+    cross: list[tuple[Tensor, Tensor]]
+    self_kv: list[tuple[Tensor, Tensor] | None]
+    length: int = 0
 
 
 class VqaModel:
@@ -226,18 +251,36 @@ class VqaModel:
 
     # ----- decoder -----
 
-    def _decode_logits(self, feature: EncoderFeature, tokens_in: np.ndarray) -> Tensor:
+    def decoder_cache(self, feature: EncoderFeature) -> DecoderCache:
+        """An empty cache for decoding from ``feature``: its cross-attention K/V projected once, in every layer."""
         cfg, p = self.cfg, self.params
-        n = len(tokens_in)
-        x = ag.take_rows(p["dec.tok_emb"], tokens_in) + ag.take_rows(p["dec.pos_emb"], np.arange(n))
-        mask = _causal_mask(n)
+        cross = [project_kv(feature.vectors, p, f"dec.{i}.cross_attn", cfg.n_heads) for i in range(cfg.n_dec_layers)]
+        return DecoderCache(cross, [None] * cfg.n_dec_layers)
+
+    def _decode_logits(self, tokens_in: np.ndarray, cache: DecoderCache) -> Tensor:
+        """Logits for ``tokens_in``, the tokens that follow the ``cache.length`` already decoded.
+
+        One decoder path for both uses: teacher forcing feeds every token to
+        an empty cache under a causal mask, and greedy decoding feeds one
+        token per step, whose query sees every cached key. Each layer's
+        self-attention K/V of ``tokens_in`` are appended to the cache.
+        """
+        cfg, p = self.cfg, self.params
+        n, past = len(tokens_in), cache.length
+        x = ag.take_rows(p["dec.tok_emb"], tokens_in) + ag.take_rows(p["dec.pos_emb"], np.arange(past, past + n))
+        mask = _causal_mask(n, past)
         for i in range(cfg.n_dec_layers):
             a = apply_layer_norm(x, p, f"dec.{i}.ln1")
-            x = x + multi_head_attention(a, a, p, f"dec.{i}.self_attn", cfg.n_heads, mask=mask)
+            kv = project_kv(a, p, f"dec.{i}.self_attn", cfg.n_heads)
+            if cache.self_kv[i] is not None:
+                kv = tuple(ag.concat_rows([old, new]) for old, new in zip(cache.self_kv[i], kv))
+            cache.self_kv[i] = kv
+            x = x + attend(a, *kv, p, f"dec.{i}.self_attn", cfg.n_heads, mask=mask)
             b = apply_layer_norm(x, p, f"dec.{i}.ln2")
-            x = x + multi_head_attention(b, feature.vectors, p, f"dec.{i}.cross_attn", cfg.n_heads)
+            x = x + attend(b, *cache.cross[i], p, f"dec.{i}.cross_attn", cfg.n_heads)
             c = apply_layer_norm(x, p, f"dec.{i}.ln3")
             x = x + ffn(c, p, f"dec.{i}.ffn")
+        cache.length += n
         x = apply_layer_norm(x, p, "dec.final_ln")
         return linear(x, p["dec.out_w"], p["dec.out_b"])
 
@@ -249,7 +292,7 @@ class VqaModel:
         if len(target) == 0 or target[-1] != EOS:
             raise ValueError("target must be non-empty and end with EOS")
         tokens_in = np.concatenate(([BOS], target[:-1]))
-        logits = self._decode_logits(feature, tokens_in)
+        logits = self._decode_logits(tokens_in, self.decoder_cache(feature))
         log_probs = ag.log_softmax_last(logits)
         onehot = np.zeros((len(target), self.vocab.size))
         onehot[np.arange(len(target)), target] = 1.0
@@ -257,13 +300,23 @@ class VqaModel:
         return -ag.mean_axis(picked)
 
     def generate_answer(self, feature: EncoderFeature, max_answer_len: int | None = None) -> str:
-        """Greedy decoding from BOS until EOS or the length cap."""
+        """Greedy decoding from BOS until EOS or the length cap, one token per step.
+
+        The cross-attention K/V are projected once per answer and each step
+        adds one row to every layer's self-attention cache, so a step runs
+        the decoder on one row. Raises NumericError when a step's logits are
+        not finite: an argmax over NaN would pick PAD, which decodes to
+        nothing, and pass for an empty answer.
+        """
         limit = self.cfg.max_answer_len if max_answer_len is None else min(max_answer_len, self.cfg.max_answer_len)
         tokens = [BOS]
         with ag.no_grad():
-            for _ in range(limit):
-                logits = self._decode_logits(feature, np.array(tokens, dtype=np.intp))
-                nxt = int(np.argmax(logits.data[-1]))
+            cache = self.decoder_cache(feature)
+            for step in range(limit):
+                logits = self._decode_logits(np.array(tokens[-1:], dtype=np.intp), cache).data[-1]
+                if not np.isfinite(logits).all():
+                    raise NumericError(f"decoder step {step} produced non-finite logits")
+                nxt = int(np.argmax(logits))
                 if nxt == EOS:
                     break
                 tokens.append(nxt)

@@ -217,6 +217,18 @@ def check_answers(dataset: Dataset, model: VqaModel) -> None:
             )
 
 
+def check_splits(train_set: Dataset, valid_set: Dataset, stage: int) -> None:
+    """Raise DataError naming a split without questions.
+
+    Without validation questions stage 1's metric is NaN on every epoch, so
+    it would keep and save the untrained weights, and stage 2's page
+    accuracy would divide by zero.
+    """
+    for name, dataset in (("training", train_set), ("validation", valid_set)):
+        if not dataset.questions:
+            raise DataError(f"stage-{stage} training needs questions, and the {name} split ({dataset.split!r}) has none")
+
+
 def train_stage1(
     train_set: Dataset,
     valid_set: Dataset,
@@ -227,13 +239,13 @@ def train_stage1(
 ) -> TrainHistory:
     """Fit the encoder-decoder on gold pages; keep the best-validation epoch.
 
-    Every training answer is checked against the vocabulary and
-    ``max_answer_len`` before the first epoch (see `check_answers`).
+    Both splits must have questions (see `check_splits`), and every training
+    answer is checked against the vocabulary and ``max_answer_len`` (see
+    `check_answers`), before the first epoch.
     """
-    if not train_set.questions:
-        raise ValueError("stage-1 training requires a non-empty training set")
     if cfg.stage != 1:
         raise ConfigError("train_stage1 needs a stage-1 TrainConfig")
+    check_splits(train_set, valid_set, stage=1)
     check_answers(train_set, model)
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg, model.params)
@@ -279,11 +291,13 @@ def train_stage2(
     log: LogFn | None = None,
     on_best: Callable[[int], None] | None = None,
 ) -> TrainHistory:
-    """Fit the scoring head on balanced positive/negative pairs; model frozen."""
-    if not train_set.questions:
-        raise ValueError("stage-2 training requires a non-empty training set")
+    """Fit the scoring head on balanced positive/negative pairs; model frozen.
+
+    Both splits must have questions (see `check_splits`).
+    """
     if cfg.stage != 2:
         raise ConfigError("train_stage2 needs a stage-2 TrainConfig")
+    check_splits(train_set, valid_set, stage=2)
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg, scorer.params)  # only scorer parameters ever step
     history = TrainHistory()

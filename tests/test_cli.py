@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pixqa.cli import main
+from pixqa.cli import git_revision, main
 from pixqa.layers import attention_workers
 
 MODEL_FLAGS = [
@@ -79,11 +81,25 @@ class TestGen:
         assert manifest["seeds"] == {"corpus": 3}
 
     def test_manifest_records_environment(self, corpus):
-        env = json.loads((corpus / "manifest.json").read_text())["environment"]
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        env = manifest["environment"]
         assert env["numpy"] == np.__version__
         assert isinstance(env["blas"], str) and env["blas"]
         assert env["cpu_count"] == os.cpu_count()
         assert env["attention_workers"] == attention_workers() >= 1
+        assert isinstance(manifest["elapsed_s"], float) and 0.0 < manifest["elapsed_s"] < 600.0
+        assert manifest["git_revision"] == git_revision()
+        assert manifest["git_revision"] is None or re.fullmatch(r"[0-9a-f]{40}", manifest["git_revision"])
+
+    @pytest.mark.parametrize("failure", ["no-git", "not-a-checkout"])
+    def test_git_revision_is_null_outside_a_checkout(self, monkeypatch, failure):
+        def run(*args, **kwargs):
+            if failure == "no-git":
+                raise FileNotFoundError("git")
+            return subprocess.CompletedProcess(args, 128, stdout="", stderr="fatal: not a git repository")
+
+        monkeypatch.setattr(subprocess, "run", run)
+        assert git_revision() is None
 
 
 class TestTraining:
@@ -278,6 +294,32 @@ class TestExitCodes:
         assert rc == 1
         assert "outside the vocabulary" in capsys.readouterr().err
         assert not (out / "stage1.ckpt").exists()
+
+    @pytest.mark.parametrize("command, empty", [("train-vqa", "train"), ("train-vqa", "valid"),
+                                                ("train-scorer", "train"), ("train-scorer", "valid")])
+    def test_training_on_an_empty_split_is_runtime_error(self, corpus, stage1, tmp_path, capsys, command, empty):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus, data)
+        (data / f"annotations.{empty}.json").write_text(json.dumps({"dataset_split": empty, "data": []}))
+        out = tmp_path / "out"
+        extra = MODEL_FLAGS if command == "train-vqa" else ["--checkpoint", str(stage1[0]), "--sa-heads", "2"]
+        rc = main([command, "--data", str(data), "--out", str(out)] + extra + FAST_TRAIN)
+        assert rc == 1
+        split_name = "training" if empty == "train" else "validation"
+        assert f"the {split_name} split ('{empty}') has none" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
+
+    def test_eval_with_nan_decoder_is_runtime_error(self, corpus, stage2, tmp_path, capsys):
+        from pixqa.checkpoint import load_checkpoint, save_checkpoint
+
+        model, scorer = load_checkpoint(stage2[0])
+        model.params["dec.0.ffn.w1"].data[:] = np.nan  # the encoder and scorer stay finite
+        broken = tmp_path / "nan.ckpt"
+        save_checkpoint(broken, model, scorer)
+        rc = main(["eval", "--data", str(corpus), "--checkpoint", str(broken), "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert "non-finite logits" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "results.jsonl").exists()
 
     def test_eval_of_a_split_without_questions_is_runtime_error(self, corpus, stage2, tmp_path, capsys):
         data = tmp_path / "corpus"

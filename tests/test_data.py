@@ -383,3 +383,69 @@ class TestAnnotationFuzz:
     def test_arbitrary_bytes(self, corpus, content):
         corpus_dir, ckpt, _ = corpus
         self.check(corpus_dir, ckpt, content)
+
+
+PNM_MAGIC = st.sampled_from([b"P6", b"P2", b"P3", b"P4", b"p5", b"P", b""]) | st.binary(max_size=3)
+PNM_TOKEN = st.one_of(
+    st.integers(-3, 70000).map(lambda n: str(n).encode()),
+    st.integers(min_value=2**63).map(lambda n: str(n).encode()),
+    st.just(b"9" * 5000),  # past int()'s digit limit
+    st.sampled_from([b"0x10", b"1e3", b"+8", b"1_0", b"08", b"\xd9\xa3", b"-0", b""]),
+    st.binary(max_size=4),
+)
+PNM_SEPARATOR = (st.sampled_from([b" ", b"\t", b"\r\n", b"  ", b""])
+                 | st.binary(max_size=8).map(lambda text: b"#" + text + b"\n")
+                 | st.binary(max_size=2))
+
+
+@st.composite
+def mutated_pnm(draw, pixels: np.ndarray) -> bytes:
+    """A valid P5 file of `pixels` with up to three header fields and, maybe, the raster length mutated."""
+    height, width = pixels.shape
+    fields = [b"P5", b"\n", str(width).encode(), b" ", str(height).encode(), b"\n", b"255", b"\n"]
+    mutations = [PNM_MAGIC, PNM_SEPARATOR, PNM_TOKEN, PNM_SEPARATOR, PNM_TOKEN, PNM_SEPARATOR, PNM_TOKEN, PNM_SEPARATOR]
+    for i in draw(st.sets(st.integers(0, len(fields) - 1), max_size=3)):
+        fields[i] = draw(mutations[i], label=f"header field {i}")
+    raster = pixels.tobytes()
+    if draw(st.booleans()):  # truncated, or extra bytes, up to what a P6 or 16-bit header would need
+        size = draw(st.integers(0, 3 * len(raster) + 8), label="raster bytes")
+        raster = (raster * 4)[:size]
+    return b"".join(fields) + raster
+
+
+class TestPgmHeaderFuzz:
+    """Only DataError escapes the page reader, and `pixqa eval` on a corpus with such a page exits 1."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pgm-fuzz")
+        corpus = root / "corpus"
+        gen = ["gen", "--out", str(corpus), "--seed", "2", "--docs", "4", "--pages", "2:2", "--facts-per-page", "1",
+               "--page-width", "208", "--page-height", "32", "--fractions", "0.5,0.25,0.25"]
+        assert main(gen) == 0
+        cfg = ModelConfig(d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16, patch_size=4,
+                          max_patches=8, vocab_chars="abc", max_answer_len=3, seed=1)
+        ckpt = root / "stage2.ckpt"
+        save_checkpoint(ckpt, VqaModel(cfg), SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=8, seed=2))
+        page_id = json.loads((corpus / "annotations.test.json").read_text())["data"][0]["page_ids"][0]
+        page = corpus / "images" / f"{page_id}.pgm"
+        clean = page.read_bytes()
+        assert main(["eval", "--data", str(corpus), "--checkpoint", str(ckpt), "--out", str(root / "eval")]) == 0
+        yield corpus, ckpt, page, read_pgm(page).pixels
+        page.write_bytes(clean)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_only_data_error_escapes(self, corpus, data):
+        corpus_dir, ckpt, page, pixels = corpus
+        page.write_bytes(data.draw(mutated_pnm(pixels)))
+        try:
+            read_pgm(page)
+            loaded = True
+        except DataError:
+            loaded = False
+        if not loaded:
+            with pytest.raises(DataError, match=page.stem):
+                Document("d", (PageRef(page.stem, page),)).load_page(0)
+        rc = main(["eval", "--data", str(corpus_dir), "--checkpoint", str(ckpt), "--out", str(corpus_dir.parent / "ev")])
+        assert rc in (0, 1) if loaded else rc == 1

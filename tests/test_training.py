@@ -144,8 +144,18 @@ class TestStage1:
     def test_empty_training_set_rejected(self, corpus):
         train, valid = corpus
         empty = type(train)(split="train", questions=[], documents={})
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="training split"):
             train_stage1(empty, valid, VqaModel(TINY_MODEL), TrainConfig(stage=1, max_epochs=1))
+
+    def test_empty_validation_set_rejected_before_training(self, corpus):
+        # It used to train, log valid_anls NaN every epoch, and restore the untrained weights.
+        train, _ = corpus
+        model = VqaModel(TINY_MODEL)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        empty = replace(train, split="valid", questions=[])
+        with pytest.raises(DataError, match="validation split"):
+            train_stage1(train, empty, model, TrainConfig(stage=1, max_epochs=1))
+        assert all((p.data == before[k]).all() for k, p in model.params.items())
 
     def test_wrong_stage_rejected(self, corpus):
         train, valid = corpus
@@ -251,6 +261,20 @@ class TestStage2:
         scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16)
         with pytest.raises(ConfigError):
             train_stage2(train, valid, model, scorer, TrainConfig(stage=1))
+
+    @pytest.mark.parametrize("empty_split", ["training", "validation"])
+    def test_empty_split_rejected_before_training(self, corpus, empty_split):
+        # An empty validation split used to end in ZeroDivisionError after the first epoch.
+        train, valid = corpus
+        if empty_split == "training":
+            train = replace(train, questions=[])
+        else:
+            valid = replace(valid, questions=[])
+        scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16)
+        before = {k: p.data.copy() for k, p in scorer.params.items()}
+        with pytest.raises(DataError, match=f"{empty_split} split"):
+            train_stage2(train, valid, VqaModel(TINY_MODEL), scorer, TrainConfig(stage=2, max_epochs=1))
+        assert all((p.data == before[k]).all() for k, p in scorer.params.items())
 
     def test_separable_single_question(self, tmp_path):
         cfg = SynthConfig(
