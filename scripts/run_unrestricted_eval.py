@@ -4,7 +4,7 @@
 Generates a handful of very long documents (hundreds of pages), scores every
 page of each against its question with a trained scorer, and reports the
 gold-page rank plus peak additional memory, demonstrating that evaluation
-streams one page at a time no matter how long the document is.
+streams one block of pages at a time no matter how long the document is.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from pixqa.checkpoint import load_checkpoint
 from pixqa.cli import main as cli
 from pixqa.data import load_mpdocvqa
-from pixqa.evaluate import encode_page, retrieve
+from pixqa.evaluate import page_encoder, retrieve
 
 
 def main() -> None:
@@ -51,9 +51,7 @@ def main() -> None:
     baseline, _ = tracemalloc.get_traced_memory()
     for sample in dataset.questions:
         doc = dataset.document_for(sample)
-        best_idx, _, scores = retrieve(
-            doc.n_pages, lambda index: encode_page(sample.question, doc, index, model), scorer
-        )
+        best_idx, _, scores = retrieve(doc.n_pages, page_encoder(sample.question, doc, model), scorer)
         gold_score = scores[sample.answer_page_index] if scores else None  # one page: not scored
         n_above_gold = sum(1 for v in scores if v > gold_score)
         results.append(

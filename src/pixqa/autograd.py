@@ -296,9 +296,10 @@ def normalize_last(a, eps: float = 1e-12) -> Tensor:
     """Standardize the last axis to mean 0 / variance 1 (pre-affine layer norm)."""
     a = _as_tensor(a)
     n = a.data.shape[-1]
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # sum / n is what np.mean computes, bit for bit, without its per-call overhead.
+    mu = a.data.sum(axis=-1, keepdims=True) / n
     centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     data = centered * inv
 

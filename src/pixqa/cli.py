@@ -457,6 +457,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
+    if args.max_answer_len is not None and args.max_answer_len < 1:
+        raise UsageError(f"--max-answer-len must be at least 1, got {args.max_answer_len}")
     ckpt_path = _require_path(Path(args.checkpoint), "checkpoint")
     doc_dir = _require_path(Path(args.doc_dir), "document directory")
     pages = sorted(doc_dir.glob("*.pgm"))

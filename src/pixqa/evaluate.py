@@ -1,11 +1,17 @@
 """Inference pipeline and metrics.
 
-Retrieval works page by page: `encode_page` fuses each page of a document
-with the question and encodes it, and `retrieve` scores the pages as they
-stream past and keeps the top-1. Retrieval runs without autograd, and the
-answer is decoded from the feature it retrieved, so no page is encoded
-twice. Only one page's pipeline plus the best feature so far is alive at
-a time, so peak memory stays bounded no matter how long the document is.
+Retrieval streams a document's pages through one pipeline: load a page,
+fuse the question on top of it, encode it, score it. `page_encoder` encodes
+the pages in blocks: consecutive pages that share a patch grid and fit in
+one attention tile are stacked, up to `BLOCK_ROWS` patch rows, and encoded
+in one `encode_grid` call, which pays each op's per-call cost once per
+block instead of once per page. `encode_page` is the one-page case, which
+training uses. `retrieve` scores the pages one at a time, in page order,
+and keeps the top-1. Retrieval runs without autograd, and the answer is
+decoded from the feature it retrieved, so no page is encoded twice. Only
+one block plus the best feature so far (a view that keeps its block's
+features) is alive at a time, so peak memory stays bounded no matter how
+long the document is.
 
 Answer quality uses normalized Levenshtein similarity averaged over
 questions (scores whose normalized distance reaches the threshold count
@@ -24,11 +30,13 @@ import numpy as np
 from . import autograd as ag
 from .data import Dataset, Document
 from .errors import NumericError
+from .layers import ATTENTION_TILE
 from .model import EncoderFeature, VqaModel
-from .render import fuse_question_page
+from .render import PatchGrid, fuse_question_page, stack_grids
 from .scorer import SelfAttentionScorer
 
 ANLS_TAU = 0.5
+BLOCK_ROWS = 512  # patch rows of the pages stacked into one encoder call, at most
 
 
 # ----------------------------------------------------------------------------
@@ -88,17 +96,63 @@ def page_accuracy(predicted_pages: Iterable[int], gt_pages: Iterable[int]) -> fl
 # Retrieval pipeline
 # ----------------------------------------------------------------------------
 
+def fuse_page(question: str, doc: Document, index: int, model: VqaModel) -> PatchGrid:
+    """Load page `index` of `doc` and fuse the question on top of it."""
+    img = doc.load_page(index)
+    return fuse_question_page(question, img, patch_size=model.cfg.patch_size, max_patches=model.cfg.max_patches)
+
+
+def encode_block(grids: list[PatchGrid], model: VqaModel) -> list[EncoderFeature]:
+    """Encode pages that share one grid shape in one `encode_grid` call; one feature per page."""
+    if len(grids) == 1:
+        return [model.encode_grid(grids[0])]
+    return model.encode_grid(stack_grids(grids)).pages()
+
+
 def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> EncoderFeature:
     """Load page `index` of `doc`, fuse the question on top of it and encode the result.
 
-    Autograd follows the caller: stage 1 trains through this call, retrieval
-    runs it under ``no_grad``.
+    The one-page block. Autograd follows the caller: stage 1 trains through
+    this call.
     """
-    img = doc.load_page(index)
-    grid = fuse_question_page(
-        question, img, patch_size=model.cfg.patch_size, max_patches=model.cfg.max_patches
-    )
-    return model.encode_grid(grid)
+    return encode_block([fuse_page(question, doc, index, model)], model)[0]
+
+
+def page_encoder(question: str, doc: Document, model: VqaModel) -> Callable[[int], EncoderFeature]:
+    """`retrieve`'s page_feature for `question` over `doc`, encoding pages in blocks.
+
+    Asked for a page it holds no feature of, it loads and fuses that page
+    and the pages after it as long as they share its grid shape and the
+    block stays within `BLOCK_ROWS` patch rows, encodes the block at once,
+    and hands the features out as they are asked for. A page longer than
+    one attention tile is a block of its own. The page that ends a block by
+    its grid shape starts the next one, so asked for in page order, every
+    page is loaded, fused and encoded once.
+    """
+    ready: dict[int, EncoderFeature] = {}
+    ahead: dict[int, PatchGrid] = {}  # the page that ended the last block by its grid shape
+
+    def fused(index: int) -> PatchGrid:
+        grid = ahead.pop(index, None)
+        return grid if grid is not None else fuse_page(question, doc, index, model)
+
+    def page_feature(index: int) -> EncoderFeature:
+        if index not in ready:
+            ready.clear()
+            grids = [fused(index)]
+            ahead.clear()
+            first = grids[0]
+            size = 1 if first.n_patches > ATTENTION_TILE else BLOCK_ROWS // first.n_patches
+            for nxt in range(index + 1, min(index + size, doc.n_pages)):
+                grid = fused(nxt)
+                if (grid.rows, grid.cols) != (first.rows, first.cols):
+                    ahead[nxt] = grid
+                    break
+                grids.append(grid)
+            ready.update(zip(range(index, index + len(grids)), encode_block(grids, model)))
+        return ready.pop(index)
+
+    return page_feature
 
 
 def retrieve(
@@ -107,8 +161,8 @@ def retrieve(
     """Stream pages 0..n_pages-1 through `page_feature` and the scorer; keep the top-1.
 
     Returns the best page index, its feature and every page's score. Only the
-    best feature stays alive while the other pages stream past, and a tie
-    goes to the lowest index. A one-page document is not scored, so its
+    best feature is kept while the other pages stream past, and a tie goes
+    to the lowest index. A one-page document is not scored, so its
     score list is empty. Runs without autograd.
     """
     if n_pages < 1:
@@ -137,7 +191,7 @@ def answer_question(
     max_answer_len: int | None = None,
 ) -> tuple[int, str]:
     """Retrieve the best page, then decode the answer from its feature alone."""
-    best, feature, _ = retrieve(doc.n_pages, lambda index: encode_page(question, doc, index, model), scorer)
+    best, feature, _ = retrieve(doc.n_pages, page_encoder(question, doc, model), scorer)
     return best, model.generate_answer(feature, max_answer_len)
 
 

@@ -68,14 +68,14 @@ def _attention_pool() -> ThreadPoolExecutor:
 
 
 def project_kv(kv_in: Tensor, params: dict[str, Tensor], prefix: str, n_heads: int) -> tuple[Tensor, Tensor]:
-    """Keys and values of ``kv_in``, each (len_k, n_heads, head_dim).
+    """Keys and values of ``kv_in`` (..., len_k, d_model), each (..., len_k, n_heads, head_dim).
 
     Row-major in the key axis, so a decoder's self-attention cache grows by
     ``ag.concat_rows``; ``attend`` takes the head-major views it needs.
     """
     p = params
-    len_k, d_model = kv_in.shape
-    shape = (len_k, n_heads, d_model // n_heads)
+    *lead, len_k, d_model = kv_in.shape
+    shape = (*lead, len_k, n_heads, d_model // n_heads)
     return (ag.reshape(linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), shape),
             ag.reshape(linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), shape))
 
@@ -119,7 +119,9 @@ def attend(
     every tile sees all keys. A tile's weights come from one fused
     ``ag.attention_weights`` node (QK^T, scale, mask and softmax in one
     (heads, tile, len_k) buffer). A query sequence that fits in one tile
-    runs as a single block with no extra graph node.
+    runs as a single block with no extra graph node; that path also takes
+    a stack of sequences with leading axes, (..., len_q, d_model), and
+    computes each one as it would alone.
 
     A tiled call splits the heads into ``min(attention_workers(), n_heads)``
     contiguous groups, one tile loop each: the calling thread runs the
@@ -139,21 +141,25 @@ def attend(
     module global, which they only read while the caller waits).
     """
     p = params
-    len_q, d_model = q_in.shape
-    len_k = k.shape[0]
+    *lead, len_q, d_model = q_in.shape
     head_dim = d_model // n_heads
     scale = 1.0 / math.sqrt(head_dim)
+    n = len(lead)
+    swap = (*range(n), n + 1, n, n + 2)  # (..., rows, heads, head_dim) <-> (..., heads, rows, head_dim)
 
     def merge_heads(x: Tensor) -> Tensor:
-        return ag.reshape(ag.transpose(x, (1, 0, 2)), (x.shape[1], d_model))
+        return ag.reshape(ag.transpose(x, swap), (*lead, x.shape[-2], d_model))
 
-    q = ag.transpose(ag.reshape(linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), (len_q, n_heads, head_dim)), (1, 0, 2))
-    k_t = ag.transpose(k, (1, 2, 0))
-    v = ag.transpose(v, (1, 0, 2))
+    q = ag.transpose(ag.reshape(linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), (*lead, len_q, n_heads, head_dim)), swap)
+    k_t = ag.transpose(k, (*range(n), n + 1, n + 2, n))
+    v = ag.transpose(v, swap)
 
     if len_q <= ATTENTION_TILE:
         return linear(merge_heads(ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)),
                       p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    if lead:
+        raise ValueError(f"a stack of sequences must fit in one attention tile, got {len_q} query rows")
+    len_k = k.shape[0]
 
     starts = range(0, len_q, ATTENTION_TILE)
     keep = q.requires_grad or k_t.requires_grad  # the graph will hold every tile's weights

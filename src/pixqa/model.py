@@ -105,21 +105,30 @@ class ModelConfig:
 
 @dataclass
 class EncoderFeature:
-    """Contextual per-patch vectors shared by the decoder and the scorer."""
+    """Contextual per-patch vectors shared by the decoder and the scorer.
+
+    One page's feature is a (length, d_model) matrix. Encoding a stack of
+    pages gives one (pages, length, d_model) feature, which ``pages``
+    splits into the per-page features the scorer and decoder take.
+    """
 
     vectors: Tensor
 
     @property
     def length(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def array(self) -> np.ndarray:
         return self.vectors.data
 
     def __post_init__(self):
-        if self.vectors.data.ndim != 2 or self.length < 1:
-            raise ValueError("encoder feature must be a non-empty (length, d_model) matrix")
+        if self.vectors.data.ndim not in (2, 3) or self.length < 1:
+            raise ValueError("encoder feature must be a non-empty (length, d_model) matrix or a stack of them")
+
+    def pages(self) -> list[EncoderFeature]:
+        """One feature per page of a stacked feature, each a view of this one's array, with no graph."""
+        return [EncoderFeature(Tensor(page)) for page in self.array]
 
 
 def _causal_mask(n: int, past: int) -> np.ndarray | None:
@@ -217,6 +226,8 @@ class VqaModel:
     def embed_patches(self, grid: PatchGrid) -> Tensor:
         """Affine projection of each patch plus learned row and column embeddings.
 
+        A stacked grid gives a (pages, n_patches, d_model) stack.
+
         Patch values are recentered so the white background maps to zero;
         this removes the large shared component an all-ones background would
         otherwise inject into every embedding (a fixed bias absorbed into
@@ -233,7 +244,13 @@ class VqaModel:
         return projected + ag.take_rows(p["embed.row_emb"], rows) + ag.take_rows(p["embed.col_emb"], cols)
 
     def encode(self, embeddings: Tensor) -> EncoderFeature:
-        if embeddings.shape[0] < 1:
+        """Encode (length, d_model) embeddings, or a (pages, length, d_model) stack of pages.
+
+        Each page of a stack is computed as it would be alone, so its
+        feature is bit-identical; a stack's pages must fit in one attention
+        tile.
+        """
+        if embeddings.shape[-2] < 1:
             raise ValueError("cannot encode an empty embedding sequence")
         cfg, p = self.cfg, self.params
         x = embeddings
@@ -247,6 +264,7 @@ class VqaModel:
         return EncoderFeature(apply_layer_norm(x, p, "enc.final_ln"))
 
     def encode_grid(self, grid: PatchGrid) -> EncoderFeature:
+        """Encode one page's grid, or a stacked grid's pages at once (``EncoderFeature.pages`` splits them)."""
         return self.encode(self.embed_patches(grid))
 
     # ----- decoder -----

@@ -9,7 +9,9 @@ into fixed-size normalized patches. All functions are pure; images are
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,16 +50,18 @@ class PatchGrid:
     """A raster image cut into patch_size x patch_size tiles, row-major.
 
     Patch values are intensities divided by 255, so they lie in [0, 1].
+    ``stack_grids`` makes a grid of several pages with one shape, whose
+    patches carry a leading page axis; ``n_patches`` still counts one page.
     """
 
     rows: int
     cols: int
     patch_size: int
-    patches: np.ndarray  # (rows * cols, patch_size**2) float64
+    patches: np.ndarray  # (rows * cols, patch_size**2) float64, or (pages, rows * cols, patch_size**2)
 
     def __post_init__(self):
         expected = (self.rows * self.cols, self.patch_size**2)
-        if self.patches.shape != expected:
+        if self.patches.ndim not in (2, 3) or self.patches.shape[-2:] != expected:
             raise ValueError(f"patches shape {self.patches.shape} != {expected}")
 
     @property
@@ -68,6 +72,15 @@ class PatchGrid:
         """Per-patch (row, col) indices in patch order."""
         idx = np.arange(self.n_patches)
         return idx // self.cols, idx % self.cols
+
+
+def stack_grids(grids: Sequence[PatchGrid]) -> PatchGrid:
+    """Pages that share one grid shape as one grid with a leading page axis."""
+    first = grids[0]
+    if any((g.rows, g.cols, g.patch_size, g.patches.ndim) != (first.rows, first.cols, first.patch_size, 2)
+           for g in grids):
+        raise ValueError("stacked grids must be single pages with the same rows, cols and patch size")
+    return PatchGrid(first.rows, first.cols, first.patch_size, np.stack([g.patches for g in grids]))
 
 
 def blank_image(width: int, height: int) -> RasterImage:
@@ -185,6 +198,18 @@ def patchify(img: RasterImage, patch_size: int = DEFAULT_PATCH_SIZE) -> PatchGri
     return PatchGrid(rows=rows, cols=cols, patch_size=patch_size, patches=patches)
 
 
+@lru_cache(maxsize=8)
+def question_strip(question: str, font: GlyphFont, line_width: int) -> RasterImage:
+    """``render_text(question, font, line_width)``, read-only and cached.
+
+    The pages of one document share a question and usually a width, so the
+    strip is rendered once per question and page width, not once per page.
+    """
+    strip = render_text(question, font, line_width)
+    strip.pixels.setflags(write=False)
+    return strip
+
+
 def fuse_question_page(
     question: str,
     page_img: RasterImage,
@@ -194,7 +219,7 @@ def fuse_question_page(
 ) -> PatchGrid:
     """Full front end: render question at page width, stack, fit budget, patchify."""
     font = font or builtin_font()
-    q_img = render_text(question, font, line_width=max(page_img.width, font.glyph_width))
+    q_img = question_strip(question, font, max(page_img.width, font.glyph_width))
     fused = concat_question_page(q_img, page_img)
     fused = resize_to_patch_budget(fused, patch_size, max_patches)
     return patchify(fused, patch_size)

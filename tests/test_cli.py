@@ -197,6 +197,20 @@ class TestEvalAnswerReport:
         assert rc == 1
         assert "scored nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_answer_length_cap_below_one_is_usage_error(self, corpus, stage2, tmp_path, capsys, cap):
+        ckpt, _ = stage2
+        doc_dir = tmp_path / "doc"
+        doc_dir.mkdir()
+        for p in sorted((corpus / "images").glob("doc0000_p*.pgm")):
+            shutil.copy(p, doc_dir / p.name)
+        rc = main(["answer", "--checkpoint", str(ckpt), "--question", "what is the value of ABC?",
+                   "--doc-dir", str(doc_dir), "--max-answer-len", cap])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"--max-answer-len must be at least 1, got {cap}" in captured.err
+        assert captured.out == ""
+
     def test_report_from_results(self, corpus, stage2, tmp_path, capsys):
         ckpt, _ = stage2
         out = tmp_path / "eval2"

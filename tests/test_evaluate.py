@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,22 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pixqa.autograd import Tensor, no_grad
-from pixqa.data import SynthConfig, gen_synthetic
+from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, write_pgm
 from pixqa.errors import NumericError
 from pixqa.evaluate import (
+    BLOCK_ROWS,
     anls,
     anls_single,
     answer_question,
     encode_page,
     levenshtein,
     page_accuracy,
+    page_encoder,
     page_histogram,
     quadrant_report,
     report_from_records,
     retrieve,
 )
+from pixqa.layers import ATTENTION_TILE
 from pixqa.model import EncoderFeature, ModelConfig, VqaModel
-from pixqa.render import PatchGrid
+from pixqa.render import PatchGrid, RasterImage
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
 
@@ -178,6 +182,8 @@ TINY_MODEL = ModelConfig(
     d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=32,
     patch_size=16, max_patches=64, max_answer_len=4, seed=0,
 )
+DESK_MODEL = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384,
+                         max_patches=2048, max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
 
 
 class TestAnswerQuestion:
@@ -195,11 +201,9 @@ class TestAnswerQuestion:
 
     def test_encodes_each_page_once(self, pipeline, monkeypatch):
         question, doc, model, scorer = pipeline
-        grids = []
-        encode_grid = VqaModel.encode_grid
-        monkeypatch.setattr(VqaModel, "encode_grid", lambda self, grid: grids.append(grid) or encode_grid(self, grid))
+        pages = record_encoded_pages(monkeypatch)
         answer_question(question, doc, model, scorer)
-        assert len(grids) == doc.n_pages
+        assert sum(pages) == doc.n_pages
 
     def test_decodes_the_retrieved_page(self, pipeline):
         question, doc, model, scorer = pipeline
@@ -222,12 +226,131 @@ class TestAnswerQuestion:
             answer_question(question, doc, model, scorer)
 
 
+def record_encoded_pages(monkeypatch) -> list[int]:
+    """Pages in each later ``encode_grid`` call, one entry per call."""
+    pages = []
+    encode_grid = VqaModel.encode_grid
+
+    def counted(self, grid):
+        pages.append(len(grid.patches) if grid.patches.ndim == 3 else 1)
+        return encode_grid(self, grid)
+
+    monkeypatch.setattr(VqaModel, "encode_grid", counted)
+    return pages
+
+
+QUESTION = "what is the value of ABC?"  # one 16-pixel line at a page width of 208
+
+
+def ink_page(seed: int, height: int = 16, width: int = 208) -> np.ndarray:
+    return np.where(np.random.default_rng(seed).random((height, width)) < 0.2, 0, 255).astype(np.uint8)
+
+
+def write_document(root, images: list[np.ndarray]) -> Document:
+    refs = []
+    for i, pixels in enumerate(images):
+        path = root / f"p{i:03d}.pgm"
+        write_pgm(RasterImage(pixels), path)
+        refs.append(PageRef(f"p{i:03d}", path))
+    return Document("doc", tuple(refs))
+
+
+class TestBlockEncoding:
+    """page_encoder stacks pages into blocks; every feature and score equals encoding the page alone."""
+
+    scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16, seed=1)
+
+    @staticmethod
+    def encode_in_blocks(doc: Document, model: VqaModel, monkeypatch) -> list[int]:
+        """Assert page_encoder's features equal encode_page's; return the pages of each block it encoded."""
+        with no_grad():
+            alone = [encode_page(QUESTION, doc, i, model) for i in range(doc.n_pages)]
+            pages = record_encoded_pages(monkeypatch)
+            blocks = page_encoder(QUESTION, doc, model)
+            stacked = [blocks(i) for i in range(doc.n_pages)]
+        for a, b in zip(alone, stacked, strict=True):
+            assert a.array.shape == b.array.shape
+            assert np.array_equal(a.array, b.array)
+        return pages
+
+    @pytest.mark.parametrize("n_pages", [1, 2, 3, 13])
+    def test_features_and_scores_equal_per_page_encoding(self, tmp_path, monkeypatch, n_pages):
+        model = VqaModel(TINY_MODEL)
+        doc = write_document(tmp_path, [ink_page(i) for i in range(n_pages)])
+        with no_grad():
+            best, _, scores = retrieve(n_pages, lambda i: encode_page(QUESTION, doc, i, model), self.scorer)
+        assert self.encode_in_blocks(doc, model, monkeypatch) == [n_pages]  # 26 patches a page: one block
+        block_best, _, block_scores = retrieve(n_pages, page_encoder(QUESTION, doc, model), self.scorer)
+        assert (block_best, block_scores) == (best, scores)
+
+    def test_grid_shape_change_splits_the_block(self, tmp_path, monkeypatch):
+        heights = [16, 16, 16, 32, 16, 16]
+        doc = write_document(tmp_path, [ink_page(i, h) for i, h in enumerate(heights)])
+        loads = []
+        load_page = Document.load_page
+        monkeypatch.setattr(Document, "load_page", lambda self, index: loads.append(index) or load_page(self, index))
+        assert self.encode_in_blocks(doc, VqaModel(TINY_MODEL), monkeypatch) == [3, 1, 2]
+        # encode_page loads each page, then page_encoder does: the page that ended a block is not loaded twice
+        assert loads == list(range(doc.n_pages)) * 2
+
+    def test_pages_asked_out_of_order(self, tmp_path):
+        doc = write_document(tmp_path, [ink_page(i) for i in range(4)])
+        model = VqaModel(TINY_MODEL)
+        with no_grad():
+            blocks = page_encoder(QUESTION, doc, model)
+            features = {i: blocks(i).array for i in (2, 0, 3, 1, 1)}
+            for i, array in features.items():
+                assert np.array_equal(array, encode_page(QUESTION, doc, i, model).array)
+
+    def test_ties_go_to_the_lowest_index(self, tmp_path):
+        x, y = ink_page(1), ink_page(2)
+        doc = write_document(tmp_path, [x, y, y, x, y])
+        model = VqaModel(TINY_MODEL)
+        best, _, scores = retrieve(doc.n_pages, page_encoder(QUESTION, doc, model), self.scorer)
+        assert scores[0] == scores[3] and scores[1] == scores[2] == scores[4]
+        assert best == (0 if scores[0] >= scores[1] else 1)
+        assert answer_question(QUESTION, doc, model, self.scorer)[0] == best
+
+    def test_nan_encoder_weight_raises(self, tmp_path):
+        model = VqaModel(TINY_MODEL)
+        model.params["enc.0.ffn.b1"].data[:] = np.nan
+        doc = write_document(tmp_path, [ink_page(i) for i in range(4)])
+        with pytest.raises(NumericError, match="encoder layer 0 produced non-finite values"):
+            answer_question(QUESTION, doc, model, self.scorer)
+
+    def test_page_longer_than_one_tile_is_never_stacked(self, tmp_path, monkeypatch):
+        doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(3)])
+        model = VqaModel(replace(TINY_MODEL, max_patches=256))
+        with no_grad():
+            assert encode_page(QUESTION, doc, 0, model).length == 104 > ATTENTION_TILE
+        assert self.encode_in_blocks(doc, model, monkeypatch) == [1, 1, 1]
+
+    def test_desk_size_block_peak_memory(self, tmp_path, monkeypatch):
+        """One block of 13 desk pages (39 patches each) peaks at about 7 MiB of traced memory.
+
+        The pages' patches are 1 MiB, once as grids and once stacked, and
+        the largest encoder temporary, the FFN hidden layer, 1.5 MiB.
+        """
+        model = VqaModel(DESK_MODEL)
+        doc = write_document(tmp_path, [ink_page(i, 32) for i in range(13)])
+        blocks = page_encoder(QUESTION, doc, model)
+        pages = record_encoded_pages(monkeypatch)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                feature = blocks(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert feature.length == 39 and pages == [BLOCK_ROWS // 39] == [13]
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestPaperBudgetMemory:
     @pytest.fixture(scope="class")
     def score_and_peak(self) -> tuple[float, int]:
         """Score and tracemalloc peak of encoding and scoring one page at the paper's patch budget."""
-        cfg = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384,
-                          max_patches=2048, max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
+        cfg = DESK_MODEL
         model = VqaModel(cfg)
         scorer = SelfAttentionScorer(ScorerConfig(n_heads=16), d_model=cfg.d_model, seed=1)
         grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(0).random((2048, 256)))

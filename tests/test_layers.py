@@ -158,3 +158,23 @@ class TestHeadGroups:
             with ag.no_grad():
                 features.append(model.encode_grid(grid).array)
         assert np.array_equal(features[0], features[1])
+
+
+class TestPageStacks:
+    """A stack with a leading page axis computes each page as it would alone."""
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_stacked_attention_equals_each_sequence_alone(self, causal):
+        x = Tensor(np.random.default_rng(15).normal(0.0, 1.0, (3, 20, D_MODEL)))
+        params = attention_params()
+        mask = np.triu(np.full((20, 20), NEG_MASK), k=1) if causal else None
+        with ag.no_grad():
+            out = multi_head_attention(x, x, params, "a", N_HEADS, mask=mask)
+            for i in range(3):
+                alone = multi_head_attention(Tensor(x.data[i]), Tensor(x.data[i]), params, "a", N_HEADS, mask=mask)
+                assert np.array_equal(out.data[i], alone.data)
+
+    def test_stack_longer_than_one_tile_is_rejected(self):
+        x = Tensor(np.zeros((2, ATTENTION_TILE + 1, D_MODEL)))
+        with pytest.raises(ValueError, match="one attention tile"):
+            multi_head_attention(x, x, attention_params(), "a", N_HEADS)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from pixqa import autograd as ag
 from pixqa.autograd import Tensor, no_grad
 from pixqa.errors import BudgetError, ConfigError, NumericError
 from pixqa.model import BOS, EOS, PAD, EncoderFeature, ModelConfig, Vocab, VqaModel, parameter_gradients
-from pixqa.render import PatchGrid
+from pixqa.render import PatchGrid, stack_grids
 
 TINY = ModelConfig(
     d_model=8,
@@ -132,6 +133,18 @@ class TestEncode:
             a = m.encode_grid(grid).array
             b = m.encode_grid(grid).array
         assert (a == b).all()
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_stacked_grid_encodes_each_page_as_alone(self, grad):
+        m = VqaModel(TINY)
+        grids = [tiny_grid(seed=s) for s in range(3)]
+        with ag.no_grad() if not grad else contextlib.nullcontext():
+            alone = [m.encode_grid(g).array for g in grids]
+            stacked = m.encode_grid(stack_grids(grids))
+        assert stacked.array.shape == (3, 6, TINY.d_model) and stacked.length == 6
+        pages = stacked.pages()
+        assert all(np.array_equal(f.array, a) for f, a in zip(pages, alone, strict=True))
+        assert all(f.array.base is not None and not f.vectors.requires_grad for f in pages)
 
     def test_seed_reproducibility(self):
         a, b = VqaModel(TINY), VqaModel(TINY)

@@ -14,8 +14,10 @@ from pixqa.render import (
     concat_question_page,
     fuse_question_page,
     patchify,
+    question_strip,
     render_text,
     resize_to_patch_budget,
+    stack_grids,
 )
 
 
@@ -206,3 +208,41 @@ class TestFuse:
         strip = g.patches[: g.cols]
         assert strip.min() < 1.0  # ink in the question row
         assert (g.patches[g.cols :] == 1.0).all()  # blank page below
+
+    @pytest.mark.parametrize("question, width", [("what is ABC?", 208), ("what is ABC?", 96), ("what is ABD?", 96)])
+    def test_grids_equal_the_uncached_composition(self, question, width):
+        rng = np.random.default_rng(width)
+        page = RasterImage(rng.integers(0, 256, (32, width), dtype=np.uint8))
+        expected = patchify(resize_to_patch_budget(concat_question_page(render_text(question, line_width=width), page),
+                                                   max_patches=2048))
+        for _ in range(2):
+            g = fuse_question_page(question, page, max_patches=2048)
+            assert (g.rows, g.cols) == (expected.rows, expected.cols)
+            assert np.array_equal(g.patches, expected.patches)
+
+    def test_strip_is_rendered_once_per_question_and_width(self):
+        font = builtin_font()
+        strip = question_strip("what is ABC?", font, 208)
+        assert question_strip("what is ABC?", font, 208) is strip
+        assert not strip.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            strip.pixels[0, 0] = 0
+        assert np.array_equal(strip.pixels, render_text("what is ABC?", font, 208).pixels)
+        assert question_strip("what is ABC?", font, 96) is not strip
+        assert question_strip("what is ABD?", font, 208) is not strip
+
+
+class TestStackGrids:
+    def test_stack_keeps_pages_in_order(self):
+        grids = [patchify(RasterImage(np.full((32, 48), 40 * i, dtype=np.uint8))) for i in range(3)]
+        stacked = stack_grids(grids)
+        assert (stacked.rows, stacked.cols, stacked.n_patches) == (2, 3, 6)
+        assert stacked.patches.shape == (3, 6, 256)
+        assert all(np.array_equal(stacked.patches[i], g.patches) for i, g in enumerate(grids))
+
+    def test_pages_of_different_shapes_are_rejected(self):
+        a = patchify(blank_image(48, 32))
+        with pytest.raises(ValueError, match="same rows, cols"):
+            stack_grids([a, patchify(blank_image(64, 32))])
+        with pytest.raises(ValueError, match="single pages"):
+            stack_grids([stack_grids([a, a]), a])
