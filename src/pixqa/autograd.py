@@ -1,14 +1,19 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough machinery for a small transformer: elementwise arithmetic,
-(batched) matmul, reshape/transpose, reductions, fused attention weights
-(scaled, masked, max-shifted softmax of q @ k_t), a stable log-softmax,
-layer-norm standardization, relu/sigmoid, row gathers and row
-concatenation. Everything is double precision; gradients are validated
-against central finite differences in the test suite.
+(batched) matmul, a fused affine map x @ w + b, reshape/transpose,
+reductions, fused attention weights (scaled, masked, max-shifted softmax of
+q @ k_t), a stable log-softmax, layer-norm standardization, relu/sigmoid,
+row gathers and concatenation. Everything is double precision; gradients
+are validated against central finite differences in the test suite.
 
 Inside a ``no_grad()`` block (or when no input requires gradients) the same
 ops run as plain numpy with no graph recorded, which is the evaluation path.
+
+A graph may run several items at once along a leading stack axis (pages of
+a stacked training batch). Gradients of a stack are summed the way running
+its items one at a time would sum them, so they are bit-identical to that
+loop: see ``_accum``.
 """
 
 from __future__ import annotations
@@ -78,7 +83,12 @@ class Tensor:
         return matmul(self, other)
 
     def backward(self) -> None:
-        """Backpropagate from this (scalar or any-shape) tensor, seeding with ones."""
+        """Backpropagate from this (scalar or any-shape) tensor, seeding with ones.
+
+        Leaves (parameters, inputs) keep their gradients; an interior node's
+        gradient is dropped as soon as its own backward has run, so a large
+        graph does not hold a gradient buffer per node.
+        """
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -99,6 +109,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # every consumer has run: an interior gradient is not needed again
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -121,12 +132,29 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
+def _wants(t: Tensor) -> bool:
+    """Whether a gradient for ``t`` is used: a constant's gradient need not be computed."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not (t.requires_grad or t._parents):
+    """Add ``g``, summed over the axes broadcasting added, to ``t.grad``.
+
+    A ``g`` of three or more axes with more axes than ``t`` is a stack of
+    items along axis 0. Each item is reduced as it would be on its own and
+    added in stack order, so a stacked graph sums its gradient in the order
+    of running its items one by one: bit-identical, not one flattened
+    reduction. Within an item, broadcast axes are summed innermost first.
+    """
+    if not _wants(t):
+        return
+    if g.ndim > max(t.data.ndim, 2):
+        for item in g:
+            _accum(t, item)
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad += _unbroadcast(g, t.data.shape)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -144,8 +172,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _node(data, (a, b), backward)
 
@@ -155,22 +183,48 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if _wants(a):
+            _accum(a, g * b.data)
+        if _wants(b):
+            _accum(b, g * a.data)
 
     return _node(data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; supports 2-D and identically-batched 3-D operands."""
+    """Matrix product; supports 2-D and batched operands (a stack of matrices times one matrix, too)."""
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data @ b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if _wants(a):
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if _wants(b):
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """The affine map ``x @ w + b`` as one node, for x of shape (..., n, d_in).
+
+    Bit-identical to ``add(matmul(x, w), b)``, forward and backward, but
+    the bias is added in place in the product's buffer, so the graph holds
+    one output array instead of two. With a stack of inputs, w's gradient
+    is one product per item, added item by item (see ``_accum``).
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g):
+        if _wants(x):
+            _accum(x, g @ w.data.T)
+        if _wants(w):
+            _accum(w, np.swapaxes(x.data, -1, -2) @ g)
+        _accum(b, g)
+
+    return _node(data, (x, w, b), backward)
 
 
 def powc(a, exponent: float) -> Tensor:
@@ -273,8 +327,10 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None, out:
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
         gl = data * (g - inner) * scale
-        _accum(q, _unbroadcast(gl @ np.swapaxes(k_t.data, -1, -2), q.data.shape))
-        _accum(k_t, _unbroadcast(np.swapaxes(q.data, -1, -2) @ gl, k_t.data.shape))
+        if _wants(q):
+            _accum(q, gl @ np.swapaxes(k_t.data, -1, -2))
+        if _wants(k_t):
+            _accum(k_t, np.swapaxes(q.data, -1, -2) @ gl)
 
     return _node(data, (q, k_t), backward)
 
@@ -314,13 +370,18 @@ def normalize_last(a, eps: float = 1e-12) -> Tensor:
 
 
 def take_rows(a, indices) -> Tensor:
-    """Gather rows along axis 0 (embedding lookup); a slice of rows is a view, not a copy."""
+    """Gather rows along axis 0 (embedding lookup); a slice of rows is a view, not a copy.
+
+    Indices of any shape gather a row each; the backward adds the rows'
+    gradients back in index order (C order), so a (pages, n) index array
+    adds one page's rows after another.
+    """
     a = _as_tensor(a)
     idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
     def backward(g):
-        if not (a.requires_grad or a._parents):
+        if not _wants(a):
             return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
@@ -329,16 +390,18 @@ def take_rows(a, indices) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Concatenate along axis 0."""
+def concat_rows(parts: list[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate along ``axis``, axis 0 by default."""
     parts = [_as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.data.shape[0] for p in parts]
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.data.shape[axis] for p in parts]
 
     def backward(g):
+        index = [slice(None)] * g.ndim
         offset = 0
         for p, n in zip(parts, sizes):
-            _accum(p, g[offset : offset + n])
+            index[axis] = slice(offset, offset + n)
+            _accum(p, g[tuple(index)])
             offset += n
 
     return _node(data, tuple(parts), backward)

@@ -5,13 +5,14 @@ fuse the question on top of it, encode it, score it. `page_encoder` encodes
 the pages in blocks: consecutive pages that share a patch grid and fit in
 one attention tile are stacked, up to `BLOCK_ROWS` patch rows, and encoded
 in one `encode_grid` call, which pays each op's per-call cost once per
-block instead of once per page. `encode_page` is the one-page case, which
-training uses. `retrieve` scores the pages one at a time, in page order,
-and keeps the top-1. Retrieval runs without autograd, and the answer is
-decoded from the feature it retrieved, so no page is encoded twice. Only
-one block plus the best feature so far (a view that keeps its block's
-features) is alive at a time, so peak memory stays bounded no matter how
-long the document is.
+block instead of once per page. `grid_stacks` is that grouping rule, which
+stage-1 training and its validation use too; `encode_page` is the one-page
+case, which the frozen-feature cache uses. `retrieve` scores the pages one
+at a time, in page order, and keeps the top-1. Retrieval runs without
+autograd, and the answer is decoded from the feature it retrieved, so no
+page is encoded twice. Only one block plus the best feature so far (a view
+that keeps its block's features) is alive at a time, so peak memory stays
+bounded no matter how long the document is.
 
 Answer quality uses normalized Levenshtein similarity averaged over
 questions (scores whose normalized distance reaches the threshold count
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -37,6 +39,8 @@ from .scorer import SelfAttentionScorer
 
 ANLS_TAU = 0.5
 BLOCK_ROWS = 512  # patch rows of the pages stacked into one encoder call, at most
+
+K = TypeVar("K")
 
 
 # ----------------------------------------------------------------------------
@@ -102,11 +106,49 @@ def fuse_page(question: str, doc: Document, index: int, model: VqaModel) -> Patc
     return fuse_question_page(question, img, patch_size=model.cfg.patch_size, max_patches=model.cfg.max_patches)
 
 
+def grid_stacks(
+    items: Iterable[tuple[K, PatchGrid]], max_rows: int, alone: Callable[[K], bool] = lambda key: False
+) -> Iterator[list[tuple[K, PatchGrid]]]:
+    """Group consecutive (key, grid) pairs into stacks that one `encode_grid` call can take.
+
+    A stack's grids share a shape and fit in one attention tile, and it
+    holds at most `max_rows` patch rows; a grid longer than one tile, or
+    one whose key `alone` picks, is a stack of its own. Pairs are drawn
+    one at a time: a full stack is yielded before the next pair is drawn,
+    and a pair whose shape ends a stack starts the next one, so every pair
+    is drawn once.
+    """
+    # A stack is handed over, not kept: while the generator waits it holds
+    # no grid of the stack it yielded, so the consumer frees a block's grids
+    # before the next page is fused (a 2048-patch grid is 4 MiB).
+    def hand_over(stack: list) -> list:
+        out = stack[:]
+        stack.clear()
+        return out
+
+    stack: list[tuple[K, PatchGrid]] = []
+    for key, grid in items:
+        single = alone(key)
+        if stack and (single or (grid.rows, grid.cols) != (stack[0][1].rows, stack[0][1].cols)):
+            yield hand_over(stack)
+        stack.append((key, grid))
+        full = single or grid.n_patches > ATTENTION_TILE or (len(stack) + 1) * grid.n_patches > max_rows
+        del key, grid
+        if full:
+            yield hand_over(stack)
+    if stack:
+        yield hand_over(stack)
+
+
+def encode_stack(grids: list[PatchGrid], model: VqaModel) -> EncoderFeature:
+    """One `encode_grid` call: one page's feature, or a stacked feature of pages that share a grid shape."""
+    return model.encode_grid(grids[0] if len(grids) == 1 else stack_grids(grids))
+
+
 def encode_block(grids: list[PatchGrid], model: VqaModel) -> list[EncoderFeature]:
     """Encode pages that share one grid shape in one `encode_grid` call; one feature per page."""
-    if len(grids) == 1:
-        return [model.encode_grid(grids[0])]
-    return model.encode_grid(stack_grids(grids)).pages()
+    feature = encode_stack(grids, model)
+    return [feature] if len(grids) == 1 else feature.pages()
 
 
 def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> EncoderFeature:
@@ -122,34 +164,27 @@ def page_encoder(question: str, doc: Document, model: VqaModel) -> Callable[[int
     """`retrieve`'s page_feature for `question` over `doc`, encoding pages in blocks.
 
     Asked for a page it holds no feature of, it loads and fuses that page
-    and the pages after it as long as they share its grid shape and the
-    block stays within `BLOCK_ROWS` patch rows, encodes the block at once,
-    and hands the features out as they are asked for. A page longer than
-    one attention tile is a block of its own. The page that ends a block by
-    its grid shape starts the next one, so asked for in page order, every
-    page is loaded, fused and encoded once.
+    and the pages after it into one block by `grid_stacks` (a shared grid
+    shape, within `BLOCK_ROWS` patch rows), encodes the block at once, and
+    hands the features out as they are asked for. The page that ends a
+    block by its grid shape starts the next one, so asked for in page
+    order, every page is loaded, fused and encoded once; a page asked for
+    out of order starts a new block there.
     """
     ready: dict[int, EncoderFeature] = {}
-    ahead: dict[int, PatchGrid] = {}  # the page that ended the last block by its grid shape
-
-    def fused(index: int) -> PatchGrid:
-        grid = ahead.pop(index, None)
-        return grid if grid is not None else fuse_page(question, doc, index, model)
+    blocks: Iterator[list[tuple[int, PatchGrid]]] = iter(())
+    next_index = -1  # the first page of the block `blocks` yields next
 
     def page_feature(index: int) -> EncoderFeature:
+        nonlocal blocks, next_index
         if index not in ready:
             ready.clear()
-            grids = [fused(index)]
-            ahead.clear()
-            first = grids[0]
-            size = 1 if first.n_patches > ATTENTION_TILE else BLOCK_ROWS // first.n_patches
-            for nxt in range(index + 1, min(index + size, doc.n_pages)):
-                grid = fused(nxt)
-                if (grid.rows, grid.cols) != (first.rows, first.cols):
-                    ahead[nxt] = grid
-                    break
-                grids.append(grid)
-            ready.update(zip(range(index, index + len(grids)), encode_block(grids, model)))
+            if index != next_index:  # a page out of range still reaches load_page, which rejects it
+                pages = ((i, fuse_page(question, doc, i, model)) for i in range(index, max(index + 1, doc.n_pages)))
+                blocks = grid_stacks(pages, BLOCK_ROWS)
+            indices, grids = zip(*next(blocks))
+            ready.update(zip(indices, encode_block(list(grids), model)))
+            next_index = indices[-1] + 1 if indices[-1] + 1 < doc.n_pages else -1
         return ready.pop(index)
 
     return page_feature

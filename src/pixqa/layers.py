@@ -21,8 +21,7 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ag.matmul(x, w) + b
+linear = ag.linear  # x @ w + b as one graph node
 
 
 def normalize(x: Tensor, eps: float = LN_EPS) -> Tensor:
@@ -71,7 +70,8 @@ def project_kv(kv_in: Tensor, params: dict[str, Tensor], prefix: str, n_heads: i
     """Keys and values of ``kv_in`` (..., len_k, d_model), each (..., len_k, n_heads, head_dim).
 
     Row-major in the key axis, so a decoder's self-attention cache grows by
-    ``ag.concat_rows``; ``attend`` takes the head-major views it needs.
+    ``ag.concat_rows`` along axis -3; ``attend`` takes the head-major views
+    it needs.
     """
     p = params
     *lead, len_k, d_model = kv_in.shape

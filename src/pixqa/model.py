@@ -6,7 +6,8 @@ cross-attention over that feature. Decoding is incremental: a
 ``DecoderCache`` holds the feature's cross-attention K/V, projected once per
 answer, and each layer's self-attention K/V rows, so a greedy step runs the
 decoder on the one new token. Teacher forcing runs the same per-layer code
-on every token at once. Deliberately small: the retrieval
+on every token at once. Both also take a stack of pages, one answer each,
+and compute each page as it would alone. Deliberately small: the retrieval
 mechanism built on top is backbone-agnostic, so a desk-scale transformer
 stands in for a large pretrained one.
 """
@@ -14,7 +15,7 @@ stands in for a large pretrained one.
 from __future__ import annotations
 
 import string
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,7 +239,9 @@ class VqaModel:
             raise BudgetError(f"grid has {grid.n_patches} patches, budget is {cfg.max_patches}")
         if grid.patch_size != cfg.patch_size:
             raise ConfigError(f"grid patch size {grid.patch_size} != model patch size {cfg.patch_size}")
-        rows, cols = grid.row_col_indices()
+        # Position indices get the patches' page axis too, so a stack's
+        # position gradients are added one page at a time.
+        rows, cols = (np.broadcast_to(idx, grid.patches.shape[:-1]) for idx in grid.row_col_indices())
         p = self.params
         projected = linear(Tensor(grid.patches - 1.0), p["embed.proj_w"], p["embed.proj_b"])
         return projected + ag.take_rows(p["embed.row_emb"], rows) + ag.take_rows(p["embed.col_emb"], cols)
@@ -282,16 +285,19 @@ class VqaModel:
         an empty cache under a causal mask, and greedy decoding feeds one
         token per step, whose query sees every cached key. Each layer's
         self-attention K/V of ``tokens_in`` are appended to the cache.
+        ``tokens_in`` is (n,) for one answer, or (pages, n) for a cache of a
+        stacked feature, one row of tokens per page.
         """
         cfg, p = self.cfg, self.params
-        n, past = len(tokens_in), cache.length
-        x = ag.take_rows(p["dec.tok_emb"], tokens_in) + ag.take_rows(p["dec.pos_emb"], np.arange(past, past + n))
+        n, past = tokens_in.shape[-1], cache.length
+        positions = np.broadcast_to(np.arange(past, past + n), tokens_in.shape)
+        x = ag.take_rows(p["dec.tok_emb"], tokens_in) + ag.take_rows(p["dec.pos_emb"], positions)
         mask = _causal_mask(n, past)
         for i in range(cfg.n_dec_layers):
             a = apply_layer_norm(x, p, f"dec.{i}.ln1")
             kv = project_kv(a, p, f"dec.{i}.self_attn", cfg.n_heads)
             if cache.self_kv[i] is not None:
-                kv = tuple(ag.concat_rows([old, new]) for old, new in zip(cache.self_kv[i], kv))
+                kv = tuple(ag.concat_rows([old, new], axis=-3) for old, new in zip(cache.self_kv[i], kv))
             cache.self_kv[i] = kv
             x = x + attend(a, *kv, p, f"dec.{i}.self_attn", cfg.n_heads, mask=mask)
             b = apply_layer_norm(x, p, f"dec.{i}.ln2")
@@ -302,43 +308,77 @@ class VqaModel:
         x = apply_layer_norm(x, p, "dec.final_ln")
         return linear(x, p["dec.out_w"], p["dec.out_b"])
 
-    def vqa_loss(self, feature: EncoderFeature, answer: str) -> Tensor:
-        """Mean token-level cross-entropy of teacher-forced decoding."""
-        if len(answer) > self.cfg.max_answer_len:
-            raise ValueError(f"answer length {len(answer)} exceeds max_answer_len {self.cfg.max_answer_len}")
-        target = self.vocab.encode_answer(answer)
-        if len(target) == 0 or target[-1] != EOS:
-            raise ValueError("target must be non-empty and end with EOS")
-        tokens_in = np.concatenate(([BOS], target[:-1]))
+    def vqa_loss(self, feature: EncoderFeature, answers: str | Sequence[str]) -> Tensor:
+        """Token-level cross-entropy of teacher-forced decoding, averaged over each answer's tokens.
+
+        One page's (length, d_model) feature takes one answer and gives a
+        scalar loss. A stacked (pages, length, d_model) feature takes one
+        answer per page and gives one loss per page, in one decoder call:
+        the answers are padded with PAD to the longest, the causal mask
+        keeps the padding out of every real token's logits, and each
+        answer's tokens are weighted by 1/its length (characters plus EOS).
+        A stack whose answers have equal length gives each page the loss
+        and gradients of its one-page call, bit for bit; with mixed lengths
+        the padding changes sums' rounding only (within 1e-12).
+        """
+        stacked = feature.vectors.data.ndim == 3
+        if isinstance(answers, str) == stacked or (stacked and len(answers) != feature.vectors.shape[0]):
+            raise ValueError("one page takes one answer string, a stack of pages a list of one answer per page")
+        texts = list(answers) if stacked else [answers]
+        for text in texts:
+            if len(text) > self.cfg.max_answer_len:
+                raise ValueError(f"answer length {len(text)} exceeds max_answer_len {self.cfg.max_answer_len}")
+        targets = [self.vocab.encode_answer(text) for text in texts]
+        lengths = np.array([len(t) for t in targets])
+        target = np.full((len(targets), lengths.max()), PAD, dtype=np.intp)
+        for row, ids in zip(target, targets):
+            row[: len(ids)] = ids
+        tokens_in = np.concatenate((np.full((len(targets), 1), BOS), target[:, :-1]), axis=1)
+        if not stacked:
+            target, tokens_in, lengths = target[0], tokens_in[0], lengths[0]
         logits = self._decode_logits(tokens_in, self.decoder_cache(feature))
         log_probs = ag.log_softmax_last(logits)
-        onehot = np.zeros((len(target), self.vocab.size))
-        onehot[np.arange(len(target)), target] = 1.0
-        picked = ag.sum_axis(ag.mul(log_probs, onehot), axis=-1)
-        return -ag.mean_axis(picked)
+        onehot = (target[..., None] == np.arange(self.vocab.size)) & (target != PAD)[..., None]
+        picked = ag.sum_axis(ag.mul(log_probs, onehot.astype(np.float64)), axis=-1)
+        return -ag.mul(ag.sum_axis(picked, axis=-1), 1.0 / lengths)
 
     def generate_answer(self, feature: EncoderFeature, max_answer_len: int | None = None) -> str:
-        """Greedy decoding from BOS until EOS or the length cap, one token per step.
+        """Greedy decoding from BOS until EOS or the length cap: the one-page case of ``generate_answers``."""
+        return self.generate_answers(feature, max_answer_len)[0]
 
-        The cross-attention K/V are projected once per answer and each step
-        adds one row to every layer's self-attention cache, so a step runs
-        the decoder on one row. Raises NumericError when a step's logits are
-        not finite: an argmax over NaN would pick PAD, which decodes to
-        nothing, and pass for an empty answer.
+    def generate_answers(self, feature: EncoderFeature, max_answer_len: int | None = None) -> list[str]:
+        """Greedy decoding of one page's answer, or of one answer per page of a stacked feature.
+
+        Each answer runs from BOS until its own EOS or the length cap, one
+        token per step; a stack steps all its pages together until every
+        answer has stopped, and a page's logits are those it would get
+        alone. The cross-attention K/V are projected once per answer and
+        each step adds one row to every layer's self-attention cache, so a
+        step runs the decoder on one row per page. Raises NumericError when
+        a step's logits are not finite for an answer still being decoded:
+        an argmax over NaN would pick PAD, which decodes to nothing, and
+        pass for an empty answer.
         """
         limit = self.cfg.max_answer_len if max_answer_len is None else min(max_answer_len, self.cfg.max_answer_len)
-        tokens = [BOS]
+        lead = feature.vectors.shape[:-2]  # () for one page, (pages,) for a stack
+        n_pages = lead[0] if lead else 1
+        ids: list[list[int]] = [[] for _ in range(n_pages)]
+        running = np.ones(n_pages, dtype=bool)
+        tokens = np.full((*lead, 1), BOS, dtype=np.intp)
         with ag.no_grad():
             cache = self.decoder_cache(feature)
             for step in range(limit):
-                logits = self._decode_logits(np.array(tokens[-1:], dtype=np.intp), cache).data[-1]
-                if not np.isfinite(logits).all():
+                logits = self._decode_logits(tokens, cache).data[..., -1, :].reshape(n_pages, -1)
+                if not np.isfinite(logits).all() and not np.isfinite(logits[running]).all():
                     raise NumericError(f"decoder step {step} produced non-finite logits")
-                nxt = int(np.argmax(logits))
-                if nxt == EOS:
+                nxt = logits.argmax(axis=-1)
+                running &= nxt != EOS
+                if not running.any():
                     break
-                tokens.append(nxt)
-        return self.vocab.decode(tokens[1:])
+                for page in np.flatnonzero(running):
+                    ids[page].append(int(nxt[page]))
+                tokens = nxt.reshape(*lead, 1)
+        return [self.vocab.decode(page_ids) for page_ids in ids]
 
 
 def parameter_gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -1,16 +1,29 @@
 """Two-stage training.
 
 Stage 1 fits the encoder-decoder on positive question-page pairs only,
-selecting the epoch with the best validation answer similarity. Stage 2
-freezes the model and fits the scoring head on balanced pairs: each
-question contributes its gold page plus one page sampled uniformly from
-the rest of the document (resampled every epoch); single-page documents
-contribute only the positive pair. Scorer targets are label-smoothed to
-1-eps / eps and penalized with squared error.
+selecting the epoch with the best validation answer similarity. It walks
+each optimizer batch in order and groups consecutive samples whose gold
+pages share a patch grid into stacks of up to `STACK_ROWS` patch rows
+(`evaluate.grid_stacks`); each stack is one encoder call, one
+teacher-forced decoder call and one backward, and the next stack is built
+only after that backward, so one stack's graph is alive at a time. Its
+gradients add up in the order of the one-sample-at-a-time loop, so with
+answers of one length per stack they are bit-identical to it. Validation
+stacks and greedily decodes the gold pages the same way, without autograd.
+
+Stage 2 freezes the model and fits the scoring head on balanced pairs:
+each question contributes its gold page plus one page sampled uniformly
+from the rest of the document (resampled every epoch); single-page
+documents contribute only the positive pair. Scorer targets are
+label-smoothed to 1-eps / eps and penalized with squared error.
+
+Every epoch's record, in both stages, carries its wall time, validation
+included, as `epoch_s`.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -20,12 +33,16 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import ConfigError, DataError
-from .evaluate import anls_single, encode_page, retrieve
+from .evaluate import BLOCK_ROWS, anls_single, encode_page, encode_stack, fuse_page, grid_stacks, retrieve
+from .layers import ATTENTION_TILE
 from .model import EncoderFeature, VqaModel
 from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
 from .scorer import SelfAttentionScorer
 
 LogFn = Callable[[str], None]
+# Patch rows of the gold pages in one stage-1 graph, at most: 4 desk pages of
+# 39 patches. Larger stacks run faster still but hold more of the graph at once.
+STACK_ROWS = 160
 
 
 @dataclass(frozen=True)
@@ -77,12 +94,20 @@ class Sgd:
             if p.grad is not None:
                 if self.weight_decay:
                     p.data *= 1.0 - self.lr * self.weight_decay
-                p.data -= self.lr * p.grad / accumulated
+                g = p.grad  # dropped below, so scaled in place: (lr * grad) / accumulated
+                g *= self.lr
+                g /= accumulated
+                p.data -= g
                 p.grad = None
 
 
 class Adam:
-    """Adam with decoupled weight decay (applied only to stepped parameters)."""
+    """Adam with decoupled weight decay (applied only to stepped parameters).
+
+    The moments are updated in place and each step's temporaries reuse one
+    another's buffers; the arithmetic and its order are those of the
+    textbook formulas, so the result is bit-identical to them.
+    """
 
     def __init__(
         self,
@@ -108,14 +133,23 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad / accumulated
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
+            g = p.grad
+            g /= accumulated
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            g_scaled = (1 - self.beta2) * g
+            g_scaled *= g
+            v += g_scaled
+            update = m / (1 - self.beta1**self.t)  # lr * m_hat / (sqrt(v_hat) + eps)
+            update *= self.lr
+            denom = np.sqrt(v / (1 - self.beta2**self.t), out=g_scaled)
+            denom += self.eps
+            update /= denom
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= update
             p.grad = None
 
 
@@ -150,15 +184,44 @@ def _restore(params: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
         p.data = snap[k].copy()
 
 
+def _gold_pages(dataset: Dataset, questions: list, model: VqaModel):
+    """(sample, fused gold-page grid) for each of ``questions``, in order, fused as they are drawn."""
+    for sample in questions:
+        yield sample, fuse_page(sample.question, dataset.document_for(sample), sample.answer_page_index, model)
+
+
 def validation_anls(valid_set: Dataset, model: VqaModel) -> float:
-    """Single-page answer quality: decode each question's gold page."""
+    """Single-page answer quality: decode each question's gold page.
+
+    The gold pages are stacked as retrieval stacks its blocks (up to
+    `BLOCK_ROWS` patch rows) and each stack is encoded and greedily decoded
+    at once; every answer is the one its page gives alone.
+    """
     scores = []
-    for sample in valid_set.questions:
-        doc = valid_set.document_for(sample)
-        with ag.no_grad():
-            feature = encode_page(sample.question, doc, sample.answer_page_index, model)
-        scores.append(anls_single(model.generate_answer(feature), sample.answers))
+    with ag.no_grad():
+        for stack in grid_stacks(_gold_pages(valid_set, valid_set.questions, model), BLOCK_ROWS):
+            samples, grids = zip(*stack)
+            answers = model.generate_answers(encode_stack(list(grids), model))
+            scores += [anls_single(answer, sample.answers) for answer, sample in zip(answers, samples)]
     return float(np.mean(scores))
+
+
+def _decoder_exceeds_tile(sample) -> bool:
+    """Whether the sample's teacher-forced decoder rows (answer plus EOS) overflow one attention tile."""
+    return len(sample.answers[0]) + 1 > ATTENTION_TILE
+
+
+def _stage1_stack(model: VqaModel, stack: list) -> list[float]:
+    """Loss and backward of one stack of (sample, gold-page grid) pairs; returns each sample's loss.
+
+    The graph lives only inside this call, so it is freed before the caller
+    builds the next stack.
+    """
+    samples, grids = zip(*stack)
+    answers = [sample.answers[0] for sample in samples]
+    loss = model.vqa_loss(encode_stack(list(grids), model), answers if len(answers) > 1 else answers[0])
+    loss.backward()
+    return np.atleast_1d(loss.data).tolist()
 
 
 class FrozenFeatureCache:
@@ -253,23 +316,21 @@ def train_stage1(
     best_params = _snapshot(model.params)
 
     for epoch in range(1, cfg.max_epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(len(train_set.questions))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            for idx in batch:
-                sample = train_set.questions[int(idx)]
-                doc = train_set.document_for(sample)
-                feature = encode_page(sample.question, doc, sample.answer_page_index, model)
-                loss = model.vqa_loss(feature, sample.answers[0])
-                loss.backward()
-                losses.append(float(loss.data))
+            batch = [train_set.questions[int(idx)] for idx in order[start : start + cfg.batch_size]]
+            for stack in grid_stacks(_gold_pages(train_set, batch, model), STACK_ROWS, alone=_decoder_exceeds_tile):
+                losses += _stage1_stack(model, stack)
             opt.step(len(batch))
         valid_metric = validation_anls(valid_set, model)
-        record = {"epoch": epoch, "train_loss": float(np.mean(losses)), "valid_anls": valid_metric}
+        record = {"epoch": epoch, "train_loss": float(np.mean(losses)), "valid_anls": valid_metric,
+                  "epoch_s": time.perf_counter() - started}
         history.records.append(record)
         if log:
-            log(f"stage1 epoch {epoch}: train_loss={record['train_loss']:.4f} valid_anls={valid_metric:.4f}")
+            log(f"stage1 epoch {epoch}: train_loss={record['train_loss']:.4f} valid_anls={valid_metric:.4f} "
+                f"epoch_s={record['epoch_s']:.2f}")
         if valid_metric > history.best_metric:
             history.best_metric = valid_metric
             history.best_epoch = epoch
@@ -305,6 +366,7 @@ def train_stage2(
     cache = FrozenFeatureCache(model)
 
     for epoch in range(1, cfg.max_epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(len(train_set.questions))
         losses = []
         n_pos = n_neg = 0
@@ -335,12 +397,13 @@ def train_stage2(
             "valid_page_acc": valid_metric,
             "n_pos_pairs": n_pos,
             "n_neg_pairs": n_neg,
+            "epoch_s": time.perf_counter() - started,
         }
         history.records.append(record)
         if log:
             log(
                 f"stage2 epoch {epoch}: train_loss={record['train_loss']:.5f} "
-                f"valid_page_acc={valid_metric:.2f}% (pairs +{n_pos}/-{n_neg})"
+                f"valid_page_acc={valid_metric:.2f}% (pairs +{n_pos}/-{n_neg}) epoch_s={record['epoch_s']:.2f}"
             )
         if valid_metric > history.best_metric:
             history.best_metric = valid_metric
