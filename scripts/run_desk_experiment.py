@@ -4,6 +4,10 @@
 Generates the synthetic corpus, trains both stages, evaluates on the test
 split, runs the aggregation ablation, and prints a summary table. Everything
 goes through the CLI so each step leaves a manifest and can be rerun by hand.
+
+The settings of the gen, train-vqa and train-scorer steps are the `--config`
+files in `scripts/desk/`, which the acceptance suite's desk run reads too; the
+options below override them.
 """
 
 from __future__ import annotations
@@ -16,26 +20,26 @@ from pathlib import Path
 
 from pixqa.cli import main as cli
 
-MODEL_FLAGS = [
-    "--d-model", "96", "--heads", "8", "--enc-layers", "2", "--dec-layers", "2",
-    "--d-ff", "384", "--max-patches", "2048", "--max-answer-len", "8",
-    "--vocab", "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789?: ",
-]
+DESK = Path(__file__).resolve().parent / "desk"
 
 
-def run(args: list[str]) -> None:
-    code = cli(args)
+def run(command: str, *args: str, **overrides) -> None:
+    """``pixqa command args``, with the command's desk config file if it has one and the given overrides."""
+    config = DESK / f"{command}.json"
+    argv = [command, *args, *(["--config", str(config)] if config.exists() else [])]
+    argv += [f"--{dest.replace('_', '-')}={value}" for dest, value in overrides.items() if value is not None]
+    code = cli(argv)
     if code != 0:
-        sys.exit(f"step failed ({code}): {' '.join(args)}")
+        sys.exit(f"step failed ({code}): {' '.join(argv)}")
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/desk", help="experiment root directory")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--docs", type=int, default=200)
-    ap.add_argument("--stage1-epochs", type=int, default=60)
-    ap.add_argument("--stage2-epochs", type=int, default=30)
+    ap.add_argument("--seed", type=int, help="corpus and training seed (default: the desk files')")
+    ap.add_argument("--docs", type=int, help="corpus size (default: desk/gen.json's)")
+    ap.add_argument("--stage1-epochs", type=int, help="default: desk/train-vqa.json's")
+    ap.add_argument("--stage2-epochs", type=int, help="default: desk/train-scorer.json's")
     ap.add_argument("--skip-ablation", action="store_true")
     opts = ap.parse_args()
 
@@ -43,37 +47,18 @@ def main() -> None:
     corpus = root / "corpus"
     t0 = time.time()
 
-    run([
-        "gen", "--out", str(corpus), "--seed", str(opts.seed), "--docs", str(opts.docs),
-        "--pages", "4:8", "--facts-per-page", "2", "--questions-per-doc", "5",
-        "--key-len", "3", "--key-alphabet", "ABCDEFGHIJKL",
-        "--value-len", "4", "--value-alphabet", "0123456789",
-        "--page-width", "208", "--page-height", "32",
-    ])
-
-    run([
-        "train-vqa", "--data", str(corpus), "--out", str(root / "stage1"),
-        "--optimizer", "adam", "--lr", "1e-3", "--weight-decay", "0.01",
-        "--batch-size", "16", "--epochs", str(opts.stage1_epochs), "--patience", "10",
-        "--seed", str(opts.seed), "--model-seed", "0",
-    ] + MODEL_FLAGS)
+    run("gen", "--out", str(corpus), seed=opts.seed, docs=opts.docs)
+    run("train-vqa", "--data", str(corpus), "--out", str(root / "stage1"), seed=opts.seed, epochs=opts.stage1_epochs)
 
     stage1_ckpt = root / "stage1" / "stage1.ckpt"
     aggregations = ["first"] if opts.skip_ablation else ["first", "cls", "avgpool"]
     summary = {"elapsed_s": None, "aggregation_ablation": {}}
     for agg in aggregations:
         out = root / f"stage2-{agg}"
-        run([
-            "train-scorer", "--data", str(corpus), "--checkpoint", str(stage1_ckpt),
-            "--out", str(out), "--aggregation", agg, "--sa-layers", "1", "--sa-heads", "16",
-            "--dropout", "0.1", "--optimizer", "adam", "--lr", "2e-3",
-            "--batch-size", "16", "--epochs", str(opts.stage2_epochs), "--patience", "5",
-            "--seed", str(opts.seed), "--scorer-seed", "1",
-        ])
-        run([
-            "eval", "--data", str(corpus), "--checkpoint", str(out / "stage2.ckpt"),
-            "--out", str(root / f"eval-{agg}"), "--split", "test",
-        ])
+        run("train-scorer", "--data", str(corpus), "--checkpoint", str(stage1_ckpt), "--out", str(out),
+            aggregation=agg, seed=opts.seed, epochs=opts.stage2_epochs)
+        run("eval", "--data", str(corpus), "--checkpoint", str(out / "stage2.ckpt"),
+            "--out", str(root / f"eval-{agg}"), "--split", "test")
         metrics = json.loads((root / f"eval-{agg}" / "metrics.json").read_text())
         summary["aggregation_ablation"][agg] = {
             "page_accuracy_pct": metrics["page_accuracy_pct"],

@@ -19,6 +19,9 @@ from pixqa.cli import main as cli
 from pixqa.data import load_mpdocvqa
 from pixqa.evaluate import page_encoder, retrieve
 
+# Pages like those of the desk corpus the checkpoint was trained on (see run_desk_experiment.py).
+DESK_GEN = Path(__file__).resolve().parent / "desk" / "gen.json"
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -32,11 +35,8 @@ def main() -> None:
     root = Path(opts.out)
     corpus = root / "corpus"
     code = cli([
-        "gen", "--out", str(corpus), "--seed", str(opts.seed), "--docs", str(opts.docs),
-        "--pages", opts.pages, "--facts-per-page", "2", "--questions-per-doc", "1",
-        "--key-len", "3", "--key-alphabet", "ABCDEFGHIJKL",
-        "--value-len", "4", "--value-alphabet", "0123456789",
-        "--page-width", "208", "--page-height", "32", "--fractions", "0,0,1",
+        "gen", "--out", str(corpus), "--config", str(DESK_GEN), "--seed", str(opts.seed), "--docs", str(opts.docs),
+        "--pages", opts.pages, "--questions-per-doc", "1", "--fractions", "0,0,1",
     ])
     if code != 0:
         raise SystemExit(code)

@@ -4,7 +4,8 @@ Subcommands: ``gen`` (synthetic corpus), ``train-vqa`` (stage 1),
 ``train-scorer`` (stage 2), ``eval``, ``answer``, ``sweep`` (scorer grid),
 ``report`` (quadrants + histogram from a results file).
 
-Option precedence is defaults < --config JSON file < explicit flags; every
+Option precedence is defaults < --config JSON file < explicit flags, where a
+flag's default is that of the config dataclass field it sets; every
 command that writes an output directory drops a manifest.json with the
 fully resolved configuration, so a run can be reproduced from its outputs.
 All randomness flows from explicit seed flags.
@@ -19,19 +20,20 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Dataset, Document, PageRef, SynthConfig, gen_synthetic, load_mpdocvqa, split, write_annotations
+from .data import (Dataset, Document, PageRef, SynthConfig, check_fractions, gen_synthetic, load_mpdocvqa, split,
+                   write_annotations)
 from .errors import DataError, PixqaError
 from .evaluate import evaluate_dataset, page_histogram, report_from_records
 from .layers import attention_workers
 from .model import ModelConfig, VqaModel
 from .scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
-from .training import TrainConfig, TrainHistory, train_stage1, train_stage2
+from .training import OPTIMIZERS, TrainConfig, TrainHistory, train_stage1, train_stage2
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -136,21 +138,22 @@ def _load_config_file(args: argparse.Namespace) -> dict:
 
 
 def _typed(key: str, value, default, cfg_path) -> object:
-    """A config-file value checked against the type of the command's default (str where that is None)."""
-    expected = str if default is None else type(default)
-    if value is None and default is None:
-        return None
+    """A config-file value checked against the type of the command's default and the flag's choices."""
+    expected = type(default)
     if expected is float and type(value) is int:
         return float(value)
     if type(value) is not expected:  # JSON true/false is not an int here
         raise UsageError(
             f"config file {cfg_path}: {key!r} must be {expected.__name__}, got {type(value).__name__} {value!r}"
         )
+    if key in CHOICES and value not in CHOICES[key]:
+        raise UsageError(f"config file {cfg_path}: {key!r} must be one of {CHOICES[key]}, got {value!r}")
     return value
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags (flags parse to None when absent)."""
+    defaults = COMMAND_DEFAULTS[args.command]
     file_cfg = _load_config_file(args)
     unknown = sorted(set(file_cfg) - set(defaults))
     if unknown:
@@ -166,111 +169,63 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 # ----------------------------------------------------------------------------
-# Shared option groups
+# Config flags: each table maps a flag's dest to the config field it sets. The
+# flag is spelled --dest with dashes; its type and default are the field's.
 # ----------------------------------------------------------------------------
 
-MODEL_DEFAULTS = {
-    "d_model": 64,
-    "heads": 4,
-    "enc_layers": 2,
-    "dec_layers": 2,
-    "d_ff": 256,
-    "patch_size": 16,
-    "max_patches": 2048,
-    "max_answer_len": 32,
-    "model_seed": 0,
+SYNTH_FLAGS = {
+    "seed": "seed", "docs": "n_documents", "facts_per_page": "facts_per_page",
+    "questions_per_doc": "questions_per_doc", "key_len": "key_len", "value_len": "value_len",
+    "key_alphabet": "key_alphabet", "value_alphabet": "value_alphabet",
+    "page_width": "page_width", "page_height": "page_height",
+}
+MODEL_FLAGS = {
+    "d_model": "d_model", "heads": "n_heads", "enc_layers": "n_enc_layers", "dec_layers": "n_dec_layers",
+    "d_ff": "d_ff", "patch_size": "patch_size", "max_patches": "max_patches",
+    "max_answer_len": "max_answer_len", "model_seed": "seed", "vocab": "vocab_chars",
+}
+TRAIN_FLAGS = {
+    "lr": "learning_rate", "batch_size": "batch_size", "epochs": "max_epochs",
+    "patience": "early_stop_patience", "label_smooth": "label_smooth_eps", "seed": "seed",
+    "optimizer": "optimizer", "weight_decay": "weight_decay",
+}
+HEAD_FLAGS = {"aggregation": "aggregation", "dropout": "dropout_p"}  # the scorer settings a sweep holds fixed
+SCORER_FLAGS = {"sa_layers": "n_sa_layers", "sa_heads": "n_heads", **HEAD_FLAGS}
+
+CHOICES = {"optimizer": OPTIMIZERS, "aggregation": AGGREGATIONS}
+
+
+def _defaults(cls, table: dict[str, str]) -> dict:
+    """Each flag's default: the default of the config field it sets."""
+    field_defaults = {f.name: f.default for f in fields(cls)}
+    return {dest: field_defaults[name] for dest, name in table.items()}
+
+
+def _build(cls, table: dict[str, str], resolved: dict, **rest):
+    """A ``cls`` config from the resolved flags in ``table``; ``rest`` sets fields no flag sets."""
+    return cls(**{name: resolved[dest] for dest, name in table.items()}, **rest)
+
+
+SCORER_SEED = {"scorer_seed": 0}  # SelfAttentionScorer's seed, which no config field holds
+# Each command's --config keys and defaults; its parser takes the same dict.
+COMMAND_DEFAULTS = {
+    "gen": {
+        **_defaults(SynthConfig, SYNTH_FLAGS),
+        "pages": "{}:{}".format(*SynthConfig.pages_per_doc),
+        "fractions": "0.8,0.1,0.1",
+    },
+    "train-vqa": {**_defaults(ModelConfig, MODEL_FLAGS), **_defaults(TrainConfig, TRAIN_FLAGS)},
+    "train-scorer": {**_defaults(ScorerConfig, SCORER_FLAGS), **SCORER_SEED, **_defaults(TrainConfig, TRAIN_FLAGS)},
+    "sweep": {**_defaults(TrainConfig, TRAIN_FLAGS), **_defaults(ScorerConfig, HEAD_FLAGS), **SCORER_SEED},
 }
 
-TRAIN_DEFAULTS = {
-    "lr": 0.3,
-    "batch_size": 8,
-    "epochs": 60,
-    "patience": 5,
-    "label_smooth": 0.1,
-    "seed": 0,
-    "optimizer": "sgd",
-    "weight_decay": 0.0,
-}
 
-SCORER_DEFAULTS = {
-    "sa_layers": 1,
-    "sa_heads": 16,
-    "aggregation": "first",
-    "dropout": 0.1,
-    "scorer_seed": 0,
-}
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--heads", dest="heads", type=int)
-    p.add_argument("--enc-layers", dest="enc_layers", type=int)
-    p.add_argument("--dec-layers", dest="dec_layers", type=int)
-    p.add_argument("--d-ff", dest="d_ff", type=int)
-    p.add_argument("--patch-size", dest="patch_size", type=int)
-    p.add_argument("--max-patches", dest="max_patches", type=int)
-    p.add_argument("--max-answer-len", dest="max_answer_len", type=int)
-    p.add_argument("--model-seed", dest="model_seed", type=int)
-    p.add_argument("--vocab", dest="vocab", type=str, help="vocabulary characters (default printable ASCII)")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", dest="lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", dest="epochs", type=int)
-    p.add_argument("--patience", dest="patience", type=int)
-    p.add_argument("--label-smooth", dest="label_smooth", type=float)
-    p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--optimizer", dest="optimizer", choices=("sgd", "adam"))
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-
-
-def _add_scorer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sa-layers", dest="sa_layers", type=int)
-    p.add_argument("--sa-heads", dest="sa_heads", type=int)
-    p.add_argument("--aggregation", dest="aggregation", choices=AGGREGATIONS)
-    p.add_argument("--dropout", dest="dropout", type=float)
-    p.add_argument("--scorer-seed", dest="scorer_seed", type=int)
-
-
-def _model_config(resolved: dict) -> ModelConfig:
-    kwargs = dict(
-        d_model=resolved["d_model"],
-        n_heads=resolved["heads"],
-        n_enc_layers=resolved["enc_layers"],
-        n_dec_layers=resolved["dec_layers"],
-        d_ff=resolved["d_ff"],
-        patch_size=resolved["patch_size"],
-        max_patches=resolved["max_patches"],
-        max_answer_len=resolved["max_answer_len"],
-        seed=resolved["model_seed"],
-    )
-    if resolved.get("vocab"):
-        kwargs["vocab_chars"] = resolved["vocab"]
-    return ModelConfig(**kwargs)
-
-
-def _train_config(resolved: dict, stage: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=resolved["lr"],
-        batch_size=resolved["batch_size"],
-        max_epochs=resolved["epochs"],
-        early_stop_patience=resolved["patience"],
-        label_smooth_eps=resolved["label_smooth"],
-        seed=resolved["seed"],
-        stage=stage,
-        optimizer=resolved["optimizer"],
-        weight_decay=resolved["weight_decay"],
-    )
-
-
-def _scorer_config(resolved: dict) -> ScorerConfig:
-    return ScorerConfig(
-        n_sa_layers=resolved["sa_layers"],
-        n_heads=resolved["sa_heads"],
-        aggregation=resolved["aggregation"],
-        dropout_p=resolved["dropout"],
-    )
+def _add_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
+    """One flag per default; absent flags parse to None so ``_resolve`` can tell them from given ones."""
+    for dest, default in defaults.items():
+        kind = {"choices": CHOICES[dest]} if dest in CHOICES else {"type": type(default)}
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kind,
+                       help=f"default {default!r}".replace("%", "%%"))
 
 
 def _load_split(data_dir: Path, split_name: str) -> Dataset:
@@ -306,40 +261,12 @@ class _TeeLog:
 # ----------------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": 0,
-        "docs": 200,
-        "pages": "4:8",
-        "facts_per_page": 3,
-        "questions_per_doc": 5,
-        "key_len": 4,
-        "value_len": 4,
-        "key_alphabet": None,
-        "value_alphabet": None,
-        "page_width": 224,
-        "page_height": 48,
-        "fractions": "0.8,0.1,0.1",
-    }
-    r = _resolve(args, defaults)
+    r = _resolve(args)
     out_dir = Path(args.out)
-    synth_kwargs = dict(
-        n_documents=r["docs"],
-        pages_per_doc=_parse_range(r["pages"], "pages"),
-        facts_per_page=r["facts_per_page"],
-        questions_per_doc=r["questions_per_doc"],
-        key_len=r["key_len"],
-        value_len=r["value_len"],
-        page_width=r["page_width"],
-        page_height=r["page_height"],
-        seed=r["seed"],
-    )
-    if r["key_alphabet"]:
-        synth_kwargs["key_alphabet"] = r["key_alphabet"]
-    if r["value_alphabet"]:
-        synth_kwargs["value_alphabet"] = r["value_alphabet"]
-    cfg = SynthConfig(**synth_kwargs)
-    dataset = gen_synthetic(cfg, out_dir)
+    cfg = _build(SynthConfig, SYNTH_FLAGS, r, pages_per_doc=_parse_range(r["pages"], "pages"))
     fractions = _parse_fractions(r["fractions"])
+    check_fractions(fractions)  # before any page is written
+    dataset = gen_synthetic(cfg, out_dir)
     for part in split(dataset, fractions, seed=r["seed"]):
         write_annotations(part, out_dir / f"annotations.{part.split}.json")
     _manifest(
@@ -358,14 +285,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train_vqa(args: argparse.Namespace) -> int:
-    r = _resolve(args, {**MODEL_DEFAULTS, **TRAIN_DEFAULTS, "vocab": None})
+    r = _resolve(args)
     train_set = _load_split(Path(args.data), "train")
     valid_set = _load_split(Path(args.data), "valid")
+    model_cfg = _build(ModelConfig, MODEL_FLAGS, r)
+    train_cfg = _build(TrainConfig, TRAIN_FLAGS, r, stage=1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model_cfg = _model_config(r)
-    train_cfg = _train_config(r, stage=1)
     model = VqaModel(model_cfg)
     ckpt_path = out_dir / "stage1.ckpt"
     log = _TeeLog(out_dir / "train.log")
@@ -390,17 +317,17 @@ def cmd_train_vqa(args: argparse.Namespace) -> int:
 
 
 def cmd_train_scorer(args: argparse.Namespace) -> int:
-    r = _resolve(args, {**SCORER_DEFAULTS, **TRAIN_DEFAULTS})
+    r = _resolve(args)
     ckpt_in = _require_path(Path(args.checkpoint), "stage-1 checkpoint")
     train_set = _load_split(Path(args.data), "train")
     valid_set = _load_split(Path(args.data), "valid")
+    model, _ = load_checkpoint(ckpt_in)  # scorer namespace, if any, is ignored: fresh head per run
+    scorer_cfg = _build(ScorerConfig, SCORER_FLAGS, r)
+    scorer = SelfAttentionScorer(scorer_cfg, d_model=model.cfg.d_model, seed=r["scorer_seed"])
+    train_cfg = _build(TrainConfig, TRAIN_FLAGS, r, stage=2)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model, _ = load_checkpoint(ckpt_in)  # scorer namespace, if any, is ignored: fresh head per run
-    scorer_cfg = _scorer_config(r)
-    scorer = SelfAttentionScorer(scorer_cfg, d_model=model.cfg.d_model, seed=r["scorer_seed"])
-    train_cfg = _train_config(r, stage=2)
     ckpt_path = out_dir / "stage2.ckpt"
     log = _TeeLog(out_dir / "train.log")
     try:
@@ -480,41 +407,40 @@ def cmd_answer(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    r = _resolve(args, {**TRAIN_DEFAULTS, "dropout": 0.1, "aggregation": "first", "scorer_seed": 0})
+    r = _resolve(args)
+    layer_grid = _parse_int_list(args.layers, "layers")
+    head_grid = _parse_int_list(args.heads, "heads")
+    if not layer_grid or not head_grid:
+        raise UsageError(f"--layers {args.layers} x --heads {args.heads} is an empty grid")
     ckpt_in = _require_path(Path(args.checkpoint), "stage-1 checkpoint")
     train_set = _load_split(Path(args.data), "train")
     valid_set = _load_split(Path(args.data), "valid")
+    train_cfg = _build(TrainConfig, TRAIN_FLAGS, r, stage=2)
+    model, _ = load_checkpoint(ckpt_in)  # stage 2 never changes the model, so every cell shares it
+    # Every cell's scorer is made before any trains, so a bad cell fails the sweep up front.
+    scorers = [
+        SelfAttentionScorer(_build(ScorerConfig, HEAD_FLAGS, r, n_sa_layers=n_layers, n_heads=n_heads),
+                            d_model=model.cfg.d_model, seed=r["scorer_seed"])
+        for n_layers in layer_grid for n_heads in head_grid
+    ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    layer_grid = _parse_int_list(args.layers, "layers")
-    head_grid = _parse_int_list(args.heads, "heads")
-    train_cfg = _train_config(r, stage=2)
-
     cells = []
-    for n_layers in layer_grid:
-        for n_heads in head_grid:
-            model, _ = load_checkpoint(ckpt_in)
-            cfg = ScorerConfig(
-                n_sa_layers=n_layers, n_heads=n_heads,
-                aggregation=r["aggregation"], dropout_p=r["dropout"],
-            )
-            scorer = SelfAttentionScorer(cfg, d_model=model.cfg.d_model, seed=r["scorer_seed"])
-            history = train_stage2(train_set, valid_set, model, scorer, train_cfg)
-            _, report = evaluate_dataset(valid_set, model, scorer)
-            cells.append(
-                {
-                    "sa_layers": n_layers,
-                    "sa_heads": n_heads,
-                    "page_accuracy_pct": report.page_accuracy_pct,
-                    "anls": report.anls,
-                    "best_epoch": history.best_epoch,
-                }
-            )
-            print(
-                f"layers={n_layers} heads={n_heads}: page_acc={report.page_accuracy_pct:.2f}% "
-                f"anls={report.anls:.4f}"
-            )
+    for scorer in scorers:
+        history = train_stage2(train_set, valid_set, model, scorer, train_cfg)
+        _, report = evaluate_dataset(valid_set, model, scorer)
+        n_layers, n_heads = scorer.cfg.n_sa_layers, scorer.cfg.n_heads
+        cells.append(
+            {
+                "sa_layers": n_layers,
+                "sa_heads": n_heads,
+                "page_accuracy_pct": report.page_accuracy_pct,
+                "anls": report.anls,
+                "best_epoch": history.best_epoch,
+            }
+        )
+        print(f"layers={n_layers} heads={n_heads}: page_acc={report.page_accuracy_pct:.2f}% anls={report.anls:.4f}")
     (out_dir / "sweep.json").write_text(json.dumps(cells, indent=2, sort_keys=True) + "\n")
     with open(out_dir / "sweep.tsv", "w") as fh:
         fh.write("sa_layers\tsa_heads\tpage_accuracy_pct\tanls\n")
@@ -589,26 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic multi-page corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--docs", type=int)
-    p.add_argument("--pages")
-    p.add_argument("--facts-per-page", dest="facts_per_page", type=int)
-    p.add_argument("--questions-per-doc", dest="questions_per_doc", type=int)
-    p.add_argument("--key-len", dest="key_len", type=int)
-    p.add_argument("--value-len", dest="value_len", type=int)
-    p.add_argument("--key-alphabet", dest="key_alphabet")
-    p.add_argument("--value-alphabet", dest="value_alphabet")
-    p.add_argument("--page-width", dest="page_width", type=int)
-    p.add_argument("--page-height", dest="page_height", type=int)
-    p.add_argument("--fractions")
+    _add_flags(p, COMMAND_DEFAULTS["gen"])
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train-vqa", help="stage 1: train the single-page VQA model")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_flags(p, COMMAND_DEFAULTS["train-vqa"])
     p.set_defaults(func=cmd_train_vqa)
 
     p = sub.add_parser("train-scorer", help="stage 2: train the scoring head on a frozen model")
@@ -616,8 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    _add_scorer_flags(p)
-    _add_train_flags(p)
+    _add_flags(p, COMMAND_DEFAULTS["train-scorer"])
     p.set_defaults(func=cmd_train_scorer)
 
     p = sub.add_parser("eval", help="evaluate a stage-2 checkpoint on a corpus split")
@@ -641,10 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", required=True)
     p.add_argument("--heads", required=True)
     p.add_argument("--config")
-    p.add_argument("--dropout", dest="dropout", type=float)
-    p.add_argument("--aggregation", dest="aggregation", choices=AGGREGATIONS)
-    p.add_argument("--scorer-seed", dest="scorer_seed", type=int)
-    _add_train_flags(p)
+    _add_flags(p, COMMAND_DEFAULTS["sweep"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="quadrant table + page histogram from a results file")

@@ -388,10 +388,17 @@ def gen_synthetic(cfg: SynthConfig, out_dir: Path) -> Dataset:
 # Splits
 # ----------------------------------------------------------------------------
 
-def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint document-level partition into train/valid/test."""
+def check_fractions(fractions: tuple[float, float, float]) -> None:
+    """Raise ConfigError unless the train/valid/test fractions lie in [0, 1] and sum to 1."""
+    if not all(0.0 <= f <= 1.0 for f in fractions):  # NaN fails every comparison
+        raise ConfigError(f"split fractions must lie in [0, 1], got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {fractions}")
+
+
+def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Disjoint document-level partition into train/valid/test."""
+    check_fractions(fractions)
     doc_ids = list(dataset.documents)
     rng = np.random.default_rng(seed)
     order = [doc_ids[i] for i in rng.permutation(len(doc_ids))]

@@ -43,6 +43,7 @@ LogFn = Callable[[str], None]
 # Patch rows of the gold pages in one stage-1 graph, at most: 4 desk pages of
 # 39 patches. Larger stacks run faster still but hold more of the graph at once.
 STACK_ROWS = 160
+OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class TrainConfig:
             raise ConfigError(f"stage must be 1 or 2, got {self.stage}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("learning_rate, batch_size and max_epochs must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.weight_decay < 0.0:
             raise ConfigError("weight_decay must be >= 0")
 

@@ -33,36 +33,16 @@ from pixqa.render import PatchGrid, blank_image, patchify, resize_to_patch_budge
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 from pixqa.training import mse_smoothed_loss, validation_anls
 
-SEED = 7
+# The desk experiment's gen, train-vqa and train-scorer settings, shared with
+# scripts/run_desk_experiment.py; the gates below were measured with them.
+DESK = Path(__file__).resolve().parents[1] / "scripts" / "desk"
+DESK_GEN = json.loads((DESK / "gen.json").read_text())
+KEY_ALPHABET = DESK_GEN["key_alphabet"]
+VALUE_ALPHABET = DESK_GEN["value_alphabet"]
 
-KEY_ALPHABET = "ABCDEF"
-VALUE_ALPHABET = "0123456789"
-VOCAB = "abcdefghijklmnopqrstuvwxyzABCDEF0123456789?: "
 
-GEN_ARGS = [
-    "--seed", str(SEED), "--docs", "200", "--pages", "4:8",
-    "--facts-per-page", "1", "--questions-per-doc", "5",
-    "--key-len", "3", "--key-alphabet", KEY_ALPHABET,
-    "--value-len", "4", "--value-alphabet", VALUE_ALPHABET,
-    "--page-width", "208", "--page-height", "32",
-]
-
-MODEL_ARGS = [
-    "--d-model", "96", "--heads", "8", "--enc-layers", "2", "--dec-layers", "2",
-    "--d-ff", "384", "--max-patches", "2048", "--max-answer-len", "8",
-    "--vocab", VOCAB, "--model-seed", "0",
-]
-
-STAGE1_ARGS = [
-    "--optimizer", "adam", "--lr", "1e-3", "--weight-decay", "0.01",
-    "--batch-size", "16", "--epochs", "40", "--patience", "8", "--seed", str(SEED),
-]
-
-STAGE2_ARGS = [
-    "--sa-layers", "1", "--sa-heads", "16", "--dropout", "0.1",
-    "--optimizer", "adam", "--lr", "2e-3", "--batch-size", "16",
-    "--epochs", "150", "--patience", "25", "--seed", str(SEED), "--scorer-seed", "1",
-]
+def desk_config(command: str) -> list[str]:
+    return ["--config", str(DESK / f"{command}.json")]
 
 
 def run_cli(args: list[str]) -> None:
@@ -95,8 +75,8 @@ def desk_run(tmp_path_factory):
     corpus = root / "corpus"
     t0 = time.perf_counter()
 
-    run_cli(["gen", "--out", str(corpus)] + GEN_ARGS)
-    run_cli(["train-vqa", "--data", str(corpus), "--out", str(root / "stage1")] + MODEL_ARGS + STAGE1_ARGS)
+    run_cli(["gen", "--out", str(corpus)] + desk_config("gen"))
+    run_cli(["train-vqa", "--data", str(corpus), "--out", str(root / "stage1")] + desk_config("train-vqa"))
     stage1_ckpt = root / "stage1" / "stage1.ckpt"
     serial_s = time.perf_counter() - t0
 
@@ -106,7 +86,7 @@ def desk_run(tmp_path_factory):
     def head(agg: str) -> tuple[float, float]:
         train_s = run_cli_child(
             ["train-scorer", "--data", str(corpus), "--checkpoint", str(stage1_ckpt),
-             "--out", str(stage2[agg].parent), "--aggregation", agg] + STAGE2_ARGS
+             "--out", str(stage2[agg].parent), "--aggregation", agg] + desk_config("train-scorer")
         )
         eval_s = run_cli_child(["eval", "--data", str(corpus), "--checkpoint", str(stage2[agg]),
                                 "--out", str(evals[agg]), "--split", "test"])

@@ -1,15 +1,23 @@
+import argparse
 import json
 import os
 import re
 import shutil
+import string
 import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pixqa import cli
+from pixqa.checkpoint import load_checkpoint
 from pixqa.cli import git_revision, main
+from pixqa.data import SynthConfig
 from pixqa.layers import attention_workers
+from pixqa.model import PRINTABLE_ASCII, ModelConfig
+from pixqa.scorer import ScorerConfig
+from pixqa.training import TrainConfig
 
 MODEL_FLAGS = [
     "--d-model", "16", "--heads", "2", "--enc-layers", "1", "--dec-layers", "1",
@@ -365,3 +373,172 @@ class TestExitCodes:
         results = tmp_path / "results.jsonl"
         results.write_bytes(b"\xff\xfe\n")
         assert main(["report", "--results", str(results)]) == 1
+
+
+class Captured(Exception):
+    """Raised by a stand-in trainer once it has seen the configs a command built."""
+
+
+def capture(monkeypatch, name: str) -> list[tuple]:
+    """Replace ``cli.<name>`` by a stub that records its arguments and stops the command."""
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append(args)
+        raise Captured
+
+    monkeypatch.setattr(cli, name, stub)
+    return seen
+
+
+# Every subcommand's options, as the hand-written parser defined them.
+MODEL_OPTIONS = {"--d-model", "--heads", "--enc-layers", "--dec-layers", "--d-ff", "--patch-size", "--max-patches",
+                 "--max-answer-len", "--model-seed", "--vocab"}
+TRAIN_OPTIONS = {"--lr", "--batch-size", "--epochs", "--patience", "--label-smooth", "--seed", "--optimizer",
+                 "--weight-decay"}
+OPTIONS = {
+    "gen": {"--out", "--config", "--seed", "--docs", "--pages", "--facts-per-page", "--questions-per-doc", "--key-len",
+            "--value-len", "--key-alphabet", "--value-alphabet", "--page-width", "--page-height", "--fractions"},
+    "train-vqa": {"--data", "--out", "--config"} | MODEL_OPTIONS | TRAIN_OPTIONS,
+    "train-scorer": {"--data", "--checkpoint", "--out", "--config", "--sa-layers", "--sa-heads", "--aggregation",
+                     "--dropout", "--scorer-seed"} | TRAIN_OPTIONS,
+    "eval": {"--data", "--checkpoint", "--out", "--split"},
+    "answer": {"--checkpoint", "--question", "--doc-dir", "--max-answer-len"},
+    "sweep": {"--data", "--checkpoint", "--out", "--layers", "--heads", "--config", "--dropout", "--aggregation",
+              "--scorer-seed"} | TRAIN_OPTIONS,
+    "report": {"--results", "--out"},
+}
+
+# Every --config key and its default, as the hand-written defaults dicts gave them (an empty
+# alphabet or vocabulary then stood for the config's own default).
+TRAIN_DEFAULTS = {"lr": 0.3, "batch_size": 8, "epochs": 60, "patience": 5, "label_smooth": 0.1, "seed": 0,
+                  "optimizer": "sgd", "weight_decay": 0.0}
+CONFIG_DEFAULTS = {
+    "gen": {"seed": 0, "docs": 200, "pages": "4:8", "facts_per_page": 3, "questions_per_doc": 5, "key_len": 4,
+            "value_len": 4, "key_alphabet": string.ascii_uppercase, "value_alphabet": string.digits,
+            "page_width": 224, "page_height": 48, "fractions": "0.8,0.1,0.1"},
+    "train-vqa": {"d_model": 64, "heads": 4, "enc_layers": 2, "dec_layers": 2, "d_ff": 256, "patch_size": 16,
+                  "max_patches": 2048, "max_answer_len": 32, "model_seed": 0, "vocab": PRINTABLE_ASCII,
+                  **TRAIN_DEFAULTS},
+    "train-scorer": {"sa_layers": 1, "sa_heads": 16, "aggregation": "first", "dropout": 0.1, "scorer_seed": 0,
+                     **TRAIN_DEFAULTS},
+    "sweep": {"dropout": 0.1, "aggregation": "first", "scorer_seed": 0, **TRAIN_DEFAULTS},
+}
+
+
+class TestDerivedFlags:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_command_takes_exactly_its_options(self, command):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        options = {s for action in commands[command]._actions for s in action.option_strings}
+        assert options - {"-h", "--help"} == OPTIONS[command]
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_DEFAULTS))
+    def test_config_keys_and_defaults(self, command):
+        defaults = cli.COMMAND_DEFAULTS[command]
+        assert defaults == CONFIG_DEFAULTS[command]
+        assert {k: type(v) for k, v in defaults.items()} == {k: type(v) for k, v in CONFIG_DEFAULTS[command].items()}
+
+    def test_gen_defaults_build_the_default_config(self, monkeypatch, tmp_path):
+        seen = capture(monkeypatch, "gen_synthetic")
+        with pytest.raises(Captured):
+            main(["gen", "--out", str(tmp_path / "c")])
+        assert seen[0][0] == SynthConfig()
+
+    def test_train_vqa_defaults_build_the_default_configs(self, monkeypatch, corpus, tmp_path):
+        seen = capture(monkeypatch, "train_stage1")
+        with pytest.raises(Captured):
+            main(["train-vqa", "--data", str(corpus), "--out", str(tmp_path / "s1")])
+        _, _, model, train_cfg = seen[0]
+        assert (model.cfg, train_cfg) == (ModelConfig(), TrainConfig(stage=1))
+
+    @pytest.mark.parametrize("command", ["train-scorer", "sweep"])
+    def test_scorer_defaults_build_the_default_configs(self, monkeypatch, corpus, stage1, tmp_path, command):
+        seen = capture(monkeypatch, "train_stage2")
+        grid = ["--layers", "1", "--heads", "16"] if command == "sweep" else []
+        with pytest.raises(Captured):
+            main([command, "--data", str(corpus), "--checkpoint", str(stage1[0]), "--out", str(tmp_path / "s2")]
+                 + grid)
+        _, _, _, scorer, train_cfg = seen[0]
+        assert (scorer.cfg, train_cfg) == (ScorerConfig(), TrainConfig(stage=2))
+
+    def test_config_file_and_flags_build_the_same_configs(self, monkeypatch, corpus, tmp_path):
+        flags = {"d_model": 16, "heads": 2, "vocab": "abc0123ABCDEFGH?: ", "lr": 0.5, "optimizer": "adam"}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(flags))
+        seen = capture(monkeypatch, "train_stage1")
+        argvs = [["--config", str(cfg_file)],
+                 [s for dest, value in flags.items() for s in ("--" + dest.replace("_", "-"), str(value))]]
+        for argv in argvs:
+            with pytest.raises(Captured):
+                main(["train-vqa", "--data", str(corpus), "--out", str(tmp_path / "s1")] + argv)
+        (_, _, model_a, train_a), (_, _, model_b, train_b) = seen
+        assert (model_a.cfg, train_a) == (model_b.cfg, train_b)
+        assert (model_a.cfg.n_heads, model_a.cfg.vocab_chars, train_a.learning_rate) == (2, flags["vocab"], 0.5)
+
+    @pytest.mark.parametrize("flag", ["--key-alphabet", "--value-alphabet"])
+    def test_empty_alphabet_is_runtime_error(self, tmp_path, capsys, flag):
+        assert main(gen_args(tmp_path / "c") + [flag, ""]) == 1
+        assert "alphabet" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_empty_vocabulary_is_runtime_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "s1"
+        assert main(["train-vqa", "--data", str(corpus), "--out", str(out), "--vocab", ""] + MODEL_FLAGS) == 1
+        assert "vocabulary must contain" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [("train-vqa", "optimizer", "rmsprop"),
+                                                     ("train-scorer", "aggregation", "max"),
+                                                     ("sweep", "aggregation", "max")])
+    def test_config_value_outside_the_choices_is_usage_error(self, corpus, stage1, tmp_path, capsys, command, key,
+                                                             value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        required = {"train-vqa": [], "train-scorer": ["--checkpoint", str(stage1[0])],
+                    "sweep": ["--checkpoint", str(stage1[0]), "--layers", "1", "--heads", "2"]}[command]
+        argv = [command, "--data", str(corpus), "--out", str(tmp_path / "o")] + required
+        assert main(argv + ["--config", str(cfg_file)]) == 2
+        assert f"config file {cfg_file}: {key!r} must be one of" in capsys.readouterr().err
+        assert main(argv + ["--" + key, value]) == 2  # as the flag is
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fractions, error", [("-0.5,0.5,1", "lie in [0, 1]"), ("nan,0.5,0.5", "lie in [0, 1]"),
+                                                  ("0.5,inf,-inf", "lie in [0, 1]"), ("0.5,0.2,0.2", "sum to 1")])
+    def test_bad_fractions_are_runtime_error_before_any_page_is_written(self, tmp_path, capsys, fractions, error):
+        assert main(gen_args(tmp_path / "c") + [f"--fractions={fractions}"]) == 1
+        assert f"split fractions must {error}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize("layers, heads", [("3:1", "2"), ("1", ","), ("", "2")])
+    def test_empty_grid_is_usage_error(self, corpus, stage1, tmp_path, capsys, layers, heads):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(corpus), "--checkpoint", str(stage1[0]), "--out", str(out),
+                   "--layers", layers, "--heads", heads])
+        assert rc == 2
+        assert "empty grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_heads_not_dividing_d_model_fail_before_any_cell_trains(self, monkeypatch, corpus, stage1, tmp_path,
+                                                                     capsys):
+        seen = capture(monkeypatch, "train_stage2")
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(corpus), "--checkpoint", str(stage1[0]), "--out", str(out),
+                   "--layers", "1", "--heads", "2,3"])
+        assert rc == 1
+        assert "not divisible by scorer heads 3" in capsys.readouterr().err
+        assert not seen and not out.exists()
+
+    def test_stage1_checkpoint_loads_once(self, monkeypatch, corpus, stage1, tmp_path):
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load_checkpoint(path))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(corpus), "--checkpoint", str(stage1[0]), "--out", str(out),
+                   "--layers", "1:2", "--heads", "1,2", "--epochs", "1", "--batch-size", "4", "--lr", "0.01"])
+        assert rc == 0
+        assert len(loads) == 1
+        cells = json.loads((out / "sweep.json").read_text())
+        assert [(c["sa_layers"], c["sa_heads"]) for c in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]

@@ -330,6 +330,12 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split(self._fake_dataset(4), (0.5, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(-0.5, 0.5, 1.0), (1.5, -0.25, -0.25), (float("nan"), 0.5, 0.5),
+                                           (float("inf"), 0.5, 0.5)])
+    def test_fractions_outside_the_unit_interval_rejected(self, fractions):
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            split(self._fake_dataset(4), fractions, seed=0)
+
 
 def annotation_fields(payload: dict) -> list[tuple]:
     """Paths of the fields of an annotations payload: top-level keys, records, record fields, list items."""
