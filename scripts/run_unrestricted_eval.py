@@ -17,7 +17,7 @@ from pathlib import Path
 from pixqa.checkpoint import load_checkpoint
 from pixqa.cli import main as cli
 from pixqa.data import load_mpdocvqa
-from pixqa.evaluate import page_encoder, retrieve
+from pixqa.evaluate import page_features, retrieve
 
 # Pages like those of the desk corpus the checkpoint was trained on (see run_desk_experiment.py).
 DESK_GEN = Path(__file__).resolve().parent / "desk" / "gen.json"
@@ -51,7 +51,7 @@ def main() -> None:
     baseline, _ = tracemalloc.get_traced_memory()
     for sample in dataset.questions:
         doc = dataset.document_for(sample)
-        best_idx, _, scores = retrieve(doc.n_pages, page_encoder(sample.question, doc, model), scorer)
+        best_idx, _, scores = retrieve(doc.n_pages, page_features(sample.question, doc, model), scorer)
         gold_score = scores[sample.answer_page_index] if scores else None  # one page: not scored
         n_above_gold = sum(1 for v in scores if v > gold_score)
         results.append(

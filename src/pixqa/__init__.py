@@ -8,7 +8,7 @@ from .evaluate import (
     answer_question,
     encode_page,
     levenshtein,
-    page_encoder,
+    page_features,
     retrieve,
 )
 from .model import EncoderFeature, ModelConfig, VqaModel

@@ -63,14 +63,12 @@ def _config(cls, values: dict, path: Path):
     defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
     for key, value in values.items():
+        if cls is ScorerConfig and key == "head_dims" and value is None:  # retired field; null meant today's widths
+            continue
         if key not in defaults:
             raise CheckpointError(f"{path}: unknown {cls.__name__} field {key!r} in header")
         default = defaults[key]
-        if default is None:  # head_dims: null, or a list of ints stored as a tuple
-            if not (value is None or (type(value) is list and all(type(v) is int for v in value))):
-                raise CheckpointError(f"{path}: {cls.__name__}.{key} must be null or a list of ints, got {value!r}")
-            value = None if value is None else tuple(value)
-        elif not (type(value) is type(default) or (type(default) is float and type(value) is int)):
+        if not (type(value) is type(default) or (type(default) is float and type(value) is int)):
             # JSON true/false is not an int here
             raise CheckpointError(f"{path}: {cls.__name__}.{key} must be {type(default).__name__}, got {value!r}")
         kwargs[key] = value

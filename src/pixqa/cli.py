@@ -33,7 +33,7 @@ from .evaluate import evaluate_dataset, page_histogram, report_from_records
 from .layers import attention_workers
 from .model import ModelConfig, VqaModel
 from .scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
-from .training import OPTIMIZERS, TrainConfig, TrainHistory, train_stage1, train_stage2
+from .training import OPTIMIZERS, FrozenFeatureCache, TrainConfig, TrainHistory, train_stage1, train_stage2
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -426,9 +426,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    cache = FrozenFeatureCache(model)  # the model is frozen and shared, so every cell reads the same features
     cells = []
     for scorer in scorers:
-        history = train_stage2(train_set, valid_set, model, scorer, train_cfg)
+        history = train_stage2(train_set, valid_set, model, scorer, train_cfg, cache=cache)
         _, report = evaluate_dataset(valid_set, model, scorer)
         n_layers, n_heads = scorer.cfg.n_sa_layers, scorer.cfg.n_heads
         cells.append(

@@ -1,14 +1,15 @@
 """Inference pipeline and metrics.
 
 Retrieval streams a document's pages through one pipeline: load a page,
-fuse the question on top of it, encode it, score it. `page_encoder` encodes
-the pages in blocks: consecutive pages that share a patch grid and fit in
-one attention tile are stacked, up to `BLOCK_ROWS` patch rows, and encoded
-in one `encode_grid` call, which pays each op's per-call cost once per
-block instead of once per page. `grid_stacks` is that grouping rule, which
-stage-1 training and its validation use too; `encode_page` is the one-page
-case, which the frozen-feature cache uses. `retrieve` scores the pages one
-at a time, in page order, and keeps the top-1. Retrieval runs without
+fuse the question on top of it, encode it, score it. `page_features` is
+that stream: it encodes the pages in blocks (consecutive pages that share a
+patch grid and fit in one attention tile are stacked, up to `BLOCK_ROWS`
+patch rows, and encoded in one `encode_grid` call, which pays each op's
+per-call cost once per block instead of once per page) and yields one
+feature per page, in page order. `grid_stacks` is that grouping rule, which
+stage-1 training and its validation use too; `encode_page` encodes one page
+alone, which the frozen-feature cache uses. `retrieve` scores a stream of
+features one at a time and keeps the top-1. Retrieval runs without
 autograd, and the answer is decoded from the feature it retrieved, so no
 page is encoded twice. Only one block plus the best feature so far (a view
 that keeps its block's features) is alive at a time, so peak memory stays
@@ -64,20 +65,18 @@ def _normalize_answer(s: str) -> str:
     return s.strip().lower()
 
 
-def anls_single(pred: str, gts: Iterable[str], tau: float = ANLS_TAU) -> float:
+def anls_single(pred: str, gts: Iterable[str]) -> float:
     """Best normalized-similarity match of a prediction against ground truths."""
     gts = list(gts)
     if not gts:
         raise ValueError("at least one ground-truth answer is required")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     p = _normalize_answer(pred)
     best = 0.0
     for gt in gts:
         g = _normalize_answer(gt)
         denom = max(len(p), len(g))
         nl = 0.0 if denom == 0 else levenshtein(p, g) / denom
-        best = max(best, 1.0 - nl if nl < tau else 0.0)
+        best = max(best, 1.0 - nl if nl < ANLS_TAU else 0.0)
     return best
 
 
@@ -145,76 +144,61 @@ def encode_stack(grids: list[PatchGrid], model: VqaModel) -> EncoderFeature:
     return model.encode_grid(grids[0] if len(grids) == 1 else stack_grids(grids))
 
 
-def encode_block(grids: list[PatchGrid], model: VqaModel) -> list[EncoderFeature]:
-    """Encode pages that share one grid shape in one `encode_grid` call; one feature per page."""
-    feature = encode_stack(grids, model)
-    return [feature] if len(grids) == 1 else feature.pages()
-
-
 def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> EncoderFeature:
     """Load page `index` of `doc`, fuse the question on top of it and encode the result.
 
-    The one-page block. Autograd follows the caller: stage 1 trains through
-    this call.
+    Autograd follows the caller: stage 1 trains through this call.
     """
-    return encode_block([fuse_page(question, doc, index, model)], model)[0]
+    return model.encode_grid(fuse_page(question, doc, index, model))
 
 
-def page_encoder(question: str, doc: Document, model: VqaModel) -> Callable[[int], EncoderFeature]:
-    """`retrieve`'s page_feature for `question` over `doc`, encoding pages in blocks.
+def page_features(question: str, doc: Document, model: VqaModel) -> Iterator[EncoderFeature]:
+    """Each page of `doc` with `question` fused on top, encoded, in page order: `retrieve`'s feature stream.
 
-    Asked for a page it holds no feature of, it loads and fuses that page
-    and the pages after it into one block by `grid_stacks` (a shared grid
-    shape, within `BLOCK_ROWS` patch rows), encodes the block at once, and
-    hands the features out as they are asked for. The page that ends a
-    block by its grid shape starts the next one, so asked for in page
-    order, every page is loaded, fused and encoded once; a page asked for
-    out of order starts a new block there.
+    Pages are loaded and fused lazily and grouped into blocks by
+    `grid_stacks` (a shared grid shape, within `BLOCK_ROWS` patch rows);
+    each block is one `encode_stack` call. A block's grids are freed before
+    its first feature is handed out, and no handed-out feature is kept, so
+    the consumer decides which features stay alive.
     """
-    ready: dict[int, EncoderFeature] = {}
-    blocks: Iterator[list[tuple[int, PatchGrid]]] = iter(())
-    next_index = -1  # the first page of the block `blocks` yields next
-
-    def page_feature(index: int) -> EncoderFeature:
-        nonlocal blocks, next_index
-        if index not in ready:
-            ready.clear()
-            if index != next_index:  # a page out of range still reaches load_page, which rejects it
-                pages = ((i, fuse_page(question, doc, i, model)) for i in range(index, max(index + 1, doc.n_pages)))
-                blocks = grid_stacks(pages, BLOCK_ROWS)
-            indices, grids = zip(*next(blocks))
-            ready.update(zip(indices, encode_block(list(grids), model)))
-            next_index = indices[-1] + 1 if indices[-1] + 1 < doc.n_pages else -1
-        return ready.pop(index)
-
-    return page_feature
+    pages = ((index, fuse_page(question, doc, index, model)) for index in range(doc.n_pages))
+    for block in grid_stacks(pages, BLOCK_ROWS):
+        features = encode_stack([grid for _, grid in block], model).pages()
+        del block
+        while features:
+            yield features.pop(0)
 
 
 def retrieve(
-    n_pages: int, page_feature: Callable[[int], EncoderFeature], scorer: SelfAttentionScorer
+    n_pages: int, features: Iterable[EncoderFeature], scorer: SelfAttentionScorer
 ) -> tuple[int, EncoderFeature, list[float]]:
-    """Stream pages 0..n_pages-1 through `page_feature` and the scorer; keep the top-1.
+    """Score the `n_pages` features of `features`, in page order; keep the top-1.
 
     Returns the best page index, its feature and every page's score. Only the
     best feature is kept while the other pages stream past, and a tie goes
     to the lowest index. A one-page document is not scored, so its
-    score list is empty. Runs without autograd.
+    score list is empty. A stream shorter or longer than `n_pages` raises
+    ValueError. Runs without autograd, the stream's own work included.
     """
     if n_pages < 1:
         raise ValueError("cannot retrieve from a document without pages")
+    stream = iter(features)
+    best_idx, best_feature, scores = 0, None, []
     with ag.no_grad():
-        if n_pages == 1:
-            return 0, page_feature(0), []
-        best_idx, best_feature, scores = 0, None, []
         for index in range(n_pages):
-            feature = page_feature(index)
-            value = scorer.score_value(feature)
-            if not math.isfinite(value):
-                raise NumericError(f"page {index} scored {value}")
-            scores.append(value)
-            if index == 0 or value > scores[best_idx]:
+            feature = next(stream, None)
+            if feature is None:
+                raise ValueError(f"the feature stream ended after {index} of {n_pages} pages")
+            if n_pages > 1:
+                value = scorer.score_value(feature)
+                if not math.isfinite(value):
+                    raise NumericError(f"page {index} scored {value}")
+                scores.append(value)
+            if index == 0 or scores[index] > scores[best_idx]:
                 best_idx, best_feature = index, feature
             del feature
+        if next(stream, None) is not None:
+            raise ValueError(f"the feature stream holds more than {n_pages} pages")
     return best_idx, best_feature, scores
 
 
@@ -226,7 +210,7 @@ def answer_question(
     max_answer_len: int | None = None,
 ) -> tuple[int, str]:
     """Retrieve the best page, then decode the answer from its feature alone."""
-    best, feature, _ = retrieve(doc.n_pages, page_encoder(question, doc, model), scorer)
+    best, feature, _ = retrieve(doc.n_pages, page_features(question, doc, model), scorer)
     return best, model.generate_answer(feature, max_answer_len)
 
 
@@ -316,8 +300,6 @@ def evaluate_dataset(
     dataset: Dataset,
     model: VqaModel,
     scorer: SelfAttentionScorer,
-    max_answer_len: int | None = None,
-    tau: float = ANLS_TAU,
 ) -> tuple[list[dict], MetricsReport]:
     """Run the full pipeline over a dataset; one result record per question."""
     if not dataset.questions:
@@ -325,8 +307,8 @@ def evaluate_dataset(
     records: list[dict] = []
     for sample in dataset.questions:
         doc = dataset.document_for(sample)
-        pred_page, pred_answer = answer_question(sample.question, doc, model, scorer, max_answer_len)
-        score = anls_single(pred_answer, sample.answers, tau)
+        pred_page, pred_answer = answer_question(sample.question, doc, model, scorer)
+        score = anls_single(pred_answer, sample.answers)
         records.append(
             {
                 "question_id": sample.question_id,

@@ -128,7 +128,9 @@ class EncoderFeature:
             raise ValueError("encoder feature must be a non-empty (length, d_model) matrix or a stack of them")
 
     def pages(self) -> list[EncoderFeature]:
-        """One feature per page of a stacked feature, each a view of this one's array, with no graph."""
+        """One feature per page: ``[self]`` for one page's feature; for a stack, views of its array, with no graph."""
+        if self.array.ndim == 2:
+            return [self]
         return [EncoderFeature(Tensor(page)) for page in self.array]
 
 

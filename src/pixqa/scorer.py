@@ -37,7 +37,6 @@ class ScorerConfig:
     n_heads: int = 16
     aggregation: str = "first"
     dropout_p: float = 0.1
-    head_dims: tuple[int, int, int] | None = None  # output widths; None -> (d_model, d_model//2, 1)
 
     def __post_init__(self):
         if self.n_sa_layers < 1:
@@ -48,12 +47,6 @@ class ScorerConfig:
             raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-        if self.head_dims is not None:
-            if len(self.head_dims) != 3 or self.head_dims[-1] != 1 or min(self.head_dims) < 1:
-                raise ConfigError("head_dims must be three positive widths ending in 1")
-
-    def resolve_head_dims(self, d_model: int) -> tuple[int, int, int]:
-        return self.head_dims if self.head_dims is not None else (d_model, max(1, d_model // 2), 1)
 
 
 def aggregate(outputs: Tensor, strategy: str) -> Tensor:
@@ -86,7 +79,7 @@ class SelfAttentionScorer:
             yield from attention_shapes(f"sa.{i}", d_model)
         yield "cls", (1, d_model)
         fan_in = d_model
-        for j, width in enumerate(cfg.resolve_head_dims(d_model), start=1):
+        for j, width in enumerate((d_model, max(1, d_model // 2), 1), start=1):  # the MLP's output widths
             yield from [(f"head.w{j}", (fan_in, width)), (f"head.b{j}", (width,))]
             fan_in = width
 
@@ -97,12 +90,11 @@ class SelfAttentionScorer:
         for i in range(cfg.n_sa_layers):
             init_attention(p, f"sa.{i}", self.d_model, rng)
         p["cls"] = Tensor(rng.normal(0.0, 0.02, (1, self.d_model)), requires_grad=True)
-        widths = cfg.resolve_head_dims(self.d_model)
-        fan_in = self.d_model
-        for j, width in enumerate(widths, start=1):
-            p[f"head.w{j}"] = Tensor(glorot(rng, fan_in, width), requires_grad=True)
-            p[f"head.b{j}"] = Tensor(np.zeros(width), requires_grad=True)
-            fan_in = width
+        for name, shape in self.param_shapes(cfg, self.d_model):
+            if name.startswith("head.w"):
+                p[name] = Tensor(glorot(rng, *shape), requires_grad=True)
+            elif name.startswith("head.b"):
+                p[name] = Tensor(np.zeros(shape), requires_grad=True)
         return p
 
     def attention_inputs(self, feature: EncoderFeature) -> Tensor:

@@ -259,7 +259,7 @@ def validation_page_accuracy(
     hits = 0
     for sample in valid_set.questions:
         doc = valid_set.document_for(sample)
-        best_idx, _, _ = retrieve(doc.n_pages, lambda index: cache.get(sample, doc, index), scorer)
+        best_idx, _, _ = retrieve(doc.n_pages, (cache.get(sample, doc, i) for i in range(doc.n_pages)), scorer)
         hits += best_idx == sample.answer_page_index
     return 100.0 * hits / len(valid_set.questions)
 
@@ -352,10 +352,13 @@ def train_stage2(
     cfg: TrainConfig,
     log: LogFn | None = None,
     on_best: Callable[[int], None] | None = None,
+    cache: FrozenFeatureCache | None = None,
 ) -> TrainHistory:
     """Fit the scoring head on balanced positive/negative pairs; model frozen.
 
-    Both splits must have questions (see `check_splits`).
+    Both splits must have questions (see `check_splits`). Page features come
+    from `cache`, a fresh one by default; runs that share one frozen
+    `model`, like a sweep's cells, may share one cache of its features.
     """
     if cfg.stage != 2:
         raise ConfigError("train_stage2 needs a stage-2 TrainConfig")
@@ -364,7 +367,7 @@ def train_stage2(
     opt = make_optimizer(cfg, scorer.params)  # only scorer parameters ever step
     history = TrainHistory()
     best_params = _snapshot(scorer.params)
-    cache = FrozenFeatureCache(model)
+    cache = FrozenFeatureCache(model) if cache is None else cache
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()

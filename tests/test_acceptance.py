@@ -401,7 +401,8 @@ def test_unrestricted_long_documents(desk_run, tmp_path_factory):
     baseline, _ = tracemalloc.get_traced_memory()
     for q in dataset.questions:
         doc = dataset.document_for(q)
-        best_idx, _, _ = retrieve(doc.n_pages, lambda i: encode_page(q.question, doc, i, model), scorer)
+        best_idx, _, _ = retrieve(doc.n_pages,
+                                  (encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
         hits += best_idx == q.answer_page_index
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -46,6 +46,18 @@ class TestRoundTrip:
         save_checkpoint(p2, loaded_model, loaded_scorer)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_with_the_retired_head_dims_null_loads(self, tmp_path):
+        """Headers written while ScorerConfig had head_dims hold "head_dims": null, which meant today's widths."""
+        model, scorer = make_pair()
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, model, scorer)
+        rewrite_header(path, lambda h: h["scorer_config"].update(head_dims=None))
+        _, loaded = load_checkpoint(path)
+        assert loaded.cfg == scorer.cfg
+        rewrite_header(path, lambda h: h["scorer_config"].update(head_dims=[8, 4, 1]))
+        with pytest.raises(CheckpointError, match="head_dims"):
+            load_checkpoint(path)
+
     def test_parameters_bit_exact(self, tmp_path):
         model, scorer = make_pair()
         path = tmp_path / "m.ckpt"

@@ -15,9 +15,9 @@ from pixqa.checkpoint import load_checkpoint
 from pixqa.cli import git_revision, main
 from pixqa.data import SynthConfig
 from pixqa.layers import attention_workers
-from pixqa.model import PRINTABLE_ASCII, ModelConfig
+from pixqa.model import PRINTABLE_ASCII, ModelConfig, VqaModel
 from pixqa.scorer import ScorerConfig
-from pixqa.training import TrainConfig
+from pixqa.training import FrozenFeatureCache, TrainConfig
 
 MODEL_FLAGS = [
     "--d-model", "16", "--heads", "2", "--enc-layers", "1", "--dec-layers", "1",
@@ -542,3 +542,30 @@ class TestSweepGrid:
         assert len(loads) == 1
         cells = json.loads((out / "sweep.json").read_text())
         assert [(c["sa_layers"], c["sa_heads"]) for c in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_cells_share_one_feature_cache(self, monkeypatch, corpus, stage1, tmp_path):
+        """The frozen model's page features are encoded once for the whole sweep, not once per cell."""
+        inside_get, encodes = [], []
+        get, encode_grid = FrozenFeatureCache.get, VqaModel.encode_grid
+
+        def counted_get(self, *args):
+            inside_get.append(True)
+            try:
+                return get(self, *args)
+            finally:
+                inside_get.pop()
+
+        def counted_encode(self, grid):
+            encodes.append(bool(inside_get))
+            return encode_grid(self, grid)
+
+        monkeypatch.setattr(FrozenFeatureCache, "get", counted_get)
+        monkeypatch.setattr(VqaModel, "encode_grid", counted_encode)
+        cached = {}
+        for layers in ("1", "1:3"):
+            encodes.clear()
+            rc = main(["sweep", "--data", str(corpus), "--checkpoint", str(stage1[0]), "--out", str(tmp_path / layers),
+                       "--layers", layers, "--heads", "2", "--epochs", "2", "--batch-size", "4", "--lr", "0.01"])
+            assert rc == 0
+            cached[layers] = sum(encodes)
+        assert cached["1"] == cached["1:3"] > 0

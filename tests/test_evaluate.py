@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pixqa import evaluate
 from pixqa.autograd import Tensor, no_grad
 from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, write_pgm
 from pixqa.errors import NumericError
@@ -17,7 +19,7 @@ from pixqa.evaluate import (
     encode_page,
     levenshtein,
     page_accuracy,
-    page_encoder,
+    page_features,
     page_histogram,
     quadrant_report,
     report_from_records,
@@ -142,7 +144,7 @@ def retrieve_stub(scores):
     """retrieve() over one-entry features that hold the given scores."""
     features = [EncoderFeature(Tensor(np.array([[s]]))) for s in scores]
     scorer = StubScorer()
-    best, feature, seen = retrieve(len(scores), features.__getitem__, scorer)
+    best, feature, seen = retrieve(len(scores), features, scorer)
     assert feature is features[best]
     return best, seen, scorer
 
@@ -177,6 +179,15 @@ class TestTop1:
         with pytest.raises(NumericError):
             retrieve_stub(scores)
 
+    @pytest.mark.parametrize(
+        "n_pages, n_features, message",
+        [(3, 2, "ended after 2 of 3"), (3, 4, "more than 3"), (1, 0, "ended after 0 of 1"), (1, 2, "more than 1")],
+    )
+    def test_stream_of_the_wrong_length_raises(self, n_pages, n_features, message):
+        features = (EncoderFeature(Tensor(np.array([[0.5]]))) for _ in range(n_features))
+        with pytest.raises(ValueError, match=message):
+            retrieve(n_pages, features, StubScorer())
+
 
 TINY_MODEL = ModelConfig(
     d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=32,
@@ -208,13 +219,14 @@ class TestAnswerQuestion:
     def test_decodes_the_retrieved_page(self, pipeline):
         question, doc, model, scorer = pipeline
         page, answer = answer_question(question, doc, model, scorer)
-        _, _, scores = retrieve(doc.n_pages, lambda i: encode_page(question, doc, i, model), scorer)
+        _, _, scores = retrieve(doc.n_pages, (encode_page(question, doc, i, model) for i in range(doc.n_pages)), scorer)
         assert page == scores.index(max(scores))
         assert answer == model.generate_answer(encode_page(question, doc, page, model))
 
     def test_retrieved_feature_has_no_graph(self, pipeline):
         question, doc, model, scorer = pipeline
-        _, feature, _ = retrieve(doc.n_pages, lambda i: encode_page(question, doc, i, model), scorer)
+        _, feature, _ = retrieve(doc.n_pages,
+                                 (encode_page(question, doc, i, model) for i in range(doc.n_pages)), scorer)
         assert not feature.vectors.requires_grad
         assert feature.vectors._parents == ()
 
@@ -256,18 +268,17 @@ def write_document(root, images: list[np.ndarray]) -> Document:
 
 
 class TestBlockEncoding:
-    """page_encoder stacks pages into blocks; every feature and score equals encoding the page alone."""
+    """page_features stacks pages into blocks; every feature and score equals encoding the page alone."""
 
     scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16, seed=1)
 
     @staticmethod
     def encode_in_blocks(doc: Document, model: VqaModel, monkeypatch) -> list[int]:
-        """Assert page_encoder's features equal encode_page's; return the pages of each block it encoded."""
+        """Assert page_features' features equal encode_page's; return the pages of each block it encoded."""
         with no_grad():
             alone = [encode_page(QUESTION, doc, i, model) for i in range(doc.n_pages)]
             pages = record_encoded_pages(monkeypatch)
-            blocks = page_encoder(QUESTION, doc, model)
-            stacked = [blocks(i) for i in range(doc.n_pages)]
+            stacked = list(page_features(QUESTION, doc, model))
         for a, b in zip(alone, stacked, strict=True):
             assert a.array.shape == b.array.shape
             assert np.array_equal(a.array, b.array)
@@ -278,9 +289,10 @@ class TestBlockEncoding:
         model = VqaModel(TINY_MODEL)
         doc = write_document(tmp_path, [ink_page(i) for i in range(n_pages)])
         with no_grad():
-            best, _, scores = retrieve(n_pages, lambda i: encode_page(QUESTION, doc, i, model), self.scorer)
+            best, _, scores = retrieve(n_pages,
+                                       (encode_page(QUESTION, doc, i, model) for i in range(n_pages)), self.scorer)
         assert self.encode_in_blocks(doc, model, monkeypatch) == [n_pages]  # 26 patches a page: one block
-        block_best, _, block_scores = retrieve(n_pages, page_encoder(QUESTION, doc, model), self.scorer)
+        block_best, _, block_scores = retrieve(n_pages, page_features(QUESTION, doc, model), self.scorer)
         assert (block_best, block_scores) == (best, scores)
 
     def test_grid_shape_change_splits_the_block(self, tmp_path, monkeypatch):
@@ -290,23 +302,65 @@ class TestBlockEncoding:
         load_page = Document.load_page
         monkeypatch.setattr(Document, "load_page", lambda self, index: loads.append(index) or load_page(self, index))
         assert self.encode_in_blocks(doc, VqaModel(TINY_MODEL), monkeypatch) == [3, 1, 2]
-        # encode_page loads each page, then page_encoder does: the page that ended a block is not loaded twice
+        # encode_page loads each page, then page_features does: the page that ended a block is not loaded twice
         assert loads == list(range(doc.n_pages)) * 2
 
-    def test_pages_asked_out_of_order(self, tmp_path):
-        doc = write_document(tmp_path, [ink_page(i) for i in range(4)])
-        model = VqaModel(TINY_MODEL)
+    def test_stream_frees_features_and_grids_as_it_goes(self, tmp_path, monkeypatch):
+        """Pages longer than one tile are blocks of their own. A block's grids are freed before its
+        feature is handed out, and a feature the consumer dropped is freed before the next page is encoded."""
+        doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(4)])
+        model = VqaModel(replace(TINY_MODEL, max_patches=256))
+        grids, dropped, freed_at_encode = [], [], []
+        fuse_page, encode_grid = evaluate.fuse_page, VqaModel.encode_grid
+
+        def fuse(*args):
+            grid = fuse_page(*args)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        def encode(self, grid):
+            freed_at_encode.append([ref() is None for ref in dropped])
+            return encode_grid(self, grid)
+
+        monkeypatch.setattr(evaluate, "fuse_page", fuse)
+        monkeypatch.setattr(VqaModel, "encode_grid", encode)
         with no_grad():
-            blocks = page_encoder(QUESTION, doc, model)
-            features = {i: blocks(i).array for i in (2, 0, 3, 1, 1)}
-            for i, array in features.items():
-                assert np.array_equal(array, encode_page(QUESTION, doc, i, model).array)
+            for feature in page_features(QUESTION, doc, model):
+                assert [ref() for ref in grids] == [None] * len(grids)
+                dropped.append(weakref.ref(feature))
+                del feature
+        assert len(grids) == 4 and freed_at_encode == [[], [True], [True, True], [True, True, True]]
+
+    def test_retrieve_keeps_only_the_best_feature(self, tmp_path, monkeypatch):
+        """A scored feature that is not the best is freed before the next page is encoded."""
+
+        class FirstPageBest:
+            def __init__(self):
+                self.refs = []
+
+            def score_value(self, feature):
+                self.refs.append(weakref.ref(feature))
+                return -float(len(self.refs))
+
+        doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(4)])
+        model = VqaModel(replace(TINY_MODEL, max_patches=256))
+        scorer, freed_at_encode = FirstPageBest(), []
+        encode_grid = VqaModel.encode_grid
+
+        def encode(self, grid):
+            freed_at_encode.append([ref() is None for ref in scorer.refs])
+            return encode_grid(self, grid)
+
+        monkeypatch.setattr(VqaModel, "encode_grid", encode)
+        best, feature, _ = retrieve(doc.n_pages, page_features(QUESTION, doc, model), scorer)
+        assert best == 0 and scorer.refs[0]() is feature
+        assert freed_at_encode == [[], [False], [False, True], [False, True, True]]
 
     def test_ties_go_to_the_lowest_index(self, tmp_path):
         x, y = ink_page(1), ink_page(2)
         doc = write_document(tmp_path, [x, y, y, x, y])
         model = VqaModel(TINY_MODEL)
-        best, _, scores = retrieve(doc.n_pages, page_encoder(QUESTION, doc, model), self.scorer)
+        best, _, scores = retrieve(doc.n_pages, page_features(QUESTION, doc, model), self.scorer)
         assert scores[0] == scores[3] and scores[1] == scores[2] == scores[4]
         assert best == (0 if scores[0] >= scores[1] else 1)
         assert answer_question(QUESTION, doc, model, self.scorer)[0] == best
@@ -333,12 +387,12 @@ class TestBlockEncoding:
         """
         model = VqaModel(DESK_MODEL)
         doc = write_document(tmp_path, [ink_page(i, 32) for i in range(13)])
-        blocks = page_encoder(QUESTION, doc, model)
+        stream = page_features(QUESTION, doc, model)
         pages = record_encoded_pages(monkeypatch)
         tracemalloc.start()
         try:
             with no_grad():
-                feature = blocks(0)
+                feature = next(stream)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -29,11 +29,8 @@ class TestConfig:
         assert (cfg.n_sa_layers, cfg.n_heads, cfg.aggregation) == (1, 16, "first")
 
     def test_head_widths_default_to_halving(self):
-        assert ScorerConfig().resolve_head_dims(64) == (64, 32, 1)
-
-    def test_final_width_must_be_one(self):
-        with pytest.raises(ConfigError):
-            ScorerConfig(head_dims=(8, 4, 2))
+        shapes = dict(SelfAttentionScorer.param_shapes(ScorerConfig(), 64))
+        assert [shapes[f"head.w{j}"] for j in (1, 2, 3)] == [(64, 64), (64, 32), (32, 1)]
 
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
@@ -47,13 +44,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SelfAttentionScorer(ScorerConfig(n_heads=3), d_model=8)
 
-    @pytest.mark.parametrize("cfg", [{"n_heads": 0}, {"n_heads": -4}, {"head_dims": (8, 0, 1)}, {"head_dims": (-8, 4, 1)}])
+    @pytest.mark.parametrize("cfg", [{"n_heads": 0}, {"n_heads": -4}])
     def test_heads_and_widths_must_be_positive(self, cfg):
         with pytest.raises(ConfigError):
             ScorerConfig(**cfg)
 
     @pytest.mark.parametrize(
-        "cfg", [ScorerConfig(), ScorerConfig(n_sa_layers=2, n_heads=2, aggregation="cls", head_dims=(5, 3, 1))]
+        "cfg", [ScorerConfig(), ScorerConfig(n_sa_layers=2, n_heads=2, aggregation="cls")]
     )
     def test_param_shapes_match_init(self, cfg):
         head = SelfAttentionScorer(cfg, d_model=8 if cfg.n_heads == 2 else 16)

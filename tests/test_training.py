@@ -297,7 +297,8 @@ class TestStage2:
         )
         q = ds.questions[0]
         doc = ds.document_for(q)
-        _, _, scores = retrieve(doc.n_pages, lambda i: encode_page(q.question, doc, i, model), scorer)
+        _, _, scores = retrieve(doc.n_pages,
+                                (encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
         pos = scores[q.answer_page_index]
         neg = scores[1 - q.answer_page_index]
         assert pos > neg
@@ -309,7 +310,8 @@ class TestStage2:
         hits = 0
         for q in valid.questions:
             doc = valid.document_for(q)
-            best, _, _ = retrieve(doc.n_pages, lambda i: encode_page(q.question, doc, i, model), scorer)
+            best, _, _ = retrieve(doc.n_pages,
+                                  (encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
             hits += best == q.answer_page_index
         assert cached == 100.0 * hits / len(valid.questions)
 
