@@ -110,8 +110,8 @@ def _entry_bytes(entries, payload: memoryview, path: Path) -> dict[str, tuple[tu
 def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
     """Model and scorer (None for a stage-1 file) rebuilt from a checkpoint.
 
-    Every header field is checked, and the configs' parameter shapes are
-    matched against the entries before any parameter is allocated, so a
+    Every header field is checked, and the entries are matched against the
+    parameter tables init draws from before any parameter is allocated, so a
     malformed or inconsistent file raises ``CheckpointError`` and a header
     cannot make the loader allocate more than the payload holds.
     """
@@ -154,9 +154,9 @@ def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
     scorer_cfg = None if scorer_cfg_dict is None else _config(ScorerConfig, scorer_cfg_dict, path)
     found = _entry_bytes(entries, payload, path)
 
-    shapes = ((f"model/{n}", s) for n, s in VqaModel.param_shapes(model_cfg))
+    shapes = ((f"model/{n}", s) for n, s, _ in VqaModel.param_table(model_cfg))
     if scorer_cfg is not None:
-        shapes = chain(shapes, ((f"scorer/{n}", s) for n, s in SelfAttentionScorer.param_shapes(scorer_cfg, model_cfg.d_model)))
+        shapes = chain(shapes, ((f"scorer/{n}", s) for n, s, _ in SelfAttentionScorer.param_table(scorer_cfg, model_cfg.d_model)))
     expected = dict(islice(shapes, len(found) + 1))  # a header's layer counts may be huge
     if len(expected) > len(found):
         raise CheckpointError(f"{path}: missing parameter entries: {[n for n in expected if n not in found][:3]}")

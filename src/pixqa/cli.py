@@ -229,9 +229,13 @@ def _add_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
 
 
 def _load_split(data_dir: Path, split_name: str) -> Dataset:
+    """``annotations.<split>.json``; a corpus with no split file at all falls back to ``annotations.json``."""
     data_dir = _require_path(data_dir, "corpus directory")
     annotations = data_dir / f"annotations.{split_name}.json"
     if not annotations.exists():
+        splits = sorted(p.name[len("annotations."):-len(".json")] for p in data_dir.glob("annotations.*.json"))
+        if splits:
+            raise UsageError(f"{data_dir} has no {split_name!r} split; its splits are {', '.join(splits)}")
         annotations = _require_path(data_dir / "annotations.json", "annotations file")
     return load_mpdocvqa(annotations, data_dir / "images")
 

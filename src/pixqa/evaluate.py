@@ -147,7 +147,8 @@ def encode_stack(grids: list[PatchGrid], model: VqaModel) -> EncoderFeature:
 def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> EncoderFeature:
     """Load page `index` of `doc`, fuse the question on top of it and encode the result.
 
-    Autograd follows the caller: stage 1 trains through this call.
+    Autograd follows the caller. Only `FrozenFeatureCache` and the tests
+    call it: stage 1 trains through `encode_stack`.
     """
     return model.encode_grid(fuse_page(question, doc, index, model))
 

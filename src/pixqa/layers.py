@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -16,9 +17,41 @@ LN_EPS = 1e-12
 ATTENTION_TILE = 64  # query rows per attention block
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+# A parameter table lists (name, shape, initializer) entries in draw order.
+Initializer = Callable[[np.random.Generator, tuple[int, ...], dict[str, Tensor]], np.ndarray]  # (rng, shape, made so far)
+ParamEntry = tuple[str, tuple[int, ...], Initializer]
+
+
+def glorot(rng: np.random.Generator, shape: tuple[int, int], params: dict[str, Tensor]) -> np.ndarray:
+    fan_in, fan_out = shape
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def zeros(rng: np.random.Generator, shape: tuple[int, ...], params: dict[str, Tensor]) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def ones(rng: np.random.Generator, shape: tuple[int, ...], params: dict[str, Tensor]) -> np.ndarray:
+    return np.ones(shape)
+
+
+def normal(std: float) -> Initializer:
+    return lambda rng, shape, params: rng.normal(0.0, std, shape)
+
+
+def copy_of(name: str) -> Initializer:
+    """A copy of the earlier entry ``name``; draws nothing."""
+    return lambda rng, shape, params: params[name].data.copy()
+
+
+def init_params(table: Iterable[ParamEntry], seed: int) -> dict[str, Tensor]:
+    """Trainable parameters made from ``table``'s entries, in its order, from one rng seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape, init in table:
+        params[name] = Tensor(init(rng, shape, params), requires_grad=True)
+    return params
 
 
 linear = ag.linear  # x @ w + b as one graph node
@@ -33,24 +66,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return ag.mul(normalize(x), gain) + bias
 
 
-def attention_shapes(prefix: str, d_model: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Names and shapes of ``init_attention``'s parameters, in its order."""
-    weights = [(f"{prefix}.{n}", (d_model, d_model)) for n in ("wq", "wk", "wv", "wo")]
-    return weights + [(f"{prefix}.{n}", (d_model,)) for n in ("bq", "bk", "bv", "bo")]
-
-
-def init_attention(params: dict[str, Tensor], prefix: str, d_model: int, rng: np.random.Generator) -> None:
+def attention_table(prefix: str, d_model: int) -> list[ParamEntry]:
     # Keys start as a copy of queries, so q.k = (Wq u).(Wq v) is a PSD
     # similarity form at init: heads begin life as content-match detectors,
     # which is the attention pattern retrieval-style tasks need first.
     # Training is free to break the symmetry.
-    wq = glorot(rng, d_model, d_model)
-    params[f"{prefix}.wq"] = Tensor(wq, requires_grad=True)
-    params[f"{prefix}.wk"] = Tensor(wq.copy(), requires_grad=True)
-    params[f"{prefix}.wv"] = Tensor(glorot(rng, d_model, d_model), requires_grad=True)
-    params[f"{prefix}.wo"] = Tensor(glorot(rng, d_model, d_model), requires_grad=True)
-    for b_name in ("bq", "bk", "bv", "bo"):
-        params[f"{prefix}.{b_name}"] = Tensor(np.zeros(d_model), requires_grad=True)
+    square = (d_model, d_model)
+    weights = [(f"{prefix}.wq", square, glorot), (f"{prefix}.wk", square, copy_of(f"{prefix}.wq")),
+               (f"{prefix}.wv", square, glorot), (f"{prefix}.wo", square, glorot)]
+    return weights + [(f"{prefix}.{n}", (d_model,), zeros) for n in ("bq", "bk", "bv", "bo")]
 
 
 def attention_workers() -> int:
@@ -191,11 +215,9 @@ def attend(
     return linear(context, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
-def init_ffn(params: dict[str, Tensor], prefix: str, d_model: int, d_ff: int, rng: np.random.Generator) -> None:
-    params[f"{prefix}.w1"] = Tensor(glorot(rng, d_model, d_ff), requires_grad=True)
-    params[f"{prefix}.b1"] = Tensor(np.zeros(d_ff), requires_grad=True)
-    params[f"{prefix}.w2"] = Tensor(glorot(rng, d_ff, d_model), requires_grad=True)
-    params[f"{prefix}.b2"] = Tensor(np.zeros(d_model), requires_grad=True)
+def ffn_table(prefix: str, d_model: int, d_ff: int) -> list[ParamEntry]:
+    return [(f"{prefix}.w1", (d_model, d_ff), glorot), (f"{prefix}.b1", (d_ff,), zeros),
+            (f"{prefix}.w2", (d_ff, d_model), glorot), (f"{prefix}.b2", (d_model,), zeros)]
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -203,9 +225,8 @@ def ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
-def init_layer_norm(params: dict[str, Tensor], prefix: str, d_model: int) -> None:
-    params[f"{prefix}.g"] = Tensor(np.ones(d_model), requires_grad=True)
-    params[f"{prefix}.b"] = Tensor(np.zeros(d_model), requires_grad=True)
+def norm_table(prefix: str, d_model: int) -> list[ParamEntry]:
+    return [(f"{prefix}.g", (d_model,), ones), (f"{prefix}.b", (d_model,), zeros)]
 
 
 def apply_layer_norm(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:

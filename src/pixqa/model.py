@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import string
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +24,20 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import BudgetError, ConfigError, NumericError
 from .layers import (
+    ParamEntry,
     apply_layer_norm,
     attend,
-    attention_shapes,
+    attention_table,
     ffn,
+    ffn_table,
     glorot,
-    init_attention,
-    init_ffn,
-    init_layer_norm,
+    init_params,
     linear,
     multi_head_attention,
+    norm_table,
+    normal,
     project_kv,
+    zeros,
 )
 from .render import PatchGrid
 
@@ -163,66 +166,27 @@ class VqaModel:
     def __init__(self, cfg: ModelConfig, params: dict[str, Tensor] | None = None):
         self.cfg = cfg
         self.vocab = Vocab(cfg.vocab_chars)
-        self.params = params if params is not None else self._init_params()
+        self.params = params if params is not None else init_params(self.param_table(cfg), cfg.seed)
 
     @staticmethod
-    def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-        """Name and shape of every parameter ``_init_params`` makes, in its order, allocating nothing."""
+    def param_table(cfg: ModelConfig) -> Iterator[ParamEntry]:
+        """Name, shape and initializer of every parameter, in draw order, allocating nothing."""
         d, d_ff, n_vocab = cfg.d_model, cfg.d_ff, Vocab(cfg.vocab_chars).size
-
-        def norm_shapes(prefix):
-            return [(f"{prefix}.g", (d,)), (f"{prefix}.b", (d,))]
-
-        def ffn_shapes(prefix):
-            return [(f"{prefix}.w1", (d, d_ff)), (f"{prefix}.b1", (d_ff,)), (f"{prefix}.w2", (d_ff, d)), (f"{prefix}.b2", (d,))]
-
-        yield from [("embed.proj_w", (cfg.patch_size**2, d)), ("embed.proj_b", (d,)),
-                    ("embed.row_emb", (cfg.max_patches, d)), ("embed.col_emb", (cfg.max_patches, d))]
-        for i in range(cfg.n_enc_layers):
-            yield from (norm_shapes(f"enc.{i}.ln1") + attention_shapes(f"enc.{i}.attn", d)
-                        + norm_shapes(f"enc.{i}.ln2") + ffn_shapes(f"enc.{i}.ffn"))
-        yield from norm_shapes("enc.final_ln")
-        yield from [("dec.tok_emb", (n_vocab, d)), ("dec.pos_emb", (cfg.max_answer_len + 1, d))]
-        for i in range(cfg.n_dec_layers):
-            yield from (norm_shapes(f"dec.{i}.ln1") + attention_shapes(f"dec.{i}.self_attn", d)
-                        + norm_shapes(f"dec.{i}.ln2") + attention_shapes(f"dec.{i}.cross_attn", d)
-                        + norm_shapes(f"dec.{i}.ln3") + ffn_shapes(f"dec.{i}.ffn"))
-        yield from norm_shapes("dec.final_ln")
-        yield from [("dec.out_w", (d, n_vocab)), ("dec.out_b", (n_vocab,))]
-
-    def _init_params(self) -> dict[str, Tensor]:
-        cfg = self.cfg
-        rng = np.random.default_rng(cfg.seed)
-        patch_dim = cfg.patch_size**2
-        p: dict[str, Tensor] = {}
-
         # Position tables are initialized at a scale comparable to projected
         # patch content, so position-keyed attention is available early.
-        p["embed.proj_w"] = Tensor(glorot(rng, patch_dim, cfg.d_model), requires_grad=True)
-        p["embed.proj_b"] = Tensor(np.zeros(cfg.d_model), requires_grad=True)
-        p["embed.row_emb"] = Tensor(rng.normal(0.0, 0.3, (cfg.max_patches, cfg.d_model)), requires_grad=True)
-        p["embed.col_emb"] = Tensor(rng.normal(0.0, 0.3, (cfg.max_patches, cfg.d_model)), requires_grad=True)
-
+        yield from [("embed.proj_w", (cfg.patch_size**2, d), glorot), ("embed.proj_b", (d,), zeros),
+                    ("embed.row_emb", (cfg.max_patches, d), normal(0.3)), ("embed.col_emb", (cfg.max_patches, d), normal(0.3))]
         for i in range(cfg.n_enc_layers):
-            init_layer_norm(p, f"enc.{i}.ln1", cfg.d_model)
-            init_attention(p, f"enc.{i}.attn", cfg.d_model, rng)
-            init_layer_norm(p, f"enc.{i}.ln2", cfg.d_model)
-            init_ffn(p, f"enc.{i}.ffn", cfg.d_model, cfg.d_ff, rng)
-        init_layer_norm(p, "enc.final_ln", cfg.d_model)
-
-        p["dec.tok_emb"] = Tensor(rng.normal(0.0, 0.3, (self.vocab.size, cfg.d_model)), requires_grad=True)
-        p["dec.pos_emb"] = Tensor(rng.normal(0.0, 0.3, (cfg.max_answer_len + 1, cfg.d_model)), requires_grad=True)
+            yield from (norm_table(f"enc.{i}.ln1", d) + attention_table(f"enc.{i}.attn", d)
+                        + norm_table(f"enc.{i}.ln2", d) + ffn_table(f"enc.{i}.ffn", d, d_ff))
+        yield from norm_table("enc.final_ln", d)
+        yield from [("dec.tok_emb", (n_vocab, d), normal(0.3)), ("dec.pos_emb", (cfg.max_answer_len + 1, d), normal(0.3))]
         for i in range(cfg.n_dec_layers):
-            init_layer_norm(p, f"dec.{i}.ln1", cfg.d_model)
-            init_attention(p, f"dec.{i}.self_attn", cfg.d_model, rng)
-            init_layer_norm(p, f"dec.{i}.ln2", cfg.d_model)
-            init_attention(p, f"dec.{i}.cross_attn", cfg.d_model, rng)
-            init_layer_norm(p, f"dec.{i}.ln3", cfg.d_model)
-            init_ffn(p, f"dec.{i}.ffn", cfg.d_model, cfg.d_ff, rng)
-        init_layer_norm(p, "dec.final_ln", cfg.d_model)
-        p["dec.out_w"] = Tensor(glorot(rng, cfg.d_model, self.vocab.size), requires_grad=True)
-        p["dec.out_b"] = Tensor(np.zeros(self.vocab.size), requires_grad=True)
-        return p
+            yield from (norm_table(f"dec.{i}.ln1", d) + attention_table(f"dec.{i}.self_attn", d)
+                        + norm_table(f"dec.{i}.ln2", d) + attention_table(f"dec.{i}.cross_attn", d)
+                        + norm_table(f"dec.{i}.ln3", d) + ffn_table(f"dec.{i}.ffn", d, d_ff))
+        yield from norm_table("dec.final_ln", d)
+        yield from [("dec.out_w", (d, n_vocab), glorot), ("dec.out_b", (n_vocab,), zeros)]
 
     # ----- encoder -----
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError
-from .layers import attention_shapes, glorot, init_attention, linear, multi_head_attention
+from .layers import ParamEntry, attention_table, glorot, init_params, linear, multi_head_attention, normal, zeros
 from .model import EncoderFeature
 
 AGGREGATIONS = ("first", "cls", "avgpool")
@@ -70,32 +70,18 @@ class SelfAttentionScorer:
             raise ConfigError(f"d_model {d_model} not divisible by scorer heads {cfg.n_heads}")
         self.cfg = cfg
         self.d_model = d_model
-        self.params = params if params is not None else self._init_params(seed)
+        self.params = params if params is not None else init_params(self.param_table(cfg, d_model), seed)
 
     @staticmethod
-    def param_shapes(cfg: ScorerConfig, d_model: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-        """Name and shape of every parameter ``_init_params`` makes, in its order, allocating nothing."""
+    def param_table(cfg: ScorerConfig, d_model: int) -> Iterator[ParamEntry]:
+        """Name, shape and initializer of every parameter, in draw order, allocating nothing."""
         for i in range(cfg.n_sa_layers):
-            yield from attention_shapes(f"sa.{i}", d_model)
-        yield "cls", (1, d_model)
+            yield from attention_table(f"sa.{i}", d_model)
+        yield "cls", (1, d_model), normal(0.02)
         fan_in = d_model
         for j, width in enumerate((d_model, max(1, d_model // 2), 1), start=1):  # the MLP's output widths
-            yield from [(f"head.w{j}", (fan_in, width)), (f"head.b{j}", (width,))]
+            yield from [(f"head.w{j}", (fan_in, width), glorot), (f"head.b{j}", (width,), zeros)]
             fan_in = width
-
-    def _init_params(self, seed: int) -> dict[str, Tensor]:
-        cfg = self.cfg
-        rng = np.random.default_rng(seed)
-        p: dict[str, Tensor] = {}
-        for i in range(cfg.n_sa_layers):
-            init_attention(p, f"sa.{i}", self.d_model, rng)
-        p["cls"] = Tensor(rng.normal(0.0, 0.02, (1, self.d_model)), requires_grad=True)
-        for name, shape in self.param_shapes(cfg, self.d_model):
-            if name.startswith("head.w"):
-                p[name] = Tensor(glorot(rng, *shape), requires_grad=True)
-            elif name.startswith("head.b"):
-                p[name] = Tensor(np.zeros(shape), requires_grad=True)
-        return p
 
     def attention_inputs(self, feature: EncoderFeature) -> Tensor:
         """The sequence the scorer's self-attention actually sees."""

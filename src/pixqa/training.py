@@ -246,16 +246,8 @@ class FrozenFeatureCache:
         return feature
 
 
-def validation_page_accuracy(
-    valid_set: Dataset,
-    model: VqaModel,
-    scorer: SelfAttentionScorer,
-    cache: FrozenFeatureCache,
-) -> float:
-    """Fraction (%) of validation questions whose top-scoring page is the gold one.
-
-    Page features come from `cache`, which holds `model`'s features.
-    """
+def validation_page_accuracy(valid_set: Dataset, scorer: SelfAttentionScorer, cache: FrozenFeatureCache) -> float:
+    """Fraction (%) of validation questions whose top-scoring page is the gold one; page features come from `cache`."""
     hits = 0
     for sample in valid_set.questions:
         doc = valid_set.document_for(sample)
@@ -394,7 +386,7 @@ def train_stage2(
                     n_pos += is_positive
                     n_neg += not is_positive
             opt.step(accumulated)
-        valid_metric = validation_page_accuracy(valid_set, model, scorer, cache=cache)
+        valid_metric = validation_page_accuracy(valid_set, scorer, cache=cache)
         record = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),

@@ -343,6 +343,24 @@ class TestExitCodes:
         assert "non-finite logits" in capsys.readouterr().err
         assert not (tmp_path / "ev" / "results.jsonl").exists()
 
+    def test_eval_of_a_mistyped_split_is_usage_error(self, corpus, stage2, tmp_path, capsys):
+        rc = main(["eval", "--data", str(corpus), "--checkpoint", str(stage2[0]), "--out", str(tmp_path / "ev"),
+                   "--split", "tset"])
+        assert rc == 2
+        assert "'tset'" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "results.jsonl").exists()
+
+    def test_corpus_without_split_files_evaluates_its_one_annotations_file(self, corpus, stage2, tmp_path):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus, data)
+        for split_file in data.glob("annotations.*.json"):
+            split_file.unlink()
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(stage2[0]), "--out", str(tmp_path / "ev"),
+                   "--split", "test"])
+        assert rc == 0
+        n_questions = len(json.loads((data / "annotations.json").read_text())["data"])
+        assert len((tmp_path / "ev" / "results.jsonl").read_text().splitlines()) == n_questions
+
     def test_eval_of_a_split_without_questions_is_runtime_error(self, corpus, stage2, tmp_path, capsys):
         data = tmp_path / "corpus"
         shutil.copytree(corpus, data)

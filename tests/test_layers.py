@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -6,17 +7,16 @@ import pytest
 from pixqa import autograd as ag
 from pixqa import layers
 from pixqa.autograd import Tensor
-from pixqa.layers import ATTENTION_TILE, init_attention, multi_head_attention
+from pixqa.layers import ATTENTION_TILE, attention_table, init_params, multi_head_attention
 from pixqa.model import NEG_MASK, ModelConfig, VqaModel
 from pixqa.render import PatchGrid
+from pixqa.scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
 
 D_MODEL, N_HEADS = 8, 2
 
 
 def attention_params(seed=0) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    init_attention(params, "a", D_MODEL, np.random.default_rng(seed))
-    return params
+    return init_params(attention_table("a", D_MODEL), seed)
 
 
 def run(q_in, kv_in, params, mask, grad: bool):
@@ -115,8 +115,7 @@ class TestHeadGroups:
     def test_stress_more_workers_than_cores(self, monkeypatch):
         """Eight head groups on their own pool threads, switching threads as often as the interpreter can."""
         d_model, n_heads = 16, 8
-        params: dict[str, Tensor] = {}
-        init_attention(params, "a", d_model, np.random.default_rng(13))
+        params = init_params(attention_table("a", d_model), 13)
         x = Tensor(np.random.default_rng(14).normal(0.0, 1.0, (200, d_model)), requires_grad=True)
 
         def attend() -> list[np.ndarray]:
@@ -178,3 +177,38 @@ class TestPageStacks:
         x = Tensor(np.zeros((2, ATTENTION_TILE + 1, D_MODEL)))
         with pytest.raises(ValueError, match="one attention tile"):
             multi_head_attention(x, x, attention_params(), "a", N_HEADS)
+
+
+SMALL = ModelConfig(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=3, d_ff=32, patch_size=4,
+                    max_patches=16, vocab_chars="abcdef", max_answer_len=5, seed=1)
+SCORER_1_LAYER = "8f9f45df2c146db1ceb22d3995fd1b76a275a5594499367c5306177693a0a487"
+SCORER_2_LAYERS = "37920c64f67e689b896a7ca21516b77b35ed0457115e67441dfe59bc624f0529"
+
+
+class TestParamTable:
+    """Each network's parameters, drawn from its table, are pinned by value: a changed draw order fails here."""
+
+    @staticmethod
+    def digest(params: dict[str, Tensor]) -> str:
+        h = hashlib.sha256()
+        for name, p in params.items():
+            h.update(name.encode() + p.data.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (ModelConfig(), "560f380f160da7b5c20edf29f2133c5048933e016ff0698fecdd2c5f51aa5579"),
+        (SMALL, "882d7cbf31a2d077c5065d789c3d53311b669da952fc0a28494669309f62e709"),
+    ], ids=["default", "small-3-dec"])
+    def test_model_parameters_are_pinned(self, cfg, expected):
+        assert self.digest(VqaModel(cfg).params) == expected
+
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    @pytest.mark.parametrize("n_layers, expected", [(1, SCORER_1_LAYER), (2, SCORER_2_LAYERS)])
+    def test_scorer_parameters_are_pinned(self, aggregation, n_layers, expected):
+        cfg = ScorerConfig(n_sa_layers=n_layers, n_heads=2, aggregation=aggregation)
+        assert self.digest(SelfAttentionScorer(cfg, 16, seed=3).params) == expected
+
+    def test_keys_start_as_a_copy_of_queries(self):
+        params = attention_params()
+        assert np.array_equal(params["a.wk"].data, params["a.wq"].data)
+        assert params["a.wk"].data is not params["a.wq"].data

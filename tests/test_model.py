@@ -72,7 +72,8 @@ class TestConfig:
     @pytest.mark.parametrize("cfg", [TINY, ModelConfig(n_dec_layers=3)], ids=["tiny", "default-3-dec"])
     def test_param_shapes_match_init(self, cfg):
         model = VqaModel(cfg)
-        assert list(VqaModel.param_shapes(cfg)) == [(name, p.shape) for name, p in model.params.items()]
+        table = VqaModel.param_table(cfg)
+        assert [(name, shape) for name, shape, _ in table] == [(name, p.shape) for name, p in model.params.items()]
 
     def test_defaults_are_paper_gap_decisions(self):
         cfg = ModelConfig()

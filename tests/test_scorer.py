@@ -29,7 +29,7 @@ class TestConfig:
         assert (cfg.n_sa_layers, cfg.n_heads, cfg.aggregation) == (1, 16, "first")
 
     def test_head_widths_default_to_halving(self):
-        shapes = dict(SelfAttentionScorer.param_shapes(ScorerConfig(), 64))
+        shapes = {name: shape for name, shape, _ in SelfAttentionScorer.param_table(ScorerConfig(), 64)}
         assert [shapes[f"head.w{j}"] for j in (1, 2, 3)] == [(64, 64), (64, 32), (32, 1)]
 
     def test_dropout_range(self):
@@ -54,7 +54,8 @@ class TestConfig:
     )
     def test_param_shapes_match_init(self, cfg):
         head = SelfAttentionScorer(cfg, d_model=8 if cfg.n_heads == 2 else 16)
-        assert list(SelfAttentionScorer.param_shapes(cfg, head.d_model)) == [(n, p.shape) for n, p in head.params.items()]
+        table = SelfAttentionScorer.param_table(cfg, head.d_model)
+        assert [(n, shape) for n, shape, _ in table] == [(n, p.shape) for n, p in head.params.items()]
 
 
 class TestAggregate:

@@ -306,7 +306,7 @@ class TestStage2:
     def test_cached_validation_matches_direct_encoding(self, corpus, trained):
         _, valid = corpus
         model, scorer, _, _ = trained
-        cached = validation_page_accuracy(valid, model, scorer, FrozenFeatureCache(model))
+        cached = validation_page_accuracy(valid, scorer, FrozenFeatureCache(model))
         hits = 0
         for q in valid.questions:
             doc = valid.document_for(q)
