@@ -58,6 +58,11 @@ def save_checkpoint(path: Path, model: VqaModel, scorer: SelfAttentionScorer | N
             fh.write(np.ascontiguousarray(arrays[entry["name"]], dtype="<f8").tobytes())
 
 
+def fits_default(value, default) -> bool:
+    """Whether a JSON value may set a config field with this default: same type, or an int for a float (not a bool)."""
+    return type(value) is type(default) or (type(default) is float and type(value) is int)
+
+
 def _config(cls, values: dict, path: Path):
     """``cls(**values)``, each value first checked against the type of its field's default."""
     defaults = {f.name: f.default for f in fields(cls)}
@@ -67,10 +72,8 @@ def _config(cls, values: dict, path: Path):
             continue
         if key not in defaults:
             raise CheckpointError(f"{path}: unknown {cls.__name__} field {key!r} in header")
-        default = defaults[key]
-        if not (type(value) is type(default) or (type(default) is float and type(value) is int)):
-            # JSON true/false is not an int here
-            raise CheckpointError(f"{path}: {cls.__name__}.{key} must be {type(default).__name__}, got {value!r}")
+        if not fits_default(value, defaults[key]):
+            raise CheckpointError(f"{path}: {cls.__name__}.{key} must be {type(defaults[key]).__name__}, got {value!r}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

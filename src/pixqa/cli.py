@@ -20,12 +20,14 @@ import platform
 import subprocess
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import fits_default, load_checkpoint, save_checkpoint
 from .data import (Dataset, Document, PageRef, SynthConfig, check_fractions, gen_synthetic, load_mpdocvqa, split,
                    write_annotations)
 from .errors import DataError, PixqaError
@@ -82,10 +84,10 @@ class RunManifest:
         (out_dir / "manifest.json").write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(args: argparse.Namespace, **fields) -> RunManifest:
-    """This run's manifest: ``fields``, the command line, and the wall time since ``main`` parsed it."""
-    return RunManifest(command=args.command, argv=list(args.raw_argv),
-                       elapsed_s=round(time.perf_counter() - args.started, 3), **fields)
+def _write_manifest(args: argparse.Namespace, out_dir: Path, **fields) -> None:
+    """Write manifest.json to ``out_dir``: ``fields``, the command line, and the time since ``main`` began."""
+    RunManifest(command=args.command, argv=list(args.raw_argv), elapsed_s=round(time.perf_counter() - args.started, 3),
+                output_dir=str(out_dir), **fields).write(out_dir)
 
 
 class UsageError(Exception):
@@ -140,15 +142,13 @@ def _load_config_file(args: argparse.Namespace) -> dict:
 def _typed(key: str, value, default, cfg_path) -> object:
     """A config-file value checked against the type of the command's default and the flag's choices."""
     expected = type(default)
-    if expected is float and type(value) is int:
-        return float(value)
-    if type(value) is not expected:  # JSON true/false is not an int here
+    if not fits_default(value, default):
         raise UsageError(
             f"config file {cfg_path}: {key!r} must be {expected.__name__}, got {type(value).__name__} {value!r}"
         )
     if key in CHOICES and value not in CHOICES[key]:
         raise UsageError(f"config file {cfg_path}: {key!r} must be one of {CHOICES[key]}, got {value!r}")
-    return value
+    return float(value) if expected is float else value
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -240,24 +240,23 @@ def _load_split(data_dir: Path, split_name: str) -> Dataset:
     return load_mpdocvqa(annotations, data_dir / "images")
 
 
-def _write_history(history: TrainHistory, out_dir: Path) -> None:
-    with open(out_dir / "history.jsonl", "w") as fh:
-        for record in history.records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _train_run(out_dir: Path, stage: int, train: Callable[..., TrainHistory], *trained) -> tuple[TrainHistory, Path]:
+    """Run ``train(log=, on_best=)``, logging to stdout and ``train.log``, then write ``history.jsonl``.
 
+    ``stage{n}.ckpt`` holds ``trained`` as of each best epoch, and at the end, once the best is restored.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out_dir / f"stage{stage}.ckpt"
+    with open(out_dir / "train.log", "w") as fh:
+        def log(line: str) -> None:
+            print(line)
+            fh.write(line + "\n")
+            fh.flush()
 
-class _TeeLog:
-    def __init__(self, path: Path):
-        self.path = path
-        self.fh = open(path, "w")
-
-    def __call__(self, line: str) -> None:
-        print(line)
-        self.fh.write(line + "\n")
-        self.fh.flush()
-
-    def close(self) -> None:
-        self.fh.close()
+        history = train(log=log, on_best=lambda epoch: save_checkpoint(ckpt_path, *trained))
+    save_checkpoint(ckpt_path, *trained)
+    (out_dir / "history.jsonl").write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in history.records))
+    return history, ckpt_path
 
 
 # ----------------------------------------------------------------------------
@@ -273,13 +272,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     dataset = gen_synthetic(cfg, out_dir)
     for part in split(dataset, fractions, seed=r["seed"]):
         write_annotations(part, out_dir / f"annotations.{part.split}.json")
-    _manifest(
-        args,
-        seeds={"corpus": r["seed"]},
-        config={"synth": asdict(cfg), "fractions": list(fractions)},
-        checkpoints={},
-        output_dir=str(out_dir),
-    ).write(out_dir)
+    _write_manifest(args, out_dir, seeds={"corpus": r["seed"]},
+                    config={"synth": asdict(cfg), "fractions": list(fractions)}, checkpoints={})
     hist = page_histogram(dataset)
     print(
         f"generated {len(dataset.documents)} documents / {dataset.n_questions} questions "
@@ -295,27 +289,13 @@ def cmd_train_vqa(args: argparse.Namespace) -> int:
     model_cfg = _build(ModelConfig, MODEL_FLAGS, r)
     train_cfg = _build(TrainConfig, TRAIN_FLAGS, r, stage=1)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     model = VqaModel(model_cfg)
-    ckpt_path = out_dir / "stage1.ckpt"
-    log = _TeeLog(out_dir / "train.log")
-    try:
-        history = train_stage1(
-            train_set, valid_set, model, train_cfg, log=log,
-            on_best=lambda epoch: save_checkpoint(ckpt_path, model),
-        )
-    finally:
-        log.close()
-    save_checkpoint(ckpt_path, model)  # best parameters restored by the trainer
-    _write_history(history, out_dir)
-    _manifest(
-        args,
-        seeds={"model": model_cfg.seed, "train": train_cfg.seed},
+    history, ckpt_path = _train_run(out_dir, 1, partial(train_stage1, train_set, valid_set, model, train_cfg), model)
+    _write_manifest(
+        args, out_dir, seeds={"model": model_cfg.seed, "train": train_cfg.seed},
         config={"model": asdict(model_cfg), "train": asdict(train_cfg), "data": str(args.data)},
         checkpoints={"stage1": str(ckpt_path)},
-        output_dir=str(out_dir),
-    ).write(out_dir)
+    )
     print(f"best epoch {history.best_epoch}: valid ANLS {history.best_metric:.4f} -> {ckpt_path}")
     return 0
 
@@ -330,22 +310,10 @@ def cmd_train_scorer(args: argparse.Namespace) -> int:
     scorer = SelfAttentionScorer(scorer_cfg, d_model=model.cfg.d_model, seed=r["scorer_seed"])
     train_cfg = _build(TrainConfig, TRAIN_FLAGS, r, stage=2)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    ckpt_path = out_dir / "stage2.ckpt"
-    log = _TeeLog(out_dir / "train.log")
-    try:
-        history = train_stage2(
-            train_set, valid_set, model, scorer, train_cfg, log=log,
-            on_best=lambda epoch: save_checkpoint(ckpt_path, model, scorer),
-        )
-    finally:
-        log.close()
-    save_checkpoint(ckpt_path, model, scorer)
-    _write_history(history, out_dir)
-    _manifest(
-        args,
-        seeds={"scorer": r["scorer_seed"], "train": train_cfg.seed},
+    history, ckpt_path = _train_run(out_dir, 2, partial(train_stage2, train_set, valid_set, model, scorer, train_cfg),
+                                    model, scorer)
+    _write_manifest(
+        args, out_dir, seeds={"scorer": r["scorer_seed"], "train": train_cfg.seed},
         config={
             "model": asdict(model.cfg),
             "scorer": asdict(scorer_cfg),
@@ -354,8 +322,7 @@ def cmd_train_scorer(args: argparse.Namespace) -> int:
             "stage1_checkpoint": str(ckpt_in),
         },
         checkpoints={"stage1": str(ckpt_in), "stage2": str(ckpt_path)},
-        output_dir=str(out_dir),
-    ).write(out_dir)
+    )
     print(f"best epoch {history.best_epoch}: valid page accuracy {history.best_metric:.2f}% -> {ckpt_path}")
     return 0
 
@@ -376,13 +343,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     (out_dir / "metrics.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    _manifest(
-        args,
-        seeds={},
+    _write_manifest(
+        args, out_dir, seeds={},
         config={"model": asdict(model.cfg), "scorer": asdict(scorer.cfg), "data": str(args.data), "split": args.split},
         checkpoints={"eval": str(ckpt_path)},
-        output_dir=str(out_dir),
-    ).write(out_dir)
+    )
     print(report.table())
     return 0
 
@@ -451,13 +416,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fh.write("sa_layers\tsa_heads\tpage_accuracy_pct\tanls\n")
         for cell in cells:
             fh.write(f"{cell['sa_layers']}\t{cell['sa_heads']}\t{cell['page_accuracy_pct']:.2f}\t{cell['anls']:.4f}\n")
-    _manifest(
-        args,
-        seeds={"scorer": r["scorer_seed"], "train": train_cfg.seed},
+    _write_manifest(
+        args, out_dir, seeds={"scorer": r["scorer_seed"], "train": train_cfg.seed},
         config={"train": asdict(train_cfg), "layers": layer_grid, "heads": head_grid, "data": str(args.data)},
         checkpoints={"stage1": str(ckpt_in)},
-        output_dir=str(out_dir),
-    ).write(out_dir)
+    )
     return 0
 
 
@@ -499,13 +462,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        _manifest(
-            args,
-            seeds={},
-            config={"results": str(results_path)},
-            checkpoints={},
-            output_dir=str(out_dir),
-        ).write(out_dir)
+        _write_manifest(args, out_dir, seeds={}, config={"results": str(results_path)}, checkpoints={})
     return 0
 
 
@@ -590,3 +547,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -185,6 +185,7 @@ def load_mpdocvqa(annotations_path: Path, images_dir: Path) -> Dataset:
         raise AnnotationParseError(f"{annotations_path}: dataset_split must be a string, got {type(split).__name__}")
 
     questions: list[QASample] = []
+    question_ids: set[int | str] = set()
     doc_pages: dict[str, list[str]] = {}
     for idx, rec in enumerate(payload["data"]):
         if not isinstance(rec, dict):
@@ -195,6 +196,9 @@ def load_mpdocvqa(annotations_path: Path, images_dir: Path) -> Dataset:
         qid, question, doc_id, page_ids, answers, gold = (rec[name] for name in RECORD_FIELDS)
         if type(qid) not in (int, str):  # JSON true/false is not an id
             raise AnnotationParseError(f"record {idx}: questionId must be an int or a string")
+        if qid in question_ids:  # features and results are keyed by it
+            raise AnnotationParseError(f"record {idx}: questionId {qid!r} repeats an earlier record's")
+        question_ids.add(qid)
         if not isinstance(question, str) or not isinstance(doc_id, str):
             raise AnnotationParseError(f"record {idx}: question and doc_id must be strings")
         if not _is_str_list(page_ids):

@@ -17,12 +17,14 @@ from the rest of the document (resampled every epoch); single-page
 documents contribute only the positive pair. Scorer targets are
 label-smoothed to 1-eps / eps and penalized with squared error.
 
-Every epoch's record, in both stages, carries its wall time, validation
-included, as `epoch_s`.
+Both stages run one epoch loop, `_fit`. Every epoch's record carries its
+wall time, validation included, as `epoch_s`, and its log line shows
+every field of the record.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -65,12 +67,14 @@ class TrainConfig:
             raise ConfigError("label_smooth_eps must lie in [0, 0.5) so targets stay ordered")
         if self.stage not in (1, 2):
             raise ConfigError(f"stage must be 1 or 2, got {self.stage}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("learning_rate, batch_size and max_epochs must be positive")
+        if not 0.0 < self.learning_rate < math.inf:  # NaN fails the comparison too
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ConfigError("batch_size and max_epochs must be positive")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 @dataclass
@@ -285,6 +289,48 @@ def check_splits(train_set: Dataset, valid_set: Dataset, stage: int) -> None:
             raise DataError(f"stage-{stage} training needs questions, and the {name} split ({dataset.split!r}) has none")
 
 
+def _fit(params: dict[str, Tensor], cfg: TrainConfig, n_train: int, train_batch: Callable[..., list[float]],
+         validate: Callable[[list[float]], dict], log: LogFn | None,
+         on_best: Callable[[int], None] | None) -> TrainHistory:
+    """The epoch loop of both stages: stops `early_stop_patience` epochs after the best one, and restores it.
+
+    ``train_batch(indices, rng)`` adds the gradients of a batch of training
+    questions to ``params`` and returns one loss per optimizer sample;
+    ``validate(losses)`` returns the epoch's validation fields, metric first.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    opt = make_optimizer(cfg, params)
+    history = TrainHistory()
+    best_params = _snapshot(params)
+    for epoch in range(1, cfg.max_epochs + 1):
+        started = time.perf_counter()
+        order = rng.permutation(n_train)
+        losses = []
+        for start in range(0, n_train, cfg.batch_size):
+            batch_losses = train_batch(order[start : start + cfg.batch_size], rng)
+            opt.step(len(batch_losses))
+            losses += batch_losses
+        validation = validate(losses)
+        metric = next(iter(validation.values()))
+        record = {"epoch": epoch, "train_loss": float(np.mean(losses)), **validation,
+                  "epoch_s": time.perf_counter() - started}
+        history.records.append(record)
+        if log:
+            log(f"stage{cfg.stage} epoch {epoch}: " + " ".join(
+                f"{key}={value:.4f}" if isinstance(value, float) else f"{key}={value}"
+                for key, value in record.items() if key != "epoch"))
+        if metric > history.best_metric:
+            history.best_metric = metric
+            history.best_epoch = epoch
+            best_params = _snapshot(params)
+            if on_best:
+                on_best(epoch)
+        elif epoch - history.best_epoch >= cfg.early_stop_patience:
+            break
+    _restore(params, best_params)
+    return history
+
+
 def train_stage1(
     train_set: Dataset,
     valid_set: Dataset,
@@ -303,37 +349,16 @@ def train_stage1(
         raise ConfigError("train_stage1 needs a stage-1 TrainConfig")
     check_splits(train_set, valid_set, stage=1)
     check_answers(train_set, model)
-    rng = np.random.default_rng(cfg.seed)
-    opt = make_optimizer(cfg, model.params)
-    history = TrainHistory()
-    best_params = _snapshot(model.params)
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(len(train_set.questions))
+    def train_batch(indices, rng) -> list[float]:
+        batch = [train_set.questions[int(idx)] for idx in indices]
         losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_set.questions[int(idx)] for idx in order[start : start + cfg.batch_size]]
-            for stack in grid_stacks(_gold_pages(train_set, batch, model), STACK_ROWS, alone=_decoder_exceeds_tile):
-                losses += _stage1_stack(model, stack)
-            opt.step(len(batch))
-        valid_metric = validation_anls(valid_set, model)
-        record = {"epoch": epoch, "train_loss": float(np.mean(losses)), "valid_anls": valid_metric,
-                  "epoch_s": time.perf_counter() - started}
-        history.records.append(record)
-        if log:
-            log(f"stage1 epoch {epoch}: train_loss={record['train_loss']:.4f} valid_anls={valid_metric:.4f} "
-                f"epoch_s={record['epoch_s']:.2f}")
-        if valid_metric > history.best_metric:
-            history.best_metric = valid_metric
-            history.best_epoch = epoch
-            best_params = _snapshot(model.params)
-            if on_best:
-                on_best(epoch)
-        elif epoch - history.best_epoch >= cfg.early_stop_patience:
-            break
-    _restore(model.params, best_params)
-    return history
+        for stack in grid_stacks(_gold_pages(train_set, batch, model), STACK_ROWS, alone=_decoder_exceeds_tile):
+            losses += _stage1_stack(model, stack)
+        return losses
+
+    return _fit(model.params, cfg, len(train_set.questions), train_batch,
+                lambda losses: {"valid_anls": validation_anls(valid_set, model)}, log, on_best)
 
 
 def train_stage2(
@@ -355,59 +380,28 @@ def train_stage2(
     if cfg.stage != 2:
         raise ConfigError("train_stage2 needs a stage-2 TrainConfig")
     check_splits(train_set, valid_set, stage=2)
-    rng = np.random.default_rng(cfg.seed)
-    opt = make_optimizer(cfg, scorer.params)  # only scorer parameters ever step
-    history = TrainHistory()
-    best_params = _snapshot(scorer.params)
     cache = FrozenFeatureCache(model) if cache is None else cache
+    n_train = len(train_set.questions)
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(len(train_set.questions))
+    def train_batch(indices, rng) -> list[float]:
         losses = []
-        n_pos = n_neg = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            accumulated = 0
-            for idx in batch:
-                sample = train_set.questions[int(idx)]
-                doc = train_set.document_for(sample)
-                pairs = [(sample.answer_page_index, True)]
-                negative = sample_negative(doc, sample.answer_page_index, rng)
-                if negative is not None:
-                    pairs.append((negative, False))
-                for page_idx, is_positive in pairs:
-                    feature = cache.get(sample, doc, page_idx)
-                    pred = scorer.score(feature, training=True, rng=rng)
-                    loss = mse_smoothed_loss(pred, is_positive, cfg.label_smooth_eps)
-                    loss.backward()
-                    losses.append(float(loss.data))
-                    accumulated += 1
-                    n_pos += is_positive
-                    n_neg += not is_positive
-            opt.step(accumulated)
-        valid_metric = validation_page_accuracy(valid_set, scorer, cache=cache)
-        record = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)),
-            "valid_page_acc": valid_metric,
-            "n_pos_pairs": n_pos,
-            "n_neg_pairs": n_neg,
-            "epoch_s": time.perf_counter() - started,
-        }
-        history.records.append(record)
-        if log:
-            log(
-                f"stage2 epoch {epoch}: train_loss={record['train_loss']:.5f} "
-                f"valid_page_acc={valid_metric:.2f}% (pairs +{n_pos}/-{n_neg}) epoch_s={record['epoch_s']:.2f}"
-            )
-        if valid_metric > history.best_metric:
-            history.best_metric = valid_metric
-            history.best_epoch = epoch
-            best_params = _snapshot(scorer.params)
-            if on_best:
-                on_best(epoch)
-        elif epoch - history.best_epoch >= cfg.early_stop_patience:
-            break
-    _restore(scorer.params, best_params)
-    return history
+        for idx in indices:
+            sample = train_set.questions[int(idx)]
+            doc = train_set.document_for(sample)
+            pairs = [(sample.answer_page_index, True)]
+            negative = sample_negative(doc, sample.answer_page_index, rng)
+            if negative is not None:
+                pairs.append((negative, False))
+            for page_idx, is_positive in pairs:
+                pred = scorer.score(cache.get(sample, doc, page_idx), training=True, rng=rng)
+                loss = mse_smoothed_loss(pred, is_positive, cfg.label_smooth_eps)
+                loss.backward()
+                losses.append(float(loss.data))
+        return losses
+
+    def validate(losses: list[float]) -> dict:
+        # One positive pair per question; the other pairs are negatives.
+        return {"valid_page_acc": validation_page_accuracy(valid_set, scorer, cache=cache),
+                "n_pos_pairs": n_train, "n_neg_pairs": len(losses) - n_train}
+
+    return _fit(scorer.params, cfg, n_train, train_batch, validate, log, on_best)  # only scorer parameters step

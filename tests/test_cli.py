@@ -5,6 +5,7 @@ import re
 import shutil
 import string
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,15 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["gen", "--nonsense"]) == 2
 
+    def test_run_as_a_module(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "pixqa.cli", "report", "--results", str(tmp_path / "absent")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "results file not found" in done.stderr
+
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -330,6 +340,17 @@ class TestExitCodes:
         split_name = "training" if empty == "train" else "validation"
         assert f"the {split_name} split ('{empty}') has none" in capsys.readouterr().err
         assert not list(out.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("command, flag, name", [("train-vqa", "--lr", "learning_rate"),
+                                                     ("train-scorer", "--weight-decay", "weight_decay")])
+    def test_non_finite_rate_is_runtime_error_before_training(self, corpus, stage1, tmp_path, capsys, command, flag,
+                                                               name):
+        out = tmp_path / "out"
+        extra = MODEL_FLAGS if command == "train-vqa" else ["--checkpoint", str(stage1[0]), "--sa-heads", "2"]
+        rc = main([command, "--data", str(corpus), "--out", str(out)] + extra + FAST_TRAIN + [flag, "nan"])
+        assert rc == 1
+        assert re.search(rf"{name} must be .*finite, got nan", capsys.readouterr().err)
+        assert not (out / "train.log").exists()
 
     def test_eval_with_nan_decoder_is_runtime_error(self, corpus, stage2, tmp_path, capsys):
         from pixqa.checkpoint import load_checkpoint, save_checkpoint

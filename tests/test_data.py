@@ -181,6 +181,16 @@ class TestLoader:
         with pytest.raises(AnnotationParseError, match=f"record {record}"):
             load_mpdocvqa(ann, images)
 
+    @pytest.mark.parametrize("qid", [0, "q7"])
+    def test_repeated_question_id_rejected(self, tmp_path, qid):
+        # Frozen features and result rows are keyed by the id, so a repeat would share them between questions.
+        ann, images = self._write_fixture(tmp_path, n_questions=3)
+        payload = json.loads(ann.read_text())
+        payload["data"][0]["questionId"] = payload["data"][2]["questionId"] = qid
+        ann.write_text(json.dumps(payload))
+        with pytest.raises(AnnotationParseError, match=f"record 2: questionId {qid!r}"):
+            load_mpdocvqa(ann, images)
+
     def test_split_name_must_be_a_string(self, tmp_path):
         ann, images = self._write_fixture(tmp_path)
         payload = json.loads(ann.read_text())

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pixqa import training
 from pixqa.autograd import Tensor
 from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, split
 from pixqa.errors import ConfigError, DataError
@@ -79,6 +80,12 @@ class TestConfig:
     def test_stage_validated(self):
         with pytest.raises(ConfigError):
             TrainConfig(stage=3)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rates_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
 
 
 class TestMseSmoothedLoss:
@@ -327,3 +334,45 @@ class TestStage2:
         assert without_time(results[0][0]) == without_time(results[1][0])
         for name in results[0][1]:
             assert (results[0][1][name] == results[1][1][name]).all()
+
+
+# Validation metric per epoch: new bests at epochs 1, 2 and 4; epoch 5 only ties the best.
+METRICS = [0.2, 0.5, 0.4, 0.7, 0.7, 0.6, 0.1, 0.9]
+PATIENCE = 3
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_best_epoch_policy(corpus, monkeypatch, stage):
+    """`on_best` fires at each new best, training stops `patience` epochs after it, and the best epoch's parameters stay."""
+    train, valid = corpus
+    model = VqaModel(TINY_MODEL)
+    scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16, seed=3)
+    params = model.params if stage == 1 else scorer.params
+    metrics = iter(METRICS)
+    validated = []  # the parameters each validation saw
+
+    def validate(*args, **kwargs):
+        validated.append({k: p.data.copy() for k, p in params.items()})
+        return next(metrics)
+
+    monkeypatch.setattr(training, "validation_anls" if stage == 1 else "validation_page_accuracy", validate)
+    best_epochs, best_params = [], {}
+
+    def on_best(epoch):
+        best_epochs.append(epoch)
+        best_params.update({k: p.data.copy() for k, p in params.items()})
+
+    cfg = TrainConfig(stage=stage, learning_rate=1e-3, optimizer="adam", batch_size=4, max_epochs=len(METRICS),
+                      early_stop_patience=PATIENCE)
+    if stage == 1:
+        hist = train_stage1(train, valid, model, cfg, on_best=on_best)
+    else:
+        hist = train_stage2(train, valid, model, scorer, cfg, on_best=on_best)
+    assert best_epochs == [1, 2, 4]
+    assert (hist.best_epoch, hist.best_metric) == (4, 0.7)
+    assert len(hist.records) == len(validated) == 4 + PATIENCE
+    assert [rec["epoch"] for rec in hist.records] == list(range(1, 4 + PATIENCE + 1))
+    for name, p in params.items():
+        assert np.array_equal(p.data, best_params[name]), name
+        assert np.array_equal(p.data, validated[3][name]), name
+    assert not all(np.array_equal(params[name].data, validated[-1][name]) for name in params)  # restore undid epochs 5-7
