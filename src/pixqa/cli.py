@@ -21,7 +21,7 @@ import subprocess
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .checkpoint import fits_default, load_checkpoint, save_checkpoint
 from .data import (Dataset, Document, PageRef, SynthConfig, check_fractions, gen_synthetic, load_mpdocvqa, split,
                    write_annotations)
 from .errors import DataError, PixqaError
-from .evaluate import evaluate_dataset, page_histogram, report_from_records
+from .evaluate import evaluate_dataset, report_from_records, report_table
 from .layers import attention_workers
 from .model import ModelConfig, VqaModel
 from .scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
@@ -67,27 +67,14 @@ def git_revision() -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    elapsed_s: float
-    seeds: dict[str, int]
-    config: dict
-    checkpoints: dict[str, str]
-    output_dir: str
-    environment: dict = field(default_factory=run_environment)
-    git_revision: str | None = field(default_factory=git_revision)
-
-    def write(self, out_dir: Path) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "manifest.json").write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(args: argparse.Namespace, out_dir: Path, **fields) -> None:
-    """Write manifest.json to ``out_dir``: ``fields``, the command line, and the time since ``main`` began."""
-    RunManifest(command=args.command, argv=list(args.raw_argv), elapsed_s=round(time.perf_counter() - args.started, 3),
-                output_dir=str(out_dir), **fields).write(out_dir)
+def _write_manifest(args: argparse.Namespace, out_dir: Path, *, seeds: dict, config: dict, checkpoints: dict) -> None:
+    """Write manifest.json to ``out_dir``: the command line, the time since ``main`` began, and the run's settings."""
+    manifest = {"command": args.command, "argv": list(args.raw_argv),
+                "elapsed_s": round(time.perf_counter() - args.started, 3), "output_dir": str(out_dir),
+                "seeds": seeds, "config": config, "checkpoints": checkpoints,
+                "environment": run_environment(), "git_revision": git_revision()}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 class UsageError(Exception):
@@ -274,10 +261,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         write_annotations(part, out_dir / f"annotations.{part.split}.json")
     _write_manifest(args, out_dir, seeds={"corpus": r["seed"]},
                     config={"synth": asdict(cfg), "fractions": list(fractions)}, checkpoints={})
-    hist = page_histogram(dataset)
+    pages = [doc.n_pages for doc in dataset.documents.values()]
     print(
         f"generated {len(dataset.documents)} documents / {dataset.n_questions} questions "
-        f"into {out_dir} (pages per doc: {min(hist)}..{max(hist)})"
+        f"into {out_dir} (pages per doc: {min(pages)}..{max(pages)})"
     )
     return 0
 
@@ -338,17 +325,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model, scorer = load_checkpoint(ckpt_path)
     if scorer is None:
         raise PixqaError(f"checkpoint {ckpt_path} has no scorer parameters; run train-scorer first")
-    records, report = evaluate_dataset(dataset, model, scorer)
+    records = evaluate_dataset(dataset, model, scorer)
+    metrics = report_from_records(records)
     with open(out_dir / "results.jsonl", "w") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    (out_dir / "metrics.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     _write_manifest(
         args, out_dir, seeds={},
         config={"model": asdict(model.cfg), "scorer": asdict(scorer.cfg), "data": str(args.data), "split": args.split},
         checkpoints={"eval": str(ckpt_path)},
     )
-    print(report.table())
+    print(report_table(metrics))
     return 0
 
 
@@ -399,18 +387,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = []
     for scorer in scorers:
         history = train_stage2(train_set, valid_set, model, scorer, train_cfg, cache=cache)
-        _, report = evaluate_dataset(valid_set, model, scorer)
-        n_layers, n_heads = scorer.cfg.n_sa_layers, scorer.cfg.n_heads
-        cells.append(
-            {
-                "sa_layers": n_layers,
-                "sa_heads": n_heads,
-                "page_accuracy_pct": report.page_accuracy_pct,
-                "anls": report.anls,
-                "best_epoch": history.best_epoch,
-            }
-        )
-        print(f"layers={n_layers} heads={n_heads}: page_acc={report.page_accuracy_pct:.2f}% anls={report.anls:.4f}")
+        metrics = report_from_records(evaluate_dataset(valid_set, model, scorer))
+        cells.append({"sa_layers": scorer.cfg.n_sa_layers, "sa_heads": scorer.cfg.n_heads,
+                      "page_accuracy_pct": metrics["page_accuracy_pct"], "anls": metrics["anls"],
+                      "best_epoch": history.best_epoch})
+        print("layers={sa_layers} heads={sa_heads}: page_acc={page_accuracy_pct:.2f}% anls={anls:.4f}"
+              .format(**cells[-1]))
     (out_dir / "sweep.json").write_text(json.dumps(cells, indent=2, sort_keys=True) + "\n")
     with open(out_dir / "sweep.tsv", "w") as fh:
         fh.write("sa_layers\tsa_heads\tpage_accuracy_pct\tanls\n")
@@ -424,8 +406,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# Fields `report` reads from each results.jsonl record, with their JSON types.
+# Fields `report` reads from each results.jsonl record, with their JSON types (true and false are not numbers).
 RESULT_FIELDS = {"doc_id": str, "doc_pages": int, "pred_page": int, "gold_page": int, "anls": (int, float)}
+
+
+def _result_error(record, pages_by_doc: dict) -> str | None:
+    """What makes ``record`` no result record, given the page counts of the documents seen so far; None if nothing."""
+    if not isinstance(record, dict) or not all(
+        isinstance(record.get(name), kind) and not isinstance(record.get(name), bool)
+        for name, kind in RESULT_FIELDS.items()
+    ):
+        fields = ", ".join(f"{name} ({getattr(kind, '__name__', 'number')})" for name, kind in RESULT_FIELDS.items())
+        return f"a result record is an object with {fields}"
+    doc_id, doc_pages = record["doc_id"], record["doc_pages"]
+    if doc_pages < 1:
+        return f"doc_pages {doc_pages} is below 1"
+    for name in ("pred_page", "gold_page"):
+        if not 0 <= record[name] < doc_pages:
+            return f"{name} {record[name]} is outside the {doc_pages} pages of document {doc_id!r}"
+    if not 0.0 <= record["anls"] <= 1.0:  # NaN fails this too
+        return f"anls {record['anls']} is not in [0, 1]"
+    if pages_by_doc.setdefault(doc_id, doc_pages) != doc_pages:
+        return f"document {doc_id!r} has doc_pages {doc_pages} here and {pages_by_doc[doc_id]} on an earlier line"
+    return None
 
 
 def _read_results(path: Path) -> list[dict]:
@@ -434,7 +437,7 @@ def _read_results(path: Path) -> list[dict]:
         lines = path.read_text().splitlines()
     except (OSError, ValueError) as exc:  # a directory, or bytes that are not UTF-8
         raise DataError(f"cannot read results file {path}: {exc}") from None
-    records = []
+    records, pages_by_doc = [], {}
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -442,11 +445,8 @@ def _read_results(path: Path) -> list[dict]:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise DataError(f"{path} line {lineno}: not valid JSON: {exc}") from None
-        if not isinstance(record, dict) or not all(
-            isinstance(record.get(name), kind) for name, kind in RESULT_FIELDS.items()
-        ):
-            fields = ", ".join(f"{name} ({getattr(kind, '__name__', 'number')})" for name, kind in RESULT_FIELDS.items())
-            raise DataError(f"{path} line {lineno}: a result record is an object with {fields}")
+        if error := _result_error(record, pages_by_doc):
+            raise DataError(f"{path} line {lineno}: {error}")
         records.append(record)
     return records
 
@@ -456,12 +456,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     records = _read_results(results_path)
     if not records:
         raise PixqaError(f"results file {results_path} is empty")
-    report = report_from_records(records)
-    print(report.table())
+    metrics = report_from_records(records)
+    print(report_table(metrics))
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        (out_dir / "report.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
         _write_manifest(args, out_dir, seeds={}, config={"results": str(results_path)}, checkpoints={})
     return 0
 

@@ -203,6 +203,10 @@ def load_mpdocvqa(annotations_path: Path, images_dir: Path) -> Dataset:
             raise AnnotationParseError(f"record {idx}: question and doc_id must be strings")
         if not _is_str_list(page_ids):
             raise AnnotationParseError(f"record {idx}: page_ids must be a non-empty list of strings")
+        if doc_id not in doc_pages:  # a page id names a file in images_dir, never a path out of it
+            outside = next((pid for pid in page_ids if pid in (".", "..") or "/" in pid or "\\" in pid), None)
+            if outside is not None:
+                raise AnnotationParseError(f"record {idx}: page id {outside!r} is not a file name")
         if not _is_str_list(answers):
             raise AnnotationParseError(f"record {idx}: answers must be a non-empty list of strings")
         if type(gold) is not int or not 0 <= gold < len(page_ids):

@@ -17,7 +17,9 @@ bounded no matter how long the document is.
 
 Answer quality uses normalized Levenshtein similarity averaged over
 questions (scores whose normalized distance reaches the threshold count
-as zero); retrieval quality uses top-1 page accuracy.
+as zero); retrieval quality uses top-1 page accuracy. `evaluate_dataset`
+writes one result record per question, and every reported metric is
+computed from those records alone, by `report_from_records`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
@@ -219,89 +220,7 @@ def answer_question(
 # Reports
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadrantCounts:
-    """Counts over (page correct?, answer exact?) cells, in the order
-    (ok, exact), (ok, partial), (bad, exact), (bad, partial)."""
-
-    page_ok_exact: int
-    page_ok_partial: int
-    page_bad_exact: int
-    page_bad_partial: int
-
-    @property
-    def counts(self) -> tuple[int, int, int, int]:
-        return (self.page_ok_exact, self.page_ok_partial, self.page_bad_exact, self.page_bad_partial)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def percentages(self) -> tuple[float, float, float, float]:
-        return tuple(round(100.0 * c / self.total, 2) for c in self.counts)
-
-
-def quadrant_report(per_question: Iterable[tuple[bool, float]]) -> QuadrantCounts:
-    cells = [0, 0, 0, 0]
-    n = 0
-    for page_correct, anls_value in per_question:
-        exact = anls_value >= 1.0
-        cells[(0 if page_correct else 2) + (0 if exact else 1)] += 1
-        n += 1
-    if n == 0:
-        raise ValueError("quadrant report needs at least one question")
-    return QuadrantCounts(*cells)
-
-
-def page_histogram(dataset: Dataset) -> dict[int, int]:
-    return dict(Counter(doc.n_pages for doc in dataset.documents.values()))
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    anls: float
-    page_accuracy_pct: float
-    quadrants: QuadrantCounts
-    page_histogram: dict[int, int]
-    n_questions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "anls": self.anls,
-            "page_accuracy_pct": self.page_accuracy_pct,
-            "n_questions": self.n_questions,
-            "quadrants": {
-                "counts": list(self.quadrants.counts),
-                "percentages": list(self.quadrants.percentages),
-                "order": ["page_ok_exact", "page_ok_partial", "page_bad_exact", "page_bad_partial"],
-            },
-            "page_histogram": {str(k): v for k, v in sorted(self.page_histogram.items())},
-        }
-
-    def table(self) -> str:
-        q = self.quadrants
-        lines = [
-            f"questions            {self.n_questions}",
-            f"ANLS                 {self.anls:.4f}",
-            f"page accuracy (%)    {self.page_accuracy_pct:.2f}",
-            "quadrants (count / %):",
-        ]
-        labels = ("page ok, answer exact", "page ok, answer partial",
-                  "page bad, answer exact", "page bad, answer partial")
-        for label, count, pct in zip(labels, q.counts, q.percentages):
-            lines.append(f"  {label:<26} {count:>6} / {pct:.2f}")
-        lines.append("page histogram (pages: documents):")
-        for pages, docs in sorted(self.page_histogram.items()):
-            lines.append(f"  {pages:>4}: {docs}")
-        return "\n".join(lines)
-
-
-def evaluate_dataset(
-    dataset: Dataset,
-    model: VqaModel,
-    scorer: SelfAttentionScorer,
-) -> tuple[list[dict], MetricsReport]:
+def evaluate_dataset(dataset: Dataset, model: VqaModel, scorer: SelfAttentionScorer) -> list[dict]:
     """Run the full pipeline over a dataset; one result record per question."""
     if not dataset.questions:
         raise ValueError("cannot evaluate an empty dataset")
@@ -309,34 +228,53 @@ def evaluate_dataset(
     for sample in dataset.questions:
         doc = dataset.document_for(sample)
         pred_page, pred_answer = answer_question(sample.question, doc, model, scorer)
-        score = anls_single(pred_answer, sample.answers)
-        records.append(
-            {
-                "question_id": sample.question_id,
-                "doc_id": sample.doc_id,
-                "pred_page": pred_page,
-                "gold_page": sample.answer_page_index,
-                "pred_answer": pred_answer,
-                "anls": score,
-                "doc_pages": doc.n_pages,
-            }
-        )
-    report = report_from_records(records, page_histogram(dataset))
-    return records, report
+        records.append({"question_id": sample.question_id, "doc_id": sample.doc_id, "pred_page": pred_page,
+                        "gold_page": sample.answer_page_index, "pred_answer": pred_answer,
+                        "anls": anls_single(pred_answer, sample.answers), "doc_pages": doc.n_pages})
+    return records
 
 
-def report_from_records(records: list[dict], histogram: dict[int, int] | None = None) -> MetricsReport:
-    """Build a MetricsReport from result records (as emitted by evaluate_dataset)."""
+def report_from_records(records: list[dict]) -> dict:
+    """A run's metrics from its result records (as `evaluate_dataset` emits them).
+
+    This is the object metrics.json and report.json hold: ANLS, top-1 page
+    accuracy, the question count, the (page correct?) x (answer exact?)
+    quadrants in the order their `order` names, and how many documents
+    have each page count, in ascending page count.
+    """
     if not records:
         raise ValueError("no result records")
-    if histogram is None:
-        pages_by_doc = {r["doc_id"]: r["doc_pages"] for r in records}
-        histogram = dict(Counter(pages_by_doc.values()))
-    per_question = [(r["pred_page"] == r["gold_page"], r["anls"]) for r in records]
-    return MetricsReport(
-        anls=anls([r["anls"] for r in records]),
-        page_accuracy_pct=page_accuracy([r["pred_page"] for r in records], [r["gold_page"] for r in records]),
-        quadrants=quadrant_report(per_question),
-        page_histogram=histogram,
-        n_questions=len(records),
-    )
+    counts = [0, 0, 0, 0]
+    for r in records:
+        counts[2 * (r["pred_page"] != r["gold_page"]) + (r["anls"] < 1.0)] += 1
+    pages_by_doc = {r["doc_id"]: r["doc_pages"] for r in records}
+    return {
+        "anls": anls(r["anls"] for r in records),
+        "page_accuracy_pct": page_accuracy([r["pred_page"] for r in records], [r["gold_page"] for r in records]),
+        "n_questions": len(records),
+        "quadrants": {
+            "counts": counts,
+            "percentages": [round(100.0 * c / len(records), 2) for c in counts],
+            "order": ["page_ok_exact", "page_ok_partial", "page_bad_exact", "page_bad_partial"],
+        },
+        "page_histogram": {str(k): v for k, v in sorted(Counter(pages_by_doc.values()).items())},
+    }
+
+
+def report_table(metrics: dict) -> str:
+    """The metrics of `report_from_records` as the table `eval` and `report` print."""
+    q = metrics["quadrants"]
+    lines = [
+        f"questions            {metrics['n_questions']}",
+        f"ANLS                 {metrics['anls']:.4f}",
+        f"page accuracy (%)    {metrics['page_accuracy_pct']:.2f}",
+        "quadrants (count / %):",
+    ]
+    labels = ("page ok, answer exact", "page ok, answer partial",
+              "page bad, answer exact", "page bad, answer partial")
+    for label, count, pct in zip(labels, q["counts"], q["percentages"]):
+        lines.append(f"  {label:<26} {count:>6} / {pct:.2f}")
+    lines.append("page histogram (pages: documents):")
+    for pages, docs in metrics["page_histogram"].items():
+        lines.append(f"  {pages:>4}: {docs}")
+    return "\n".join(lines)

@@ -231,6 +231,40 @@ class TestEvalAnswerReport:
         assert "quadrants" in captured.out
         assert (tmp_path / "rep" / "report.json").exists()
 
+    def test_report_bytes_of_a_fixed_results_file(self, tmp_path, capsys):
+        records = [
+            ("a", 3, 1, 1, 1.0), ("a", 3, 0, 0, 0.5), ("b", 12, 2, 11, 0.0), ("b", 12, 11, 11, 1.0),
+            ("c", 3, 0, 0, 2 / 3),
+        ]
+        results = tmp_path / "results.jsonl"
+        results.write_text("".join(
+            json.dumps({"question_id": qid, "doc_id": doc_id, "doc_pages": pages, "pred_page": pred,
+                        "gold_page": gold, "pred_answer": "x", "anls": score}) + "\n"
+            for qid, (doc_id, pages, pred, gold, score) in enumerate(records)
+        ))
+        assert main(["report", "--results", str(results), "--out", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr().out == (
+            "questions            5\n"
+            "ANLS                 0.6333\n"
+            "page accuracy (%)    80.00\n"
+            "quadrants (count / %):\n"
+            "  page ok, answer exact           2 / 40.00\n"
+            "  page ok, answer partial         2 / 40.00\n"
+            "  page bad, answer exact          0 / 0.00\n"
+            "  page bad, answer partial        1 / 20.00\n"
+            "page histogram (pages: documents):\n"
+            "     3: 2\n"
+            "    12: 1\n"
+        )
+        assert (tmp_path / "rep" / "report.json").read_text() == (
+            '{\n  "anls": 0.6333333333333333,\n  "n_questions": 5,\n  "page_accuracy_pct": 80.0,\n'
+            '  "page_histogram": {\n    "12": 1,\n    "3": 2\n  },\n'
+            '  "quadrants": {\n    "counts": [\n      2,\n      2,\n      0,\n      1\n    ],\n'
+            '    "order": [\n      "page_ok_exact",\n      "page_ok_partial",\n      "page_bad_exact",\n'
+            '      "page_bad_partial"\n    ],\n'
+            '    "percentages": [\n      40.0,\n      40.0,\n      0.0,\n      20.0\n    ]\n  }\n}\n'
+        )
+
     def test_sweep_grid_table(self, corpus, stage1, tmp_path):
         ckpt, _ = stage1
         out = tmp_path / "sweep"
@@ -398,8 +432,21 @@ class TestExitCodes:
             '{"doc_id": ["d"], "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": 1.0}',
             '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0}',
             '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": "high"}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": NaN}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": Infinity}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": 5.0}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": -0.5}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0, "anls": true}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": true, "gold_page": 0, "anls": 1.0}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": -2, "anls": 1.0}',
+            '{"doc_id": "d", "doc_pages": 2, "pred_page": 2, "gold_page": 0, "anls": 1.0}',
+            '{"doc_id": "e", "doc_pages": -4, "pred_page": 0, "gold_page": 0, "anls": 1.0}',
+            '{"doc_id": "e", "doc_pages": 0, "pred_page": 0, "gold_page": 0, "anls": 1.0}',
+            '{"doc_id": "d", "doc_pages": 3, "pred_page": 0, "gold_page": 0, "anls": 1.0}',
         ],
-        ids=["not-json", "not-an-object", "unhashable-doc-id", "missing-anls", "anls-not-a-number"],
+        ids=["not-json", "not-an-object", "unhashable-doc-id", "missing-anls", "anls-not-a-number", "anls-nan",
+             "anls-infinite", "anls-above-one", "anls-below-zero", "anls-bool", "page-bool", "page-negative",
+             "page-past-the-last", "doc-pages-negative", "doc-pages-zero", "doc-pages-changed"],
     )
     def test_malformed_results_line_is_runtime_error_naming_it(self, tmp_path, capsys, bad_line):
         good = '{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 1, "anls": 0.5}'

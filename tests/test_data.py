@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from pixqa.data import (
     write_pgm,
 )
 from pixqa.errors import AnnotationParseError, ConfigError, DataError, PixqaError
-from pixqa.evaluate import page_histogram
 from pixqa.font import builtin_font
 from pixqa.model import ModelConfig, VqaModel
 from pixqa.render import RasterImage, render_text
@@ -208,6 +208,17 @@ class TestLoader:
         with pytest.raises(DataError, match="page image not found"):
             load_mpdocvqa(ann, images)
 
+    @pytest.mark.parametrize("outside", ["../outside", "abs"])
+    def test_page_id_that_is_not_a_file_name_rejected(self, tmp_path, outside):
+        ann, images = self._write_fixture(tmp_path)
+        write_pgm(RasterImage(np.full((8, 8), 255, dtype=np.uint8)), tmp_path / "outside.pgm")
+        payload = json.loads(ann.read_text())
+        for rec in payload["data"]:
+            rec["page_ids"][0] = str(tmp_path / "outside") if outside == "abs" else outside
+        ann.write_text(json.dumps(payload))
+        with pytest.raises(AnnotationParseError, match="record 0.*not a file name"):
+            load_mpdocvqa(ann, images)
+
     def test_missing_annotations_file(self, tmp_path):
         with pytest.raises(DataError):
             load_mpdocvqa(tmp_path / "nope.json", tmp_path)
@@ -216,7 +227,7 @@ class TestLoader:
         cfg = SynthConfig(n_documents=1, pages_per_doc=(793, 793), questions_per_doc=1, seed=1)
         ds = gen_synthetic(cfg, tmp_path)
         loaded = load_mpdocvqa(tmp_path / "annotations.json", tmp_path / "images")
-        assert page_histogram(loaded) == {793: 1}
+        assert [doc.n_pages for doc in loaded.documents.values()] == [793]
         assert loaded.documents[ds.questions[0].doc_id].n_pages == 793
 
 
@@ -277,14 +288,12 @@ class TestGenerator:
     def test_histogram_matches_disk(self, tmp_path):
         cfg = SynthConfig(n_documents=12, pages_per_doc=(4, 8), seed=7)
         ds = gen_synthetic(cfg, tmp_path)
-        hist = page_histogram(ds)
+        hist = Counter(doc.n_pages for doc in ds.documents.values())
         # independent route: count page files on disk per document
-        from collections import Counter
-
         disk = Counter()
         for doc_id in ds.documents:
             disk[len(list((tmp_path / "images").glob(f"{doc_id}_p*.pgm")))] += 1
-        assert hist == dict(disk)
+        assert hist == disk
         assert sum(hist.values()) == 12
         assert all(4 <= pages <= 8 for pages in hist)
 

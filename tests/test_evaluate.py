@@ -20,9 +20,8 @@ from pixqa.evaluate import (
     levenshtein,
     page_accuracy,
     page_features,
-    page_histogram,
-    quadrant_report,
     report_from_records,
+    report_table,
     retrieve,
 )
 from pixqa.layers import ATTENTION_TILE
@@ -444,55 +443,47 @@ class TestPageAccuracy:
             page_accuracy([1], [1, 2])
 
 
+def quadrants_of(per_question: list[tuple[bool, float]]) -> dict:
+    """The quadrants of one-document records with the given (page correct?, ANLS) pairs."""
+    records = [{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0 if page_ok else 1, "anls": score}
+               for page_ok, score in per_question]
+    return report_from_records(records)["quadrants"]
+
+
 class TestQuadrants:
     def test_reference_distribution(self):
         # 2488 / 1727 / 172 / 800 over 5187 questions -> 47.97 / 33.29 / 3.32 / 15.42
         per_question = (
             [(True, 1.0)] * 2488 + [(True, 0.4)] * 1727 + [(False, 1.0)] * 172 + [(False, 0.0)] * 800
         )
-        q = quadrant_report(per_question)
-        assert q.counts == (2488, 1727, 172, 800)
-        assert q.percentages == (47.97, 33.29, 3.32, 15.42)
-        assert q.total == 5187
+        q = quadrants_of(per_question)
+        assert q["counts"] == [2488, 1727, 172, 800]
+        assert q["percentages"] == [47.97, 33.29, 3.32, 15.42]
+        assert sum(q["counts"]) == 5187
+        assert q["order"] == ["page_ok_exact", "page_ok_partial", "page_bad_exact", "page_bad_partial"]
 
     def test_single_cell_holds_everything(self):
-        q = quadrant_report([(True, 1.0)] * 10)
-        assert q.counts == (10, 0, 0, 0)
-        assert q.percentages[0] == 100.0
+        q = quadrants_of([(True, 1.0)] * 10)
+        assert q["counts"] == [10, 0, 0, 0]
+        assert q["percentages"][0] == 100.0
 
     def test_one_partial_miss(self):
-        q = quadrant_report([(False, 0.3)])
-        assert q.counts == (0, 0, 0, 1)
+        q = quadrants_of([(False, 0.3)])
+        assert q["counts"] == [0, 0, 0, 1]
 
     def test_counts_sum_and_percentages_sum(self):
         rng = np.random.default_rng(11)
         flags = [(bool(rng.integers(2)), float(rng.choice([1.0, 0.6, 0.0]))) for _ in range(333)]
-        q = quadrant_report(flags)
-        assert q.total == 333
-        assert abs(sum(q.percentages) - 100.0) <= 0.02
+        q = quadrants_of(flags)
+        assert sum(q["counts"]) == 333
+        assert abs(sum(q["percentages"]) - 100.0) <= 0.02
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            quadrant_report([])
+            report_from_records([])
 
 
 class TestHistogramAndRecords:
-    def test_histogram_counts(self):
-        from pixqa.data import Dataset, Document, PageRef
-        from pathlib import Path
-
-        def doc(doc_id, n):
-            refs = tuple(PageRef(f"{doc_id}_p{k}", Path(f"/nonexistent/{doc_id}_{k}.pgm")) for k in range(n))
-            return Document(doc_id=doc_id, pages=refs)
-
-        ds = Dataset(split="x", questions=[], documents={"a": doc("a", 1), "b": doc("b", 1), "c": doc("c", 5)})
-        assert page_histogram(ds) == {1: 2, 5: 1}
-
-    def test_empty_histogram(self):
-        from pixqa.data import Dataset
-
-        assert page_histogram(Dataset(split="x", questions=[], documents={})) == {}
-
     def test_report_from_records_roundtrip(self):
         records = [
             {"question_id": 0, "doc_id": "a", "pred_page": 1, "gold_page": 1, "pred_answer": "x", "anls": 1.0, "doc_pages": 3},
@@ -500,9 +491,9 @@ class TestHistogramAndRecords:
             {"question_id": 2, "doc_id": "b", "pred_page": 0, "gold_page": 0, "pred_answer": "z", "anls": 0.6, "doc_pages": 1},
         ]
         report = report_from_records(records)
-        assert report.n_questions == 3
-        assert report.anls == pytest.approx((1.0 + 0.0 + 0.6) / 3)
-        assert report.page_accuracy_pct == pytest.approx(200 / 3)
-        assert report.quadrants.counts == (1, 1, 0, 1)
-        assert report.page_histogram == {3: 1, 1: 1}
-        assert "page accuracy" in report.table()
+        assert report["n_questions"] == 3
+        assert report["anls"] == pytest.approx((1.0 + 0.0 + 0.6) / 3)
+        assert report["page_accuracy_pct"] == pytest.approx(200 / 3)
+        assert report["quadrants"]["counts"] == [1, 1, 0, 1]
+        assert list(report["page_histogram"].items()) == [("1", 1), ("3", 1)]
+        assert "page accuracy" in report_table(report)
