@@ -10,9 +10,9 @@ from .evaluate import (
     page_features,
     retrieve,
 )
-from .model import EncoderFeature, ModelConfig, VqaModel
+from .model import ModelConfig, VqaModel
 from .render import PatchGrid, RasterImage, concat_question_page, patchify, render_text, resize_to_patch_budget
-from .scorer import ScorerConfig, SelfAttentionScorer, aggregate
+from .scorer import ScorerConfig, SelfAttentionScorer
 from .training import TrainConfig, mse_smoothed_loss, sample_negative, train_stage1, train_stage2
 
 __version__ = "0.1.0"

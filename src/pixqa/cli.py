@@ -119,6 +119,8 @@ def _load_config_file(args: argparse.Namespace) -> dict:
         return {}
     try:
         payload = json.loads(_require_path(Path(cfg_path), "config file").read_text())
+    except OSError as exc:  # a directory, or a file without read permission
+        raise UsageError(f"cannot read config file {cfg_path}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise UsageError(f"config file {cfg_path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -540,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except PixqaError as exc:
+    except (PixqaError, OSError, MemoryError) as exc:  # OSError: an --out that is a file; MemoryError: sizes too large
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -277,8 +277,10 @@ class SynthConfig:
             raise ConfigError(f"pages_per_doc range {self.pages_per_doc} invalid")
         if min(self.n_documents, self.facts_per_page, self.questions_per_doc, self.key_len, self.value_len) < 1:
             raise ConfigError("all corpus counts must be >= 1")
-        key_space = len(set(self.key_alphabet)) ** self.key_len
-        if key_space < 2 * self.questions_per_doc + 2:
+        # The exponent is capped where any alphabet of 2+ keys already passes, so a huge key_len costs nothing.
+        needed = 2 * self.questions_per_doc + 2
+        key_space = len(set(self.key_alphabet)) ** min(self.key_len, needed.bit_length())
+        if key_space < needed:
             raise ConfigError(
                 f"key alphabet too small: {key_space} possible keys cannot guarantee "
                 f"{self.questions_per_doc} unique keys per document plus distractors"

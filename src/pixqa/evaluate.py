@@ -32,10 +32,11 @@ from typing import TypeVar
 import numpy as np
 
 from . import autograd as ag
+from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import NumericError
 from .layers import ATTENTION_TILE
-from .model import EncoderFeature, VqaModel
+from .model import VqaModel
 from .render import PatchGrid, fuse_question_page, stack_grids
 from .scorer import SelfAttentionScorer
 
@@ -140,12 +141,12 @@ def grid_stacks(
         yield hand_over(stack)
 
 
-def encode_stack(grids: list[PatchGrid], model: VqaModel) -> EncoderFeature:
+def encode_stack(grids: list[PatchGrid], model: VqaModel) -> Tensor:
     """One `encode_grid` call: one page's feature, or a stacked feature of pages that share a grid shape."""
     return model.encode_grid(grids[0] if len(grids) == 1 else stack_grids(grids))
 
 
-def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> EncoderFeature:
+def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> Tensor:
     """Load page `index` of `doc`, fuse the question on top of it and encode the result.
 
     Autograd follows the caller. Only `FrozenFeatureCache` and the tests
@@ -154,26 +155,29 @@ def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> En
     return model.encode_grid(fuse_page(question, doc, index, model))
 
 
-def page_features(question: str, doc: Document, model: VqaModel) -> Iterator[EncoderFeature]:
+def page_features(question: str, doc: Document, model: VqaModel) -> Iterator[Tensor]:
     """Each page of `doc` with `question` fused on top, encoded, in page order: `retrieve`'s feature stream.
 
     Pages are loaded and fused lazily and grouped into blocks by
     `grid_stacks` (a shared grid shape, within `BLOCK_ROWS` patch rows);
-    each block is one `encode_stack` call. A block's grids are freed before
-    its first feature is handed out, and no handed-out feature is kept, so
-    the consumer decides which features stay alive.
+    each block is one `encode_stack` call. A one-page block's feature is
+    yielded as it is; a stacked block's pages are yielded as views of its
+    array, with no graph. A block's grids are freed before its first
+    feature is handed out, and no handed-out feature is kept, so the
+    consumer decides which features stay alive.
     """
     pages = ((index, fuse_page(question, doc, index, model)) for index in range(doc.n_pages))
     for block in grid_stacks(pages, BLOCK_ROWS):
-        features = encode_stack([grid for _, grid in block], model).pages()
-        del block
+        feature = encode_stack([grid for _, grid in block], model)
+        features = [Tensor(page) for page in feature.data] if len(block) > 1 else [feature]
+        del block, feature
         while features:
             yield features.pop(0)
 
 
 def retrieve(
-    n_pages: int, features: Iterable[EncoderFeature], scorer: SelfAttentionScorer
-) -> tuple[int, EncoderFeature, list[float]]:
+    n_pages: int, features: Iterable[Tensor], scorer: SelfAttentionScorer
+) -> tuple[int, Tensor, list[float]]:
     """Score the `n_pages` features of `features`, in page order; keep the top-1.
 
     Returns the best page index, its feature and every page's score. Only the

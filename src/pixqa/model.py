@@ -107,36 +107,6 @@ class ModelConfig:
         Vocab(self.vocab_chars)  # validates uniqueness
 
 
-@dataclass
-class EncoderFeature:
-    """Contextual per-patch vectors shared by the decoder and the scorer.
-
-    One page's feature is a (length, d_model) matrix. Encoding a stack of
-    pages gives one (pages, length, d_model) feature, which ``pages``
-    splits into the per-page features the scorer and decoder take.
-    """
-
-    vectors: Tensor
-
-    @property
-    def length(self) -> int:
-        return self.vectors.shape[-2]
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.vectors.data
-
-    def __post_init__(self):
-        if self.vectors.data.ndim not in (2, 3) or self.length < 1:
-            raise ValueError("encoder feature must be a non-empty (length, d_model) matrix or a stack of them")
-
-    def pages(self) -> list[EncoderFeature]:
-        """One feature per page: ``[self]`` for one page's feature; for a stack, views of its array, with no graph."""
-        if self.array.ndim == 2:
-            return [self]
-        return [EncoderFeature(Tensor(page)) for page in self.array]
-
-
 def _causal_mask(n: int, past: int) -> np.ndarray | None:
     """Additive mask for ``n`` query rows at positions ``past``.. over keys 0..past+n-1.
 
@@ -212,12 +182,14 @@ class VqaModel:
         projected = linear(Tensor(grid.patches - 1.0), p["embed.proj_w"], p["embed.proj_b"])
         return projected + ag.take_rows(p["embed.row_emb"], rows) + ag.take_rows(p["embed.col_emb"], cols)
 
-    def encode(self, embeddings: Tensor) -> EncoderFeature:
+    def encode(self, embeddings: Tensor) -> Tensor:
         """Encode (length, d_model) embeddings, or a (pages, length, d_model) stack of pages.
 
-        Each page of a stack is computed as it would be alone, so its
-        feature is bit-identical; a stack's pages must fit in one attention
-        tile.
+        The feature is the final layer norm's output, shaped like the
+        embeddings: one page's (length, d_model) matrix, or a stack's
+        (pages, length, d_model). Each page of a stack is computed as it
+        would be alone, so its feature is bit-identical; a stack's pages
+        must fit in one attention tile.
         """
         if embeddings.shape[-2] < 1:
             raise ValueError("cannot encode an empty embedding sequence")
@@ -230,18 +202,18 @@ class VqaModel:
             x = x + ffn(b, p, f"enc.{i}.ffn")
             if not np.isfinite(x.data).all():
                 raise NumericError(f"encoder layer {i} produced non-finite values")
-        return EncoderFeature(apply_layer_norm(x, p, "enc.final_ln"))
+        return apply_layer_norm(x, p, "enc.final_ln")
 
-    def encode_grid(self, grid: PatchGrid) -> EncoderFeature:
-        """Encode one page's grid, or a stacked grid's pages at once (``EncoderFeature.pages`` splits them)."""
+    def encode_grid(self, grid: PatchGrid) -> Tensor:
+        """Encode one page's grid, or a stacked grid's pages at once."""
         return self.encode(self.embed_patches(grid))
 
     # ----- decoder -----
 
-    def decoder_cache(self, feature: EncoderFeature) -> DecoderCache:
+    def decoder_cache(self, feature: Tensor) -> DecoderCache:
         """An empty cache for decoding from ``feature``: its cross-attention K/V projected once, in every layer."""
         cfg, p = self.cfg, self.params
-        cross = [project_kv(feature.vectors, p, f"dec.{i}.cross_attn", cfg.n_heads) for i in range(cfg.n_dec_layers)]
+        cross = [project_kv(feature, p, f"dec.{i}.cross_attn", cfg.n_heads) for i in range(cfg.n_dec_layers)]
         return DecoderCache(cross, [None] * cfg.n_dec_layers)
 
     def _decode_logits(self, tokens_in: np.ndarray, cache: DecoderCache) -> Tensor:
@@ -274,7 +246,7 @@ class VqaModel:
         x = apply_layer_norm(x, p, "dec.final_ln")
         return linear(x, p["dec.out_w"], p["dec.out_b"])
 
-    def vqa_loss(self, feature: EncoderFeature, answers: str | Sequence[str]) -> Tensor:
+    def vqa_loss(self, feature: Tensor, answers: str | Sequence[str]) -> Tensor:
         """Token-level cross-entropy of teacher-forced decoding, averaged over each answer's tokens.
 
         One page's (length, d_model) feature takes one answer and gives a
@@ -287,8 +259,8 @@ class VqaModel:
         and gradients of its one-page call, bit for bit; with mixed lengths
         the padding changes sums' rounding only (within 1e-12).
         """
-        stacked = feature.vectors.data.ndim == 3
-        if isinstance(answers, str) == stacked or (stacked and len(answers) != feature.vectors.shape[0]):
+        stacked = feature.data.ndim == 3
+        if isinstance(answers, str) == stacked or (stacked and len(answers) != feature.shape[0]):
             raise ValueError("one page takes one answer string, a stack of pages a list of one answer per page")
         texts = list(answers) if stacked else [answers]
         for text in texts:
@@ -308,11 +280,11 @@ class VqaModel:
         picked = ag.sum_axis(ag.mul(log_probs, onehot.astype(np.float64)), axis=-1)
         return -ag.mul(ag.sum_axis(picked, axis=-1), 1.0 / lengths)
 
-    def generate_answer(self, feature: EncoderFeature, max_answer_len: int | None = None) -> str:
+    def generate_answer(self, feature: Tensor, max_answer_len: int | None = None) -> str:
         """Greedy decoding from BOS until EOS or the length cap: the one-page case of ``generate_answers``."""
         return self.generate_answers(feature, max_answer_len)[0]
 
-    def generate_answers(self, feature: EncoderFeature, max_answer_len: int | None = None) -> list[str]:
+    def generate_answers(self, feature: Tensor, max_answer_len: int | None = None) -> list[str]:
         """Greedy decoding of one page's answer, or of one answer per page of a stacked feature.
 
         Each answer runs from BOS until its own EOS or the length cap, one
@@ -326,7 +298,7 @@ class VqaModel:
         pass for an empty answer.
         """
         limit = self.cfg.max_answer_len if max_answer_len is None else min(max_answer_len, self.cfg.max_answer_len)
-        lead = feature.vectors.shape[:-2]  # () for one page, (pages,) for a stack
+        lead = feature.shape[:-2]  # () for one page, (pages,) for a stack
         n_pages = lead[0] if lead else 1
         ids: list[list[int]] = [[] for _ in range(n_pages)]
         running = np.ones(n_pages, dtype=bool)

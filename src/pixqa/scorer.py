@@ -1,17 +1,20 @@
 """Self-attention scoring head: encoder feature -> page relevance in [0, 1].
 
-The head runs one or more bare self-attention layers over the frozen
-encoder feature (no positional encoding of its own), pools the output
-sequence to a single vector, and squashes it through a small MLP ending in
-a logistic unit. Three pooling strategies are supported; taking the first
-output vector is the default.
+The head takes a page's feature as the encoder returns it, a (length,
+d_model) ``Tensor``, runs one or more bare self-attention layers over it
+(no positional encoding of its own), pools the output sequence to a single
+vector, and squashes it through a small MLP ending in a logistic unit.
+Three pooling strategies are supported; taking the first output vector is
+the default.
 
-With ``first`` or ``cls`` pooling the last self-attention layer attends
-from the pooled row only: row 0 is its single query and the whole sequence
-its keys and values. Each attention output row depends only on its own
+With ``first`` or ``cls`` pooling (``cls`` prepends a learned token) the
+last self-attention layer attends from row 0 only: row 0 is its single
+query and the whole sequence its keys and values, and its one output row
+is the pooled vector. Each attention output row depends only on its own
 query row, so the score and every gradient are those of full attention
-followed by pooling, at O(length) cost instead of O(length^2) per head.
-Earlier layers, and the last layer under ``avgpool``, attend from every row.
+followed by taking row 0, at O(length) cost instead of O(length^2) per
+head. ``avgpool`` averages the last layer's output rows; earlier layers,
+and the last layer under ``avgpool``, attend from every row.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError
 from .layers import ParamEntry, attention_table, glorot, init_params, linear, multi_head_attention, normal, zeros
-from .model import EncoderFeature
 
 AGGREGATIONS = ("first", "cls", "avgpool")
 FIRST_ROW = np.array([0])
@@ -49,19 +51,6 @@ class ScorerConfig:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
 
 
-def aggregate(outputs: Tensor, strategy: str) -> Tensor:
-    """Pool a (length, d) sequence to a (1, d) vector.
-
-    "first" and "cls" both select position 0 (for "cls" the learned token
-    was prepended before attention ran); "avgpool" averages all positions.
-    """
-    if strategy in ("first", "cls"):
-        return ag.take_rows(outputs, FIRST_ROW)
-    if strategy == "avgpool":
-        return ag.mean_axis(outputs, axis=0, keepdims=True)
-    raise ConfigError(f"unknown aggregation {strategy!r}")
-
-
 class SelfAttentionScorer:
     """Relevance head over frozen encoder features."""
 
@@ -83,16 +72,15 @@ class SelfAttentionScorer:
             yield from [(f"head.w{j}", (fan_in, width), glorot), (f"head.b{j}", (width,), zeros)]
             fan_in = width
 
-    def attention_inputs(self, feature: EncoderFeature) -> Tensor:
+    def attention_inputs(self, feature: Tensor) -> Tensor:
         """The sequence the scorer's self-attention actually sees."""
-        x = feature.vectors
         if self.cfg.aggregation == "cls":
-            x = ag.concat_rows([self.params["cls"], x])
-        return x
+            return ag.concat_rows([self.params["cls"], feature])
+        return feature
 
     def score(
         self,
-        feature: EncoderFeature,
+        feature: Tensor,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
@@ -103,9 +91,9 @@ class SelfAttentionScorer:
         for i in range(cfg.n_sa_layers):
             queries = x
             if i == last and cfg.aggregation in ("first", "cls"):
-                queries = ag.take_rows(x, FIRST_ROW)  # the only output row pooling reads
+                queries = ag.take_rows(x, FIRST_ROW)  # row 0's output is the pooled vector
             x = multi_head_attention(queries, x, p, f"sa.{i}", cfg.n_heads)
-        pooled = aggregate(x, cfg.aggregation)
+        pooled = ag.mean_axis(x, axis=0, keepdims=True) if cfg.aggregation == "avgpool" else x
         if training and cfg.dropout_p > 0.0:
             if rng is None:
                 raise ValueError("training-mode scoring needs an rng for dropout")
@@ -116,7 +104,7 @@ class SelfAttentionScorer:
         out = ag.sigmoid(linear(h, p["head.w3"], p["head.b3"]))
         return ag.reshape(out, ())
 
-    def score_value(self, feature: EncoderFeature) -> float:
+    def score_value(self, feature: Tensor) -> float:
         """Evaluation-mode score as a plain float."""
         with ag.no_grad():
             return float(self.score(feature).data)

@@ -37,7 +37,7 @@ from .data import Dataset, Document
 from .errors import ConfigError, DataError
 from .evaluate import BLOCK_ROWS, anls_single, encode_page, encode_stack, fuse_page, grid_stacks, retrieve
 from .layers import ATTENTION_TILE
-from .model import EncoderFeature, VqaModel
+from .model import VqaModel
 from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
 from .scorer import SelfAttentionScorer
 
@@ -46,6 +46,7 @@ LogFn = Callable[[str], None]
 # 39 patches. Larger stacks run faster still but hold more of the graph at once.
 STACK_ROWS = 160
 OPTIMIZERS = ("sgd", "adam")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,10 @@ class Adam:
     textbook formulas, so the result is bit-identical to them.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
@@ -141,16 +133,16 @@ class Adam:
             g = p.grad
             g /= accumulated
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            g_scaled = (1 - self.beta2) * g
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            g_scaled = (1 - ADAM_BETA2) * g
             g_scaled *= g
             v += g_scaled
-            update = m / (1 - self.beta1**self.t)  # lr * m_hat / (sqrt(v_hat) + eps)
+            update = m / (1 - ADAM_BETA1**self.t)  # lr * m_hat / (sqrt(v_hat) + eps)
             update *= self.lr
-            denom = np.sqrt(v / (1 - self.beta2**self.t), out=g_scaled)
-            denom += self.eps
+            denom = np.sqrt(v / (1 - ADAM_BETA2**self.t), out=g_scaled)
+            denom += ADAM_EPS
             update /= denom
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
@@ -238,9 +230,9 @@ class FrozenFeatureCache:
 
     def __init__(self, model: VqaModel):
         self.model = model
-        self._store: dict[tuple, EncoderFeature] = {}
+        self._store: dict[tuple, Tensor] = {}
 
-    def get(self, sample, doc: Document, page_idx: int) -> EncoderFeature:
+    def get(self, sample, doc: Document, page_idx: int) -> Tensor:
         key = (sample.question_id, doc.doc_id, page_idx)
         feature = self._store.get(key)
         if feature is None:

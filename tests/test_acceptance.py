@@ -28,7 +28,7 @@ from pixqa.checkpoint import load_checkpoint, save_checkpoint
 from pixqa.cli import main as cli
 from pixqa.data import SynthConfig, gen_synthetic, load_mpdocvqa, split
 from pixqa.evaluate import anls_single, encode_page, levenshtein, retrieve
-from pixqa.model import EncoderFeature, ModelConfig, VqaModel, parameter_gradients
+from pixqa.model import ModelConfig, VqaModel, parameter_gradients
 from pixqa.render import PatchGrid, blank_image, patchify, resize_to_patch_budget
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 from pixqa.training import mse_smoothed_loss, validation_anls
@@ -237,7 +237,7 @@ def test_gradient_suite():
         model.params, lambda: model.vqa_loss(model.encode(model.embed_patches(grid)), "abca")
     )
 
-    feature = EncoderFeature(Tensor(rng.normal(0.0, 1.0, (6, 8))))
+    feature = Tensor(rng.normal(0.0, 1.0, (6, 8)))
     scorer = SelfAttentionScorer(
         ScorerConfig(n_sa_layers=1, n_heads=2, aggregation="first", dropout_p=0.0), d_model=8, seed=11
     )
@@ -265,7 +265,7 @@ def test_scorer_invariants():
     for _ in range(1000):
         length = int(rng.integers(1, 20))
         scale = float(rng.choice([0.01, 0.3, 1.0, 10.0, 1000.0]))
-        f = EncoderFeature(Tensor(rng.normal(0.0, scale, (length, 32))))
+        f = Tensor(rng.normal(0.0, scale, (length, 32)))
         v = scorer.score_value(f)
         assert 0.0 <= v <= 1.0
 
@@ -273,14 +273,14 @@ def test_scorer_invariants():
     by_agg = {}
     for agg in ("first", "cls", "avgpool"):
         s = SelfAttentionScorer(ScorerConfig(aggregation=agg, dropout_p=0.1), d_model=32, seed=5)
-        base = s.score_value(EncoderFeature(Tensor(arr)))
+        base = s.score_value(Tensor(arr))
         for _ in range(25):
             if agg == "first":
                 perm = np.concatenate([[0], 1 + rng.permutation(10)])
             else:
                 perm = rng.permutation(11)
-            assert abs(s.score_value(EncoderFeature(Tensor(arr[perm]))) - base) <= 1e-9
-        repeats = {s.score_value(EncoderFeature(Tensor(arr))) for _ in range(20)}
+            assert abs(s.score_value(Tensor(arr[perm])) - base) <= 1e-9
+        repeats = {s.score_value(Tensor(arr)) for _ in range(20)}
         assert len(repeats) == 1, "evaluation-mode variance must be exactly zero"
         by_agg[agg] = base
     _ok("scorer-invariants", f"1000 fuzzed scores in [0,1]; permutation + determinism hold; {by_agg}")

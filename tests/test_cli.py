@@ -6,6 +6,7 @@ import shutil
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,26 @@ class TestExitCodes:
         cfg_file.write_text('{"docs": 1,')
         assert main(gen_args(tmp_path / "c") + ["--config", str(cfg_file)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+        assert main(gen_args(tmp_path / "c") + ["--config", str(tmp_path)]) == 2  # a directory
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--out", "{file}"],
+        ["train-vqa", "--data", "{corpus}", "--out", "{file}"] + MODEL_FLAGS,
+        # 10**13 patch positions need petabytes, beyond any 48-bit address space, so no setting lets them allocate.
+        ["train-vqa", "--data", "{corpus}", "--out", "{dir}"] + MODEL_FLAGS + ["--max-patches", "10000000000000"],
+    ])
+    def test_unwritable_out_or_unallocatable_size_is_runtime_error(self, corpus, tmp_path, capsys, command):
+        a_file = tmp_path / "afile"
+        a_file.write_text("")
+        argv = [arg.format(file=a_file, corpus=corpus, dir=tmp_path / "o") for arg in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_key_len_is_rejected_at_once(self, tmp_path):
+        started = time.perf_counter()
+        assert main(["gen", "--out", str(tmp_path / "c"), "--key-len", "10000000"]) == 1
+        assert time.perf_counter() - started < 2.0
 
     def test_unknown_config_keys_are_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

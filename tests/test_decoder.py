@@ -20,7 +20,7 @@ from pixqa import model as model_module
 from pixqa.autograd import Tensor
 from pixqa.errors import NumericError
 from pixqa.layers import ATTENTION_TILE, apply_layer_norm, ffn, linear, multi_head_attention
-from pixqa.model import BOS, EOS, NEG_MASK, EncoderFeature, ModelConfig, VqaModel
+from pixqa.model import BOS, EOS, NEG_MASK, ModelConfig, VqaModel
 
 CFG = ModelConfig(d_model=16, n_heads=4, n_enc_layers=1, n_dec_layers=2, d_ff=32, patch_size=4,
                   max_patches=8, vocab_chars="abcdefgh", max_answer_len=72, seed=3)
@@ -52,7 +52,7 @@ def reference_logits(model, feature, tokens_in):
         a = apply_layer_norm(x, p, f"dec.{i}.ln1")
         x = x + reference_attention(a, a, p, f"dec.{i}.self_attn", cfg.n_heads, mask=mask)
         b = apply_layer_norm(x, p, f"dec.{i}.ln2")
-        x = x + reference_attention(b, feature.vectors, p, f"dec.{i}.cross_attn", cfg.n_heads)
+        x = x + reference_attention(b, feature, p, f"dec.{i}.cross_attn", cfg.n_heads)
         c = apply_layer_norm(x, p, f"dec.{i}.ln3")
         x = x + ffn(c, p, f"dec.{i}.ffn")
     x = apply_layer_norm(x, p, "dec.final_ln")
@@ -68,16 +68,15 @@ def reference_loss(model, feature, answer):
 
 
 def random_feature(length, seed=0, requires_grad=False):
-    return EncoderFeature(Tensor(np.random.default_rng(seed).normal(0.0, 1.0, (length, CFG.d_model)),
-                                 requires_grad=requires_grad))
+    return Tensor(np.random.default_rng(seed).normal(0.0, 1.0, (length, CFG.d_model)), requires_grad=requires_grad)
 
 
 def loss_and_grads(loss_fn, model, feature, answer):
-    for t in (feature.vectors, *model.params.values()):
+    for t in (feature, *model.params.values()):
         t.zero_grad()
     loss = loss_fn(model, feature, answer)
     loss.backward()
-    return loss.data, {"feature": feature.vectors.grad.copy(),
+    return loss.data, {"feature": feature.grad.copy(),
                        **{name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                           for name, t in model.params.items()}}
 

@@ -25,7 +25,7 @@ from pixqa.evaluate import (
     retrieve,
 )
 from pixqa.layers import ATTENTION_TILE
-from pixqa.model import EncoderFeature, ModelConfig, VqaModel
+from pixqa.model import ModelConfig, VqaModel
 from pixqa.render import PatchGrid, RasterImage
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
@@ -136,12 +136,12 @@ class StubScorer:
 
     def score_value(self, feature):
         self.calls += 1
-        return float(feature.array[0, 0])
+        return float(feature.data[0, 0])
 
 
 def retrieve_stub(scores):
     """retrieve() over one-entry features that hold the given scores."""
-    features = [EncoderFeature(Tensor(np.array([[s]]))) for s in scores]
+    features = [Tensor(np.array([[s]])) for s in scores]
     scorer = StubScorer()
     best, feature, seen = retrieve(len(scores), features, scorer)
     assert feature is features[best]
@@ -183,7 +183,7 @@ class TestTop1:
         [(3, 2, "ended after 2 of 3"), (3, 4, "more than 3"), (1, 0, "ended after 0 of 1"), (1, 2, "more than 1")],
     )
     def test_stream_of_the_wrong_length_raises(self, n_pages, n_features, message):
-        features = (EncoderFeature(Tensor(np.array([[0.5]]))) for _ in range(n_features))
+        features = (Tensor(np.array([[0.5]])) for _ in range(n_features))
         with pytest.raises(ValueError, match=message):
             retrieve(n_pages, features, StubScorer())
 
@@ -226,8 +226,8 @@ class TestAnswerQuestion:
         question, doc, model, scorer = pipeline
         _, feature, _ = retrieve(doc.n_pages,
                                  (encode_page(question, doc, i, model) for i in range(doc.n_pages)), scorer)
-        assert not feature.vectors.requires_grad
-        assert feature.vectors._parents == ()
+        assert not feature.requires_grad
+        assert feature._parents == ()
 
     def test_nan_scorer_raises(self, pipeline):
         question, doc, model, _ = pipeline
@@ -279,8 +279,8 @@ class TestBlockEncoding:
             pages = record_encoded_pages(monkeypatch)
             stacked = list(page_features(QUESTION, doc, model))
         for a, b in zip(alone, stacked, strict=True):
-            assert a.array.shape == b.array.shape
-            assert np.array_equal(a.array, b.array)
+            assert a.shape == b.shape
+            assert np.array_equal(a.data, b.data)
         return pages
 
     @pytest.mark.parametrize("n_pages", [1, 2, 3, 13])
@@ -293,6 +293,21 @@ class TestBlockEncoding:
         assert self.encode_in_blocks(doc, model, monkeypatch) == [n_pages]  # 26 patches a page: one block
         block_best, _, block_scores = retrieve(n_pages, page_features(QUESTION, doc, model), self.scorer)
         assert (block_best, block_scores) == (best, scores)
+
+    def test_stacked_block_yields_views_of_its_buffer_without_graph(self, tmp_path, monkeypatch):
+        """With autograd on, a stacked block's pages come out as views of the block's array, with no graph."""
+        doc = write_document(tmp_path, [ink_page(i) for i in range(3)])
+        blocks, encode_grid = [], VqaModel.encode_grid
+
+        def encode(self, grid):
+            blocks.append(encode_grid(self, grid))
+            return blocks[-1]
+
+        monkeypatch.setattr(VqaModel, "encode_grid", encode)
+        features = list(page_features(QUESTION, doc, VqaModel(TINY_MODEL)))
+        assert len(blocks) == 1 and blocks[0].shape[0] == 3 and blocks[0].requires_grad
+        assert all(f.data.base is blocks[0].data for f in features)
+        assert all(not f.requires_grad and f._parents == () for f in features)
 
     def test_grid_shape_change_splits_the_block(self, tmp_path, monkeypatch):
         heights = [16, 16, 16, 32, 16, 16]
@@ -326,7 +341,7 @@ class TestBlockEncoding:
         with no_grad():
             for feature in page_features(QUESTION, doc, model):
                 assert [ref() for ref in grids] == [None] * len(grids)
-                dropped.append(weakref.ref(feature))
+                dropped.append(weakref.ref(feature.data))  # a Tensor takes no weak reference
                 del feature
         assert len(grids) == 4 and freed_at_encode == [[], [True], [True, True], [True, True, True]]
 
@@ -338,7 +353,7 @@ class TestBlockEncoding:
                 self.refs = []
 
             def score_value(self, feature):
-                self.refs.append(weakref.ref(feature))
+                self.refs.append(weakref.ref(feature.data))
                 return -float(len(self.refs))
 
         doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(4)])
@@ -352,7 +367,7 @@ class TestBlockEncoding:
 
         monkeypatch.setattr(VqaModel, "encode_grid", encode)
         best, feature, _ = retrieve(doc.n_pages, page_features(QUESTION, doc, model), scorer)
-        assert best == 0 and scorer.refs[0]() is feature
+        assert best == 0 and scorer.refs[0]() is feature.data
         assert freed_at_encode == [[], [False], [False, True], [False, True, True]]
 
     def test_ties_go_to_the_lowest_index(self, tmp_path):
@@ -375,7 +390,7 @@ class TestBlockEncoding:
         doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(3)])
         model = VqaModel(replace(TINY_MODEL, max_patches=256))
         with no_grad():
-            assert encode_page(QUESTION, doc, 0, model).length == 104 > ATTENTION_TILE
+            assert encode_page(QUESTION, doc, 0, model).shape[-2] == 104 > ATTENTION_TILE
         assert self.encode_in_blocks(doc, model, monkeypatch) == [1, 1, 1]
 
     def test_desk_size_block_peak_memory(self, tmp_path, monkeypatch):
@@ -395,7 +410,7 @@ class TestBlockEncoding:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert feature.length == 39 and pages == [BLOCK_ROWS // 39] == [13]
+        assert feature.shape[-2] == 39 and pages == [BLOCK_ROWS // 39] == [13]
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 

@@ -155,7 +155,7 @@ class TestHeadGroups:
         for workers in (1, 2):
             force_workers(monkeypatch, workers)
             with ag.no_grad():
-                features.append(model.encode_grid(grid).array)
+                features.append(model.encode_grid(grid).data)
         assert np.array_equal(features[0], features[1])
 
 

@@ -7,7 +7,7 @@ import pytest
 from pixqa import autograd as ag
 from pixqa.autograd import Tensor, no_grad
 from pixqa.errors import BudgetError, ConfigError, NumericError
-from pixqa.model import BOS, EOS, PAD, EncoderFeature, ModelConfig, Vocab, VqaModel, parameter_gradients
+from pixqa.model import BOS, EOS, PAD, ModelConfig, Vocab, VqaModel, parameter_gradients
 from pixqa.render import PatchGrid, stack_grids
 
 TINY = ModelConfig(
@@ -125,14 +125,14 @@ class TestEncode:
         m = VqaModel(TINY)
         for n in (1, 4, 7):
             grid = tiny_grid(1, n)
-            assert m.encode(m.embed_patches(grid)).length == n
+            assert m.encode(m.embed_patches(grid)).shape[-2] == n
 
     def test_eval_bit_identical(self):
         m = VqaModel(TINY)
         grid = tiny_grid()
         with no_grad():
-            a = m.encode_grid(grid).array
-            b = m.encode_grid(grid).array
+            a = m.encode_grid(grid).data
+            b = m.encode_grid(grid).data
         assert (a == b).all()
 
     @pytest.mark.parametrize("grad", [True, False])
@@ -140,12 +140,10 @@ class TestEncode:
         m = VqaModel(TINY)
         grids = [tiny_grid(seed=s) for s in range(3)]
         with ag.no_grad() if not grad else contextlib.nullcontext():
-            alone = [m.encode_grid(g).array for g in grids]
+            alone = [m.encode_grid(g).data for g in grids]
             stacked = m.encode_grid(stack_grids(grids))
-        assert stacked.array.shape == (3, 6, TINY.d_model) and stacked.length == 6
-        pages = stacked.pages()
-        assert all(np.array_equal(f.array, a) for f, a in zip(pages, alone, strict=True))
-        assert all(f.array.base is not None and not f.vectors.requires_grad for f in pages)
+        assert stacked.shape == (3, 6, TINY.d_model)
+        assert all(np.array_equal(page, a) for page, a in zip(stacked.data, alone, strict=True))
 
     def test_seed_reproducibility(self):
         a, b = VqaModel(TINY), VqaModel(TINY)
@@ -159,7 +157,7 @@ class TestEncode:
         m = VqaModel(TINY)
         grid = tiny_grid(seed=3)
         with no_grad():
-            ours = m.encode(m.embed_patches(grid)).array
+            ours = m.encode(m.embed_patches(grid)).data
             x = m.embed_patches(grid).data
 
         p = {k: t.data for k, t in m.params.items()}
@@ -218,7 +216,6 @@ class TestLoss:
     def test_onehot_distribution_gives_zero(self):
         """Saturated logits on the target tokens make the loss exactly zero."""
         m = VqaModel(TINY)
-        f = EncoderFeature(Tensor(np.zeros((3, 8))))
         target = m.vocab.encode_answer("ba")
         logits = np.full((len(target), m.vocab.size), -2000.0)
         logits[np.arange(len(target)), target] = 2000.0

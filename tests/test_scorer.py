@@ -7,15 +7,14 @@ from pixqa import autograd as ag
 from pixqa.autograd import Tensor
 from pixqa.errors import ConfigError
 from pixqa.layers import linear, multi_head_attention
-from pixqa.model import EncoderFeature
-from pixqa.scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer, aggregate
+from pixqa.scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
 
 rng = np.random.default_rng(2024)
 
 
-def feature(length=6, d=8, seed=None) -> EncoderFeature:
+def feature(length=6, d=8, seed=None) -> Tensor:
     r = rng if seed is None else np.random.default_rng(seed)
-    return EncoderFeature(Tensor(r.normal(0.0, 1.0, (length, d))))
+    return Tensor(r.normal(0.0, 1.0, (length, d)))
 
 
 def scorer(agg="first", d=8, heads=2, layers=1, dropout=0.0, seed=3) -> SelfAttentionScorer:
@@ -59,15 +58,6 @@ class TestConfig:
 
 
 class TestAggregate:
-    def test_first_selects_position_zero(self):
-        seq = Tensor(np.arange(12.0).reshape(3, 4))
-        assert (aggregate(seq, "first").data == [[0.0, 1.0, 2.0, 3.0]]).all()
-
-    def test_avgpool_of_constant_sequence_is_constant(self):
-        c = np.array([2.0, -1.0, 0.5, 3.0])
-        seq = Tensor(np.tile(c, (5, 1)))
-        assert np.allclose(aggregate(seq, "avgpool").data, c)
-
     def test_cls_runs_attention_on_length_plus_one(self):
         s = scorer(agg="cls")
         f = feature(length=6)
@@ -109,7 +99,7 @@ class TestScoreContract:
         for _ in range(200):
             length = int(r.integers(1, 12))
             scale = float(r.choice([0.01, 1.0, 100.0]))
-            f = EncoderFeature(Tensor(r.normal(0, scale, (length, 8))))
+            f = Tensor(r.normal(0, scale, (length, 8)))
             assert 0.0 <= s.score_value(f) <= 1.0
 
     def test_hand_computed_two_vector_case(self):
@@ -135,7 +125,7 @@ class TestScoreContract:
         h1 = np.maximum(first, 0.0)
         h2 = np.maximum(h1.sum(), 0.0)
         expected = 1 / (1 + math.exp(-(2.0 * h2 - 0.5)))
-        got = s.score_value(EncoderFeature(Tensor(F)))
+        got = s.score_value(Tensor(F))
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -143,39 +133,39 @@ class TestPermutationInvariance:
     def test_first_vector_invariant_to_tail_permutations(self):
         s = scorer(agg="first", heads=4)
         arr = rng.normal(0, 1, (9, 8))
-        base = s.score_value(EncoderFeature(Tensor(arr)))
+        base = s.score_value(Tensor(arr))
         r = np.random.default_rng(1)
         for _ in range(20):
             perm = np.concatenate([[0], 1 + r.permutation(8)])
-            assert s.score_value(EncoderFeature(Tensor(arr[perm]))) == pytest.approx(base, abs=1e-9)
+            assert s.score_value(Tensor(arr[perm])) == pytest.approx(base, abs=1e-9)
 
     @pytest.mark.parametrize("agg", ["cls", "avgpool"])
     def test_full_permutation_invariance(self, agg):
         s = scorer(agg=agg, heads=4)
         arr = rng.normal(0, 1, (9, 8))
-        base = s.score_value(EncoderFeature(Tensor(arr)))
+        base = s.score_value(Tensor(arr))
         r = np.random.default_rng(2)
         for _ in range(20):
             perm = r.permutation(9)
-            assert s.score_value(EncoderFeature(Tensor(arr[perm]))) == pytest.approx(base, abs=1e-9)
+            assert s.score_value(Tensor(arr[perm])) == pytest.approx(base, abs=1e-9)
 
     def test_first_vector_not_invariant_to_moving_position_zero(self):
         # sanity: position 0 carries meaning for the first-vector strategy
         s = scorer(agg="first", heads=4)
         arr = rng.normal(0, 1, (5, 8))
         swapped = arr[[1, 0, 2, 3, 4]]
-        assert s.score_value(EncoderFeature(Tensor(arr))) != pytest.approx(
-            s.score_value(EncoderFeature(Tensor(swapped))), abs=1e-12
+        assert s.score_value(Tensor(arr)) != pytest.approx(
+            s.score_value(Tensor(swapped)), abs=1e-12
         )
 
 
-def full_attention_score(s: SelfAttentionScorer, f: EncoderFeature, rng: np.random.Generator | None = None) -> Tensor:
+def full_attention_score(s: SelfAttentionScorer, f: Tensor, rng: np.random.Generator | None = None) -> Tensor:
     """The score with every layer attending from all rows, then pooling; dropout when given an rng."""
     cfg, p = s.cfg, s.params
     x = s.attention_inputs(f)
     for i in range(cfg.n_sa_layers):
         x = multi_head_attention(x, x, p, f"sa.{i}", cfg.n_heads)
-    pooled = aggregate(x, cfg.aggregation)
+    pooled = ag.mean_axis(x, axis=0, keepdims=True) if cfg.aggregation == "avgpool" else ag.take_rows(x, [0])
     if rng is not None:
         pooled = ag.mul(pooled, (rng.random(pooled.shape) >= cfg.dropout_p) / (1.0 - cfg.dropout_p))
     h = ag.relu(linear(pooled, p["head.w1"], p["head.b1"]))

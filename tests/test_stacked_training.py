@@ -22,7 +22,7 @@ from pixqa.data import Dataset, SynthConfig, gen_synthetic
 from pixqa.errors import NumericError
 from pixqa.evaluate import anls_single, encode_page, fuse_page, grid_stacks
 from pixqa.layers import ATTENTION_TILE
-from pixqa.model import BOS, EOS, PAD, EncoderFeature, ModelConfig, VqaModel, Vocab
+from pixqa.model import BOS, EOS, PAD, ModelConfig, VqaModel, Vocab
 from pixqa.render import PatchGrid, stack_grids
 from pixqa.training import STACK_ROWS, Adam, Sgd, TrainConfig, make_optimizer, train_stage1, train_stage2
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
@@ -328,22 +328,21 @@ class TestBatchedGreedy:
     @pytest.mark.parametrize("cap", [None, 1, 2])
     def test_equals_one_page_at_a_time_and_decodes_each_answer_alone(self, model, features, monkeypatch, cap):
         want_ids, want = self.decoded_ids(
-            monkeypatch, lambda: [model.generate_answer(EncoderFeature(Tensor(page)), cap) for page in features])
+            monkeypatch, lambda: [model.generate_answer(Tensor(page), cap) for page in features])
         if cap is None:
             assert {len(ids) for ids in want_ids} == {0, 2, 3, self.CFG.max_answer_len}
-        got_ids, got = self.decoded_ids(monkeypatch, lambda: model.generate_answers(EncoderFeature(Tensor(features)), cap))
+        got_ids, got = self.decoded_ids(monkeypatch, lambda: model.generate_answers(Tensor(features), cap))
         assert got == want
         assert got_ids == want_ids  # one decode per answer, with only that answer's ids
 
     def test_one_page_is_a_list_of_one(self, model, features):
-        assert model.generate_answers(EncoderFeature(Tensor(features[0]))) == [
-            model.generate_answer(EncoderFeature(Tensor(features[0])))]
+        assert model.generate_answers(Tensor(features[0])) == [model.generate_answer(Tensor(features[0]))]
 
     def test_a_nan_page_raises(self, model, features):
         bad = features.copy()
         bad[3, 2, 5] = np.nan
         with pytest.raises(NumericError, match="non-finite logits"):
-            model.generate_answers(EncoderFeature(Tensor(bad)))
+            model.generate_answers(Tensor(bad))
 
 
 class TestAccumulationOrder:
