@@ -4,6 +4,9 @@
 Generates the synthetic corpus, trains both stages, evaluates on the test
 split, runs the aggregation ablation, and prints a summary table. Everything
 goes through the CLI so each step leaves a manifest and can be rerun by hand.
+`summary.json` holds the ablation, the total wall time and, under `phase_s`,
+each step's `elapsed_s` from its manifest, keyed by the step's output
+directory (`corpus`, `stage1`, `stage2-first`, `eval-first`, ...).
 
 The settings of the gen, train-vqa and train-scorer steps are the `--config`
 files in `scripts/desk/`, which the acceptance suite's desk run reads too; the
@@ -23,14 +26,18 @@ from pixqa.cli import main as cli
 DESK = Path(__file__).resolve().parent / "desk"
 
 
-def run(command: str, *args: str, **overrides) -> None:
-    """``pixqa command args``, with the command's desk config file if it has one and the given overrides."""
+def run(command: str, out: Path, *args: str, **overrides) -> float:
+    """``pixqa command --out out args``, with the command's desk config file if it has one and the given overrides.
+
+    Returns the step's ``elapsed_s`` from the manifest it wrote.
+    """
     config = DESK / f"{command}.json"
-    argv = [command, *args, *(["--config", str(config)] if config.exists() else [])]
+    argv = [command, "--out", str(out), *args, *(["--config", str(config)] if config.exists() else [])]
     argv += [f"--{dest.replace('_', '-')}={value}" for dest, value in overrides.items() if value is not None]
     code = cli(argv)
     if code != 0:
         sys.exit(f"step failed ({code}): {' '.join(argv)}")
+    return json.loads((out / "manifest.json").read_text())["elapsed_s"]
 
 
 def main() -> None:
@@ -47,18 +54,19 @@ def main() -> None:
     corpus = root / "corpus"
     t0 = time.time()
 
-    run("gen", "--out", str(corpus), seed=opts.seed, docs=opts.docs)
-    run("train-vqa", "--data", str(corpus), "--out", str(root / "stage1"), seed=opts.seed, epochs=opts.stage1_epochs)
+    phase_s = {"corpus": run("gen", corpus, seed=opts.seed, docs=opts.docs),
+               "stage1": run("train-vqa", root / "stage1", "--data", str(corpus), seed=opts.seed,
+                             epochs=opts.stage1_epochs)}
 
     stage1_ckpt = root / "stage1" / "stage1.ckpt"
     aggregations = ["first"] if opts.skip_ablation else ["first", "cls", "avgpool"]
-    summary = {"elapsed_s": None, "aggregation_ablation": {}}
+    summary = {"elapsed_s": None, "phase_s": phase_s, "aggregation_ablation": {}}
     for agg in aggregations:
         out = root / f"stage2-{agg}"
-        run("train-scorer", "--data", str(corpus), "--checkpoint", str(stage1_ckpt), "--out", str(out),
-            aggregation=agg, seed=opts.seed, epochs=opts.stage2_epochs)
-        run("eval", "--data", str(corpus), "--checkpoint", str(out / "stage2.ckpt"),
-            "--out", str(root / f"eval-{agg}"), "--split", "test")
+        phase_s[out.name] = run("train-scorer", out, "--data", str(corpus), "--checkpoint", str(stage1_ckpt),
+                                aggregation=agg, seed=opts.seed, epochs=opts.stage2_epochs)
+        phase_s[f"eval-{agg}"] = run("eval", root / f"eval-{agg}", "--data", str(corpus),
+                                     "--checkpoint", str(out / "stage2.ckpt"), "--split", "test")
         metrics = json.loads((root / f"eval-{agg}" / "metrics.json").read_text())
         summary["aggregation_ablation"][agg] = {
             "page_accuracy_pct": metrics["page_accuracy_pct"],

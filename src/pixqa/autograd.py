@@ -374,10 +374,11 @@ def take_rows(a, indices) -> Tensor:
 
     Indices of any shape gather a row each; the backward adds the rows'
     gradients back in index order (C order), so a (pages, n) index array
-    adds one page's rows after another.
+    adds one page's rows after another. A tuple of slices (``np.s_[..., :1,
+    :]``) is a basic index over any axes, a view too.
     """
     a = _as_tensor(a)
-    idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.intp)
+    idx = indices if isinstance(indices, (slice, tuple)) else np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
     def backward(g):

@@ -277,6 +277,8 @@ class SynthConfig:
             raise ConfigError(f"pages_per_doc range {self.pages_per_doc} invalid")
         if min(self.n_documents, self.facts_per_page, self.questions_per_doc, self.key_len, self.value_len) < 1:
             raise ConfigError("all corpus counts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         # The exponent is capped where any alphabet of 2+ keys already passes, so a huge key_len costs nothing.
         needed = 2 * self.questions_per_doc + 2
         key_space = len(set(self.key_alphabet)) ** min(self.key_len, needed.bit_length())

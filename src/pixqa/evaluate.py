@@ -7,8 +7,9 @@ patch grid and fit in one attention tile are stacked, up to `BLOCK_ROWS`
 patch rows, and encoded in one `encode_grid` call, which pays each op's
 per-call cost once per block instead of once per page) and yields one
 feature per page, in page order. `grid_stacks` is that grouping rule, which
-stage-1 training and its validation use too; `encode_page` encodes one page
-alone, which the frozen-feature cache uses. `retrieve` scores a stream of
+stage-1 training and its validation use too, and stage 2 for the scorer's
+stacks of frozen features; `encode_page` encodes one page alone, which the
+frozen-feature cache uses. `retrieve` scores a stream of
 features one at a time and keeps the top-1. Retrieval runs without
 autograd, and the answer is decoded from the feature it retrieved, so no
 page is encoded twice. Only one block plus the best feature so far (a view
@@ -44,6 +45,7 @@ ANLS_TAU = 0.5
 BLOCK_ROWS = 512  # patch rows of the pages stacked into one encoder call, at most
 
 K = TypeVar("K")
+V = TypeVar("V")
 
 
 # ----------------------------------------------------------------------------
@@ -107,9 +109,15 @@ def fuse_page(question: str, doc: Document, index: int, model: VqaModel) -> Patc
     return fuse_question_page(question, img, patch_size=model.cfg.patch_size, max_patches=model.cfg.max_patches)
 
 
+def grid_size(grid: PatchGrid) -> tuple[tuple[int, int], int]:
+    """A grid's shape, which its stack mates share, and its patch rows."""
+    return (grid.rows, grid.cols), grid.n_patches
+
+
 def grid_stacks(
-    items: Iterable[tuple[K, PatchGrid]], max_rows: int, alone: Callable[[K], bool] = lambda key: False
-) -> Iterator[list[tuple[K, PatchGrid]]]:
+    items: Iterable[tuple[K, V]], max_rows: int, alone: Callable[[K], bool] = lambda key: False,
+    size: Callable[[V], tuple[tuple, int]] = grid_size,
+) -> Iterator[list[tuple[K, V]]]:
     """Group consecutive (key, grid) pairs into stacks that one `encode_grid` call can take.
 
     A stack's grids share a shape and fit in one attention tile, and it
@@ -117,7 +125,8 @@ def grid_stacks(
     one whose key `alone` picks, is a stack of its own. Pairs are drawn
     one at a time: a full stack is yielded before the next pair is drawn,
     and a pair whose shape ends a stack starts the next one, so every pair
-    is drawn once.
+    is drawn once. The same rule stacks other values, such as stage 2's
+    page features for the scorer: `size` gives a value's shape and rows.
     """
     # A stack is handed over, not kept: while the generator waits it holds
     # no grid of the stack it yielded, so the consumer frees a block's grids
@@ -127,14 +136,17 @@ def grid_stacks(
         stack.clear()
         return out
 
-    stack: list[tuple[K, PatchGrid]] = []
-    for key, grid in items:
+    stack: list[tuple[K, V]] = []
+    stack_shape = None
+    for key, value in items:
         single = alone(key)
-        if stack and (single or (grid.rows, grid.cols) != (stack[0][1].rows, stack[0][1].cols)):
+        shape, rows = size(value)
+        if stack and (single or shape != stack_shape):
             yield hand_over(stack)
-        stack.append((key, grid))
-        full = single or grid.n_patches > ATTENTION_TILE or (len(stack) + 1) * grid.n_patches > max_rows
-        del key, grid
+        stack.append((key, value))
+        stack_shape = shape
+        full = single or rows > ATTENTION_TILE or (len(stack) + 1) * rows > max_rows
+        del key, value
         if full:
             yield hand_over(stack)
     if stack:

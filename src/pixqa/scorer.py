@@ -15,6 +15,17 @@ query row, so the score and every gradient are those of full attention
 followed by taking row 0, at O(length) cost instead of O(length^2) per
 head. ``avgpool`` averages the last layer's output rows; earlier layers,
 and the last layer under ``avgpool``, attend from every row.
+
+``score`` also takes a stack of features with a leading page axis,
+(pages, length, d_model), of pages whose attention rows fit in one
+attention tile, and computes each page as it would alone: row 0 of each
+page is its query, the ``cls`` token is prepended to each page, and
+``avgpool`` averages each page's rows. Gradients of a stack are added page
+by page (see ``autograd._accum``), so stage-2 training scores and
+backpropagates a batch's pairs in a few stacked calls, bit-identical to one
+call per pair. Dropout masks are drawn apart from the call
+(``dropout_keep``, one per page), so the caller fixes the order of its
+random draws.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from .errors import ConfigError
 from .layers import ParamEntry, attention_table, glorot, init_params, linear, multi_head_attention, normal, zeros
 
 AGGREGATIONS = ("first", "cls", "avgpool")
-FIRST_ROW = np.array([0])
+FIRST_ROW = np.s_[..., :1, :]  # row 0 of one page, or of each page of a stack
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,8 @@ class SelfAttentionScorer:
     def __init__(self, cfg: ScorerConfig, d_model: int, seed: int = 0, params: dict[str, Tensor] | None = None):
         if d_model % cfg.n_heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by scorer heads {cfg.n_heads}")
+        if seed < 0:
+            raise ConfigError(f"scorer seed must be non-negative, got {seed}")
         self.cfg = cfg
         self.d_model = d_model
         self.params = params if params is not None else init_params(self.param_table(cfg, d_model), seed)
@@ -73,18 +86,35 @@ class SelfAttentionScorer:
             fan_in = width
 
     def attention_inputs(self, feature: Tensor) -> Tensor:
-        """The sequence the scorer's self-attention actually sees."""
-        if self.cfg.aggregation == "cls":
-            return ag.concat_rows([self.params["cls"], feature])
-        return feature
+        """The sequence the scorer's self-attention actually sees: under ``cls``, the token prepended to each page."""
+        if self.cfg.aggregation != "cls":
+            return feature
+        token = self.params["cls"]
+        if feature.data.ndim == 3:  # one token per page: its gradient is added page by page
+            token = ag.add(np.zeros((feature.shape[0], 1, 1)), token)
+        return ag.concat_rows([token, feature], axis=-2)
 
-    def score(
-        self,
-        feature: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """Scalar matching score in [0, 1]. Deterministic unless training."""
+    def stack_size(self, feature: Tensor) -> tuple[tuple[int, ...], int]:
+        """One page's feature shape, which its stack mates share, and its attention rows (with the ``cls`` token).
+
+        The `size` that `evaluate.grid_stacks` takes to stack features for ``score``.
+        """
+        return feature.shape, feature.shape[-2] + (self.cfg.aggregation == "cls")
+
+    def dropout_keep(self, rng: np.random.Generator) -> np.ndarray | None:
+        """One page's inverted-dropout scale of the pooled vector, (1, d_model), drawn from ``rng``; None without dropout."""
+        p = self.cfg.dropout_p
+        if p == 0.0:
+            return None
+        return (rng.random((1, self.d_model)) >= p) / (1.0 - p)
+
+    def score(self, feature: Tensor, training: bool = False, keep: np.ndarray | None = None) -> Tensor:
+        """Matching score in [0, 1]: shape () for one page (length, d_model), (pages,) for a stack of pages.
+
+        Deterministic unless training: with dropout configured, a training
+        call scales each page's pooled vector by ``keep``, that page's
+        `dropout_keep` draw (stacked along the page axis for a stack).
+        """
         cfg, p = self.cfg, self.params
         x = self.attention_inputs(feature)
         last = cfg.n_sa_layers - 1
@@ -93,16 +123,15 @@ class SelfAttentionScorer:
             if i == last and cfg.aggregation in ("first", "cls"):
                 queries = ag.take_rows(x, FIRST_ROW)  # row 0's output is the pooled vector
             x = multi_head_attention(queries, x, p, f"sa.{i}", cfg.n_heads)
-        pooled = ag.mean_axis(x, axis=0, keepdims=True) if cfg.aggregation == "avgpool" else x
+        pooled = ag.mean_axis(x, axis=-2, keepdims=True) if cfg.aggregation == "avgpool" else x
         if training and cfg.dropout_p > 0.0:
-            if rng is None:
-                raise ValueError("training-mode scoring needs an rng for dropout")
-            keep = (rng.random(pooled.shape) >= cfg.dropout_p) / (1.0 - cfg.dropout_p)
+            if keep is None:
+                raise ValueError("training-mode scoring needs each page's dropout mask (dropout_keep)")
             pooled = ag.mul(pooled, keep)
         h = ag.relu(linear(pooled, p["head.w1"], p["head.b1"]))
         h = ag.relu(linear(h, p["head.w2"], p["head.b2"]))
         out = ag.sigmoid(linear(h, p["head.w3"], p["head.b3"]))
-        return ag.reshape(out, ())
+        return ag.reshape(out, out.shape[:-2])
 
     def score_value(self, feature: Tensor) -> float:
         """Evaluation-mode score as a plain float."""

@@ -15,7 +15,13 @@ Stage 2 freezes the model and fits the scoring head on balanced pairs:
 each question contributes its gold page plus one page sampled uniformly
 from the rest of the document (resampled every epoch); single-page
 documents contribute only the positive pair. Scorer targets are
-label-smoothed to 1-eps / eps and penalized with squared error.
+label-smoothed to 1-eps / eps and penalized with squared error. It walks
+each optimizer batch in order, drawing each question's negative and then
+each pair's dropout mask from the epoch rng, and groups consecutive pairs
+whose frozen features share a shape into stacks of up to `BLOCK_ROWS`
+attention rows (`evaluate.grid_stacks` again); each stack is one scorer
+call and one backward, bit-identical to one per pair. Every stage-2 record
+carries the frozen-feature cache's size, `cache_mib`.
 
 Both stages run one epoch loop, `_fit`. Every epoch's record carries its
 wall time, validation included, as `epoch_s`, and its log line shows
@@ -76,6 +82,8 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -164,9 +172,9 @@ def sample_negative(doc: Document, positive_idx: int, rng: np.random.Generator) 
     return idx + 1 if idx >= positive_idx else idx
 
 
-def mse_smoothed_loss(pred, is_positive: bool, eps: float):
-    """Squared error against the label-smoothed target 1-eps (positive) or eps."""
-    target = 1.0 - eps if is_positive else eps
+def mse_smoothed_loss(pred, is_positive, eps: float):
+    """Squared error against the label-smoothed target 1-eps (positive) or eps; elementwise for a stack's pages."""
+    target = np.where(is_positive, 1.0 - eps, eps)
     if isinstance(pred, Tensor):
         return ag.powc(pred + (-target), 2.0)
     return float((pred - target) ** 2)
@@ -208,6 +216,23 @@ def _decoder_exceeds_tile(sample) -> bool:
     return len(sample.answers[0]) + 1 > ATTENTION_TILE
 
 
+def _stage2_stack(scorer: SelfAttentionScorer, stack: list, eps: float) -> list[float]:
+    """Score, loss and backward of one stack of ((is positive, dropout mask), feature) pairs; returns each pair's loss.
+
+    One pair is scored as it is; several are stacked along a page axis.
+    """
+    keys, features = zip(*stack)
+    positives, keeps = zip(*keys)
+    feature, keep = features[0], keeps[0]
+    if len(stack) > 1:
+        feature = Tensor(np.stack([f.data for f in features]))
+        keep = None if keep is None else np.stack(keeps)
+    pred = scorer.score(feature, training=True, keep=keep)
+    loss = mse_smoothed_loss(pred, np.reshape(positives, pred.shape), eps)
+    loss.backward()
+    return np.atleast_1d(loss.data).tolist()
+
+
 def _stage1_stack(model: VqaModel, stack: list) -> list[float]:
     """Loss and backward of one stack of (sample, gold-page grid) pairs; returns each sample's loss.
 
@@ -226,11 +251,13 @@ class FrozenFeatureCache:
 
     Keyed by (question_id, page index). Trades memory for a large speedup:
     every epoch revisits the same positive pairs and validation pages.
+    ``nbytes`` counts the bytes of the features it holds.
     """
 
     def __init__(self, model: VqaModel):
         self.model = model
         self._store: dict[tuple, Tensor] = {}
+        self.nbytes = 0
 
     def get(self, sample, doc: Document, page_idx: int) -> Tensor:
         key = (sample.question_id, doc.doc_id, page_idx)
@@ -239,6 +266,7 @@ class FrozenFeatureCache:
             with ag.no_grad():
                 feature = encode_page(sample.question, doc, page_idx, self.model)
             self._store[key] = feature
+            self.nbytes += feature.data.nbytes
         return feature
 
 
@@ -375,25 +403,26 @@ def train_stage2(
     cache = FrozenFeatureCache(model) if cache is None else cache
     n_train = len(train_set.questions)
 
-    def train_batch(indices, rng) -> list[float]:
-        losses = []
+    def pairs(indices, rng):
+        """((is positive, dropout mask), feature) of each pair of the batch, in order: positive, then negative."""
         for idx in indices:
             sample = train_set.questions[int(idx)]
             doc = train_set.document_for(sample)
-            pairs = [(sample.answer_page_index, True)]
             negative = sample_negative(doc, sample.answer_page_index, rng)
-            if negative is not None:
-                pairs.append((negative, False))
-            for page_idx, is_positive in pairs:
-                pred = scorer.score(cache.get(sample, doc, page_idx), training=True, rng=rng)
-                loss = mse_smoothed_loss(pred, is_positive, cfg.label_smooth_eps)
-                loss.backward()
-                losses.append(float(loss.data))
+            for page_idx, is_positive in ((sample.answer_page_index, True), (negative, False)):
+                if page_idx is not None:
+                    feature = cache.get(sample, doc, page_idx)
+                    yield (is_positive, scorer.dropout_keep(rng)), feature
+
+    def train_batch(indices, rng) -> list[float]:
+        losses = []
+        for stack in grid_stacks(pairs(indices, rng), BLOCK_ROWS, size=scorer.stack_size):
+            losses += _stage2_stack(scorer, stack, cfg.label_smooth_eps)
         return losses
 
     def validate(losses: list[float]) -> dict:
         # One positive pair per question; the other pairs are negatives.
         return {"valid_page_acc": validation_page_accuracy(valid_set, scorer, cache=cache),
-                "n_pos_pairs": n_train, "n_neg_pairs": len(losses) - n_train}
+                "n_pos_pairs": n_train, "n_neg_pairs": len(losses) - n_train, "cache_mib": cache.nbytes / 2**20}
 
     return _fit(scorer.params, cfg, n_train, train_batch, validate, log, on_best)  # only scorer parameters step

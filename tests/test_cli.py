@@ -338,6 +338,21 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [
+        ["gen", "--out", "{dir}", "--seed", "-1"],
+        ["train-vqa", "--data", "{corpus}", "--out", "{dir}", "--seed", "-1"] + MODEL_FLAGS,
+        ["train-scorer", "--data", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{dir}", "--seed", "-1"],
+        ["train-scorer", "--data", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{dir}", "--scorer-seed", "-1"],
+        ["sweep", "--data", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{dir}", "--layers", "1", "--heads", "2",
+         "--scorer-seed", "-1"],
+    ], ids=["gen", "train-vqa", "train-scorer", "train-scorer-scorer-seed", "sweep-scorer-seed"])
+    def test_negative_seed_is_config_error(self, corpus, stage1, tmp_path, capsys, command):
+        argv = [arg.format(corpus=corpus, ckpt=stage1[0], dir=tmp_path / "o") for arg in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be non-negative, got -1" in err
+        assert not (tmp_path / "o").exists()
+
     def test_huge_key_len_is_rejected_at_once(self, tmp_path):
         started = time.perf_counter()
         assert main(["gen", "--out", str(tmp_path / "c"), "--key-len", "10000000"]) == 1

@@ -43,6 +43,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SelfAttentionScorer(ScorerConfig(n_heads=3), d_model=8)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=8, seed=-1)
+
     @pytest.mark.parametrize("cfg", [{"n_heads": 0}, {"n_heads": -4}])
     def test_heads_and_widths_must_be_positive(self, cfg):
         with pytest.raises(ConfigError):
@@ -82,7 +86,7 @@ class TestScoreContract:
         s = scorer(dropout=0.5)
         f = feature()
         r = np.random.default_rng(0)
-        vals = {float(s.score(f, training=True, rng=r).data) for _ in range(8)}
+        vals = {float(s.score(f, training=True, keep=s.dropout_keep(r)).data) for _ in range(8)}
         assert len(vals) > 1
 
     def test_logistic_identity_with_zero_weights(self):
@@ -190,7 +194,8 @@ class TestFullAttentionEquivalence:
     def test_score_and_gradients_match(self, agg, layers):
         s = scorer(agg=agg, heads=2, layers=layers, dropout=0.1)
         f = feature(length=70, seed=11)  # longer than one attention tile
-        got, got_grads = score_and_grads(s, lambda: s.score(f, training=True, rng=np.random.default_rng(5)))
+        got, got_grads = score_and_grads(
+            s, lambda: s.score(f, training=True, keep=s.dropout_keep(np.random.default_rng(5))))
         want, want_grads = score_and_grads(s, lambda: full_attention_score(s, f, np.random.default_rng(5)))
         assert got == pytest.approx(want, abs=1e-12)
         with ag.no_grad():
@@ -198,3 +203,48 @@ class TestFullAttentionEquivalence:
         assert got_grads.keys() == want_grads.keys()
         for name, g in want_grads.items():
             assert np.abs(got_grads[name] - g).max() <= 1e-12, name
+
+
+class TestStackedScoring:
+    """A (pages, length, d) stack scores each page as it would alone, in values and in every gradient."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("agg", AGGREGATIONS)
+    def test_values_and_gradients_equal_each_page_alone(self, agg, layers, dropout):
+        s = scorer(agg=agg, heads=2, layers=layers, dropout=dropout)
+        pages = np.random.default_rng(12).normal(0.0, 1.0, (4, 9, 8))
+        r = np.random.default_rng(13)
+        keeps = [s.dropout_keep(r) for _ in pages]
+        for p in s.params.values():  # gradients are added onto what the parameters already hold
+            p.grad = np.random.default_rng(14).normal(0.0, 1.0, p.shape)
+        primed = {name: p.grad.copy() for name, p in s.params.items()}
+        want = []
+        for page, keep in zip(pages, keeps):
+            out = s.score(Tensor(page), training=True, keep=keep)
+            out.backward()
+            want.append(float(out.data))
+        want_grads = {name: p.grad.copy() for name, p in s.params.items()}
+        for name, p in s.params.items():
+            p.grad = primed[name].copy()
+        out = s.score(Tensor(pages), training=True, keep=None if dropout == 0.0 else np.stack(keeps))
+        assert out.shape == (4,)
+        out.backward()
+        assert out.data.tolist() == want
+        for name, p in s.params.items():
+            assert np.array_equal(p.grad, want_grads[name]), name
+        cls_moved = not np.array_equal(want_grads["cls"], primed["cls"])
+        assert cls_moved == (agg == "cls")  # the token's gradient is checked above, page by page
+        with ag.no_grad():
+            assert s.score(Tensor(pages)).data.tolist() == [s.score_value(Tensor(page)) for page in pages]
+
+    def test_dropout_keep_draws_one_page_mask_or_nothing(self):
+        r = np.random.default_rng(0)
+        assert scorer(dropout=0.0).dropout_keep(r) is None
+        assert r.random() == np.random.default_rng(0).random()  # no dropout: nothing drawn
+        keep = scorer(dropout=0.5).dropout_keep(np.random.default_rng(1))
+        assert keep.shape == (1, 8) and set(np.unique(keep)) <= {0.0, 2.0}
+
+    @pytest.mark.parametrize("agg, rows", [("first", 64), ("cls", 65), ("avgpool", 64)])
+    def test_stack_size_counts_the_cls_token(self, agg, rows):
+        assert scorer(agg=agg).stack_size(feature(length=64)) == ((64, 8), rows)

@@ -33,8 +33,12 @@ def desk(tmp_path_factory) -> Path:
 
 def test_desk_experiment_writes_its_summary(desk):
     summary = json.loads((desk / "summary.json").read_text())
-    assert sorted(summary) == ["aggregation_ablation", "elapsed_s"]
+    assert sorted(summary) == ["aggregation_ablation", "elapsed_s", "phase_s"]
     assert sorted(summary["aggregation_ablation"]) == ["first"]
+    assert sorted(summary["phase_s"]) == ["corpus", "eval-first", "stage1", "stage2-first"]
+    for phase, seconds in summary["phase_s"].items():
+        assert seconds == json.loads((desk / phase / "manifest.json").read_text())["elapsed_s"], phase
+    assert sum(summary["phase_s"].values()) <= summary["elapsed_s"] + 0.1
     assert sorted(summary["aggregation_ablation"]["first"]) == ["anls", "page_accuracy_pct"]
 
 

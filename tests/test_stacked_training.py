@@ -1,10 +1,14 @@
-"""Stage 1 on stacks of pages against the one-sample-at-a-time loop.
+"""Stage 1 and stage 2 on stacks of pages against the one-at-a-time loops.
 
 ``reference_stage1`` is stage 1 as it ran before stacking: each sample's
 gold page is encoded alone, its loss backpropagated alone, and validation
 decodes each gold page alone with ``generate_answer``. Stacked training
 must give the same records and parameters bit for bit when a stack's
 answers have one length, and gradients within 1e-12 when they do not.
+
+``reference_stage2`` is stage 2 as it ran before stacking: each pair is
+scored and backpropagated alone. Stacked stage 2 must give the same
+records (apart from wall time and cache size) and checkpoint bytes.
 """
 
 import gc
@@ -18,13 +22,16 @@ import pytest
 
 from pixqa import autograd as ag
 from pixqa.autograd import Tensor
+from pixqa.checkpoint import save_checkpoint
 from pixqa.data import Dataset, SynthConfig, gen_synthetic
 from pixqa.errors import NumericError
-from pixqa.evaluate import anls_single, encode_page, fuse_page, grid_stacks
+from pixqa.evaluate import BLOCK_ROWS, anls_single, encode_page, fuse_page, grid_stacks
 from pixqa.layers import ATTENTION_TILE
 from pixqa.model import BOS, EOS, PAD, ModelConfig, VqaModel, Vocab
 from pixqa.render import PatchGrid, stack_grids
-from pixqa.training import STACK_ROWS, Adam, Sgd, TrainConfig, make_optimizer, train_stage1, train_stage2
+from pixqa.training import (STACK_ROWS, Adam, FrozenFeatureCache, Sgd, TrainConfig, make_optimizer,
+                             mse_smoothed_loss, sample_negative, train_stage1, train_stage2,
+                             validation_page_accuracy)
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
 # max_patches admits the 65-patch pages below, which are longer than one attention tile.
@@ -70,8 +77,48 @@ def reference_stage1(train_set, valid_set, model, cfg):
     return records
 
 
+def reference_stage2(train_set, valid_set, model, scorer, cfg):
+    """Stage 2 one pair at a time; returns the records without wall time or cache size, and restores the best epoch."""
+    rng = np.random.default_rng(cfg.seed)
+    opt = make_optimizer(cfg, scorer.params)
+    cache = FrozenFeatureCache(model)
+    n_train = len(train_set.questions)
+    records, best_metric, best_epoch = [], -math.inf, 0
+    best = {k: p.data.copy() for k, p in scorer.params.items()}
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(n_train)
+        losses = []
+        for start in range(0, n_train, cfg.batch_size):
+            done = len(losses)
+            for idx in order[start : start + cfg.batch_size]:
+                sample = train_set.questions[int(idx)]
+                doc = train_set.document_for(sample)
+                pairs = [(sample.answer_page_index, True)]
+                negative = sample_negative(doc, sample.answer_page_index, rng)
+                if negative is not None:
+                    pairs.append((negative, False))
+                for page_idx, is_positive in pairs:
+                    feature = cache.get(sample, doc, page_idx)
+                    pred = scorer.score(feature, training=True, keep=scorer.dropout_keep(rng))
+                    loss = mse_smoothed_loss(pred, is_positive, cfg.label_smooth_eps)
+                    loss.backward()
+                    losses.append(float(loss.data))
+            opt.step(len(losses) - done)
+        metric = validation_page_accuracy(valid_set, scorer, cache)
+        records.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "valid_page_acc": metric,
+                        "n_pos_pairs": n_train, "n_neg_pairs": len(losses) - n_train})
+        if metric > best_metric:
+            best_metric, best_epoch = metric, epoch
+            best = {k: p.data.copy() for k, p in scorer.params.items()}
+        elif epoch - best_epoch >= cfg.early_stop_patience:
+            break
+    for k, p in scorer.params.items():
+        p.data = best[k].copy()
+    return records
+
+
 def without_time(records):
-    return [{k: v for k, v in rec.items() if k != "epoch_s"} for rec in records]
+    return [{k: v for k, v in rec.items() if k not in ("epoch_s", "cache_mib")} for rec in records]
 
 
 def grads(model):
@@ -192,8 +239,8 @@ class TestGridStacks:
         assert all(ref() is None for ref in refs)
 
 
-def corpus(root, seed, page_height, n_documents=3, value_len=4):
-    cfg = SynthConfig(n_documents=n_documents, pages_per_doc=(2, 3), facts_per_page=1, questions_per_doc=2,
+def corpus(root, seed, page_height, n_documents=3, value_len=4, pages=(2, 3)):
+    cfg = SynthConfig(n_documents=n_documents, pages_per_doc=pages, facts_per_page=1, questions_per_doc=2,
                       key_alphabet="ABCDEFGH", key_len=3, value_alphabet="0123456789", value_len=value_len,
                       page_width=208, page_height=page_height, seed=seed)
     return gen_synthetic(cfg, root)
@@ -297,6 +344,116 @@ class TestTrainStage1:
         for rec in h1.records + h2.records:
             assert rec["epoch_s"] > 0.0
         assert len(lines) == 4 and all("epoch_s=" in line for line in lines)
+
+
+@pytest.fixture(scope="module")
+def stage2_corpus(tmp_path_factory, mixed_corpus):
+    """The mixed corpus (features of 26, 39 and 65 rows) plus single-page documents, which give a positive pair only."""
+    train, valid = mixed_corpus
+    single = corpus(tmp_path_factory.mktemp("single"), 7, 32, pages=(1, 1))
+    return merged(train, single), valid
+
+
+@pytest.fixture(scope="module")
+def desk_corpus(tmp_path_factory):
+    """Sixteen questions on 39-patch pages: a batch of 16 is 32 same-shape pairs, more than one stack holds."""
+    root = tmp_path_factory.mktemp("desk")
+    return corpus(root / "train", 8, 32, n_documents=8), corpus(root / "valid", 9, 32, n_documents=2)
+
+
+def scorer_pair(agg, layers, dropout):
+    """Two scorers with the same initial parameters."""
+    cfg = ScorerConfig(n_sa_layers=layers, n_heads=2, aggregation=agg, dropout_p=dropout)
+    start = SelfAttentionScorer(cfg, SMALL_MODEL.d_model, seed=3).params
+    return [SelfAttentionScorer(cfg, SMALL_MODEL.d_model,
+                                params={k: Tensor(p.data.copy(), requires_grad=True) for k, p in start.items()})
+            for _ in range(2)]
+
+
+class TestTrainStage2:
+    @staticmethod
+    def assert_same_checkpoint(tmp_path, model, scorer, want_scorer):
+        save_checkpoint(tmp_path / "got.ckpt", model, scorer)
+        save_checkpoint(tmp_path / "want.ckpt", model, want_scorer)
+        assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("agg", ["first", "cls", "avgpool"])
+    def test_records_and_checkpoint_equal_the_one_pair_loop(self, stage2_corpus, small_model_params, tmp_path,
+                                                            agg, layers, dropout):
+        train, valid = stage2_corpus
+        model = fresh(small_model_params)
+        scorer, want_scorer = scorer_pair(agg, layers, dropout)
+        start = {k: p.data.copy() for k, p in scorer.params.items()}
+        cfg = TrainConfig(stage=2, optimizer="adam", learning_rate=3e-3, weight_decay=0.01, batch_size=16,
+                          max_epochs=3, early_stop_patience=3, seed=5)
+        history = train_stage2(train, valid, model, scorer, cfg)
+        want = reference_stage2(train, valid, model, want_scorer, cfg)
+        assert without_time(history.records) == want
+        assert any(not np.array_equal(p.data, start[k]) for k, p in scorer.params.items())
+        self.assert_same_checkpoint(tmp_path, model, scorer, want_scorer)
+
+    @staticmethod
+    def scored_shapes(monkeypatch):
+        """The feature shape of every training-mode `score` call, recorded as it runs."""
+        shapes = []
+        score = SelfAttentionScorer.score
+
+        def traced(self, feature, training=False, keep=None):
+            if training:
+                shapes.append(feature.shape)
+            return score(self, feature, training, keep)
+
+        monkeypatch.setattr(SelfAttentionScorer, "score", traced)
+        return shapes
+
+    @pytest.mark.parametrize("agg, per_stack", [("first", 13), ("cls", 12)])
+    def test_a_batch_spans_several_stacks(self, desk_corpus, small_model_params, tmp_path, monkeypatch,
+                                          agg, per_stack):
+        """32 pairs of 39-patch features: stacks of at most BLOCK_ROWS attention rows (the cls token is a row)."""
+        train, valid = desk_corpus
+        assert per_stack == BLOCK_ROWS // (39 + (agg == "cls"))
+        model = fresh(small_model_params)
+        scorer, want_scorer = scorer_pair(agg, 1, 0.1)
+        cfg = TrainConfig(stage=2, optimizer="adam", learning_rate=3e-3, batch_size=16, max_epochs=2,
+                          early_stop_patience=2, seed=1)
+        shapes = self.scored_shapes(monkeypatch)
+        history = train_stage2(train, valid, model, scorer, cfg)
+        assert len(train.questions) == 16 and history.records[0]["n_neg_pairs"] == 16
+        assert [shape[0] for shape in shapes] == [per_stack, per_stack, 32 - 2 * per_stack] * 2
+        monkeypatch.undo()
+        assert without_time(history.records) == reference_stage2(train, valid, model, want_scorer, cfg)
+        self.assert_same_checkpoint(tmp_path, model, scorer, want_scorer)
+
+    def test_shapes_split_stacks_and_long_features_score_alone(self, stage2_corpus, small_model_params,
+                                                              monkeypatch):
+        train, valid = stage2_corpus
+        shapes = self.scored_shapes(monkeypatch)
+        cfg = TrainConfig(stage=2, batch_size=16, max_epochs=1, seed=5)
+        history = train_stage2(train, valid, fresh(small_model_params), scorer_pair("cls", 2, 0.1)[0], cfg)
+        record = history.records[0]
+        assert sum(shape[0] if len(shape) == 3 else 1 for shape in shapes) == record["n_pos_pairs"] + record[
+            "n_neg_pairs"]
+        assert record["n_neg_pairs"] < record["n_pos_pairs"]  # the single-page documents add no negative
+        stacked = [shape for shape in shapes if len(shape) == 3]
+        assert stacked and {shape[1] for shape in stacked} == {26, 39}
+        assert (65, SMALL_MODEL.d_model) in shapes  # longer than a tile: scored alone
+
+    def test_cache_size_in_every_record_and_log_line(self, stage2_corpus, small_model_params):
+        train, valid = stage2_corpus
+        lines = []
+        model = fresh(small_model_params)
+        cache = FrozenFeatureCache(model)
+        history = train_stage2(train, valid, model, scorer_pair("first", 1, 0.0)[0],
+                               TrainConfig(stage=2, max_epochs=2, early_stop_patience=5), log=lines.append,
+                               cache=cache)
+        held = sum(feature.data.nbytes for feature in cache._store.values())
+        assert cache.nbytes == held > 0
+        assert [rec["cache_mib"] for rec in history.records][-1] == held / 2**20
+        assert 0.0 < history.records[0]["cache_mib"] <= history.records[-1]["cache_mib"]
+        assert len(lines) == 2 and all(f"cache_mib={rec['cache_mib']:.4f}" in line
+                                       for rec, line in zip(history.records, lines))
 
 
 class TestBatchedGreedy:
