@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, fields
 from itertools import chain, islice
 from pathlib import Path
@@ -49,13 +50,22 @@ def save_checkpoint(path: Path, model: VqaModel, scorer: SelfAttentionScorer | N
         "entries": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(f"{len(header_bytes)}\n".encode("ascii"))
-        fh.write(header_bytes)
-        fh.write(b"\n")
-        for entry in entries:
-            fh.write(np.ascontiguousarray(arrays[entry["name"]], dtype="<f8").tobytes())
+    # Written beside `path` and then renamed onto it, so a save that fails
+    # partway leaves the previous checkpoint at `path` whole.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(f"{len(header_bytes)}\n".encode("ascii"))
+            fh.write(header_bytes)
+            fh.write(b"\n")
+            for entry in entries:
+                fh.write(np.ascontiguousarray(arrays[entry["name"]], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def fits_default(value, default) -> bool:
@@ -125,23 +135,22 @@ def load_checkpoint(path: Path) -> tuple[VqaModel, SelfAttentionScorer | None]:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not blob.startswith(MAGIC):
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    rest = blob[len(MAGIC) :]
-    newline = rest.find(b"\n")
+    newline = blob.find(b"\n", len(MAGIC))
     if newline < 0:
         raise CheckpointError(f"{path}: truncated before header length")
     try:
-        header_len = int(rest[:newline])
+        header_len = int(blob[len(MAGIC) : newline])
     except ValueError:
         raise CheckpointError(f"{path}: malformed header length") from None
     header_start = newline + 1
-    header_bytes = rest[header_start : header_start + header_len]
+    header_bytes = blob[header_start : header_start + header_len]
     if len(header_bytes) != header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int past 4300 digits, deep nesting
         raise CheckpointError(f"{path}: invalid header JSON: {exc}") from exc
-    payload = memoryview(rest)[header_start + header_len + 1 :]
+    payload = memoryview(blob)[header_start + header_len + 1 :]  # a view: each array is copied once, below
 
     try:
         model_cfg_dict = header["model_config"]

@@ -31,7 +31,7 @@ from .checkpoint import fits_default, load_checkpoint, save_checkpoint
 from .data import (Dataset, Document, PageRef, SynthConfig, check_fractions, gen_synthetic, load_mpdocvqa, split,
                    write_annotations)
 from .errors import DataError, PixqaError
-from .evaluate import evaluate_dataset, report_from_records, report_table
+from .evaluate import answer_question, evaluate_dataset, report_from_records, report_table
 from .layers import attention_workers
 from .model import ModelConfig, VqaModel
 from .scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
@@ -111,6 +111,15 @@ def _require_path(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise UsageError(f"{what} not found: {path}")
     return Path(path)
+
+
+def _load_stage2(checkpoint: str) -> tuple[VqaModel, SelfAttentionScorer]:
+    """The model and scorer of the stage-2 checkpoint at `checkpoint`."""
+    ckpt_path = _require_path(Path(checkpoint), "checkpoint")
+    model, scorer = load_checkpoint(ckpt_path)
+    if scorer is None:
+        raise PixqaError(f"checkpoint {ckpt_path} has no scorer parameters; run train-scorer first")
+    return model, scorer
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
@@ -317,16 +326,12 @@ def cmd_train_scorer(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ckpt_path = _require_path(Path(args.checkpoint), "checkpoint")
+    model, scorer = _load_stage2(args.checkpoint)
     dataset = _load_split(Path(args.data), args.split)
     if not dataset.questions:
         raise DataError(f"the {args.split} split of {args.data} has no questions to evaluate")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    model, scorer = load_checkpoint(ckpt_path)
-    if scorer is None:
-        raise PixqaError(f"checkpoint {ckpt_path} has no scorer parameters; run train-scorer first")
     records = evaluate_dataset(dataset, model, scorer)
     metrics = report_from_records(records)
     with open(out_dir / "results.jsonl", "w") as fh:
@@ -336,7 +341,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _write_manifest(
         args, out_dir, seeds={},
         config={"model": asdict(model.cfg), "scorer": asdict(scorer.cfg), "data": str(args.data), "split": args.split},
-        checkpoints={"eval": str(ckpt_path)},
+        checkpoints={"eval": str(Path(args.checkpoint))},
     )
     print(report_table(metrics))
     return 0
@@ -345,20 +350,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_answer(args: argparse.Namespace) -> int:
     if args.max_answer_len is not None and args.max_answer_len < 1:
         raise UsageError(f"--max-answer-len must be at least 1, got {args.max_answer_len}")
-    ckpt_path = _require_path(Path(args.checkpoint), "checkpoint")
+    model, scorer = _load_stage2(args.checkpoint)
     doc_dir = _require_path(Path(args.doc_dir), "document directory")
     pages = sorted(doc_dir.glob("*.pgm"))
     if not pages:
         raise UsageError(f"no .pgm pages in {doc_dir}")
-    model, scorer = load_checkpoint(ckpt_path)
-    if scorer is None:
-        raise PixqaError(f"checkpoint {ckpt_path} has no scorer parameters; run train-scorer first")
     doc = Document(
         doc_id=doc_dir.name,
         pages=tuple(PageRef(page_id=p.stem, path=p) for p in pages),
     )
-    from .evaluate import answer_question
-
     page_idx, answer = answer_question(args.question, doc, model, scorer, args.max_answer_len)
     print(f"page {page_idx}")
     print(answer)

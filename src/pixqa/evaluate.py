@@ -3,14 +3,14 @@
 Retrieval streams a document's pages through one pipeline: load a page,
 fuse the question on top of it, encode it, score it. `page_features` is
 that stream: it encodes the pages in blocks (consecutive pages that share a
-patch grid and fit in one attention tile are stacked, up to `BLOCK_ROWS`
-patch rows, and encoded in one `encode_grid` call, which pays each op's
-per-call cost once per block instead of once per page) and yields one
-feature per page, in page order. `grid_stacks` is that grouping rule, which
-stage-1 training and its validation use too, and stage 2 for the scorer's
-stacks of frozen features; `encode_page` encodes one page alone, which the
-frozen-feature cache uses. `retrieve` scores a stream of
-features one at a time and keeps the top-1. Retrieval runs without
+patch grid are stacked, up to `BLOCK_ROWS` patch rows, and encoded in one
+`encode_grid` call, which pays each op's per-call cost once per block
+instead of once per page) and yields one feature per page, in page order.
+`grid_stacks` is that grouping rule, which stage-1 training and its
+validation use too, and stage 2 for the scorer's stacks of frozen
+features; `encode_page` encodes one page alone, which the frozen-feature
+cache uses. `retrieve` scores a stream of features one at a time and
+keeps the top-1. Retrieval runs without
 autograd, and the answer is decoded from the feature it retrieved, so no
 page is encoded twice. Only one block plus the best feature so far (a view
 that keeps its block's features) is alive at a time, so peak memory stays
@@ -36,7 +36,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import NumericError
-from .layers import ATTENTION_TILE
 from .model import VqaModel
 from .render import PatchGrid, fuse_question_page, stack_grids
 from .scorer import SelfAttentionScorer
@@ -115,18 +114,17 @@ def grid_size(grid: PatchGrid) -> tuple[tuple[int, int], int]:
 
 
 def grid_stacks(
-    items: Iterable[tuple[K, V]], max_rows: int, alone: Callable[[K], bool] = lambda key: False,
-    size: Callable[[V], tuple[tuple, int]] = grid_size,
+    items: Iterable[tuple[K, V]], max_rows: int, size: Callable[[V], tuple[tuple, int]] = grid_size,
 ) -> Iterator[list[tuple[K, V]]]:
     """Group consecutive (key, grid) pairs into stacks that one `encode_grid` call can take.
 
-    A stack's grids share a shape and fit in one attention tile, and it
-    holds at most `max_rows` patch rows; a grid longer than one tile, or
-    one whose key `alone` picks, is a stack of its own. Pairs are drawn
-    one at a time: a full stack is yielded before the next pair is drawn,
-    and a pair whose shape ends a stack starts the next one, so every pair
-    is drawn once. The same rule stacks other values, such as stage 2's
-    page features for the scorer: `size` gives a value's shape and rows.
+    A stack's grids share a shape, and it holds at most `max_rows` patch
+    rows, so a grid of more than half of them is a stack of its own;
+    attention tiles a stack of any length. Pairs are drawn one at a time:
+    a full stack is yielded before the next pair is drawn, and a pair whose
+    shape ends a stack starts the next one, so every pair is drawn once.
+    The same rule stacks other values, such as stage 2's page features for
+    the scorer: `size` gives a value's shape and rows.
     """
     # A stack is handed over, not kept: while the generator waits it holds
     # no grid of the stack it yielded, so the consumer frees a block's grids
@@ -139,13 +137,12 @@ def grid_stacks(
     stack: list[tuple[K, V]] = []
     stack_shape = None
     for key, value in items:
-        single = alone(key)
         shape, rows = size(value)
-        if stack and (single or shape != stack_shape):
+        if stack and shape != stack_shape:
             yield hand_over(stack)
         stack.append((key, value))
         stack_shape = shape
-        full = single or rows > ATTENTION_TILE or (len(stack) + 1) * rows > max_rows
+        full = (len(stack) + 1) * rows > max_rows
         del key, value
         if full:
             yield hand_over(stack)

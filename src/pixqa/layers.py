@@ -143,9 +143,9 @@ def attend(
     every tile sees all keys. A tile's weights come from one fused
     ``ag.attention_weights`` node (QK^T, scale, mask and softmax in one
     (heads, tile, len_k) buffer). A query sequence that fits in one tile
-    runs as a single block with no extra graph node; that path also takes
-    a stack of sequences with leading axes, (..., len_q, d_model), and
-    computes each one as it would alone.
+    runs as a single block with no extra graph node. Both paths take a
+    stack of sequences with leading axes, (..., len_q, d_model), and
+    compute each one as it would alone.
 
     A tiled call splits the heads into ``min(attention_workers(), n_heads)``
     contiguous groups, one tile loop each: the calling thread runs the
@@ -156,13 +156,14 @@ def attend(
     serial. The calling thread allocates the one weight buffer and the tile
     loops fill their heads' part of it in place (``out=``), since buffers
     allocated on pool threads stay in per-thread malloc arenas. Without
-    autograd it is one (heads, tile, len_k) buffer that every tile reuses,
-    so memory is O(heads * tile * len_k), not O(heads * len_q * len_k);
-    with autograd it is (heads, len_q, len_k) and each tile keeps its own
-    rows, which the graph holds anyway. Two rules keep the workers safe:
-    they call only ``ag`` ops, never a model or scorer method that a tracer
-    might wrap, and they never enter ``no_grad`` (the grad switch is one
-    module global, which they only read while the caller waits).
+    autograd it is one (..., heads, tile, len_k) buffer that every tile
+    reuses, so memory is O(heads * tile * len_k) per sequence, not
+    O(heads * len_q * len_k); with autograd it is (..., heads, len_q,
+    len_k) and each tile keeps its own rows, which the graph holds anyway.
+    Two rules keep the workers safe: they call only ``ag`` ops, never a
+    model or scorer method that a tracer might wrap, and they never enter
+    ``no_grad`` (the grad switch is one module global, which they only
+    read while the caller waits).
     """
     p = params
     *lead, len_q, d_model = q_in.shape
@@ -181,29 +182,27 @@ def attend(
     if len_q <= ATTENTION_TILE:
         return linear(merge_heads(ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)),
                       p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    if lead:
-        raise ValueError(f"a stack of sequences must fit in one attention tile, got {len_q} query rows")
-    len_k = k.shape[0]
+    len_k = k_t.shape[-1]
 
     starts = range(0, len_q, ATTENTION_TILE)
     keep = q.requires_grad or k_t.requires_grad  # the graph will hold every tile's weights
 
     def group_tiles(q_g: Tensor, k_g: Tensor, v_g: Tensor, buf: np.ndarray) -> list[Tensor]:
-        """One head group's tile contexts, (group, tile, head_dim) each; runs on a worker."""
+        """One head group's tile contexts, (..., group, tile, head_dim) each; runs on a worker."""
         tiles = []
         for start in starts:
             stop = min(start + ATTENTION_TILE, len_q)
-            out = buf[:, start:stop] if keep else buf[:, : stop - start]
-            q_tile = ag.transpose(ag.take_rows(q_g, slice(start, stop)), (1, 0, 2))
+            out = buf[..., start:stop, :] if keep else buf[..., : stop - start, :]
+            q_tile = ag.take_rows(q_g, np.s_[..., start:stop, :])
             attn = ag.attention_weights(q_tile, k_g, scale, None if mask is None else mask[start:stop], out=out)
             tiles.append(ag.matmul(attn, v_g))
         return tiles
 
-    # A head group takes views (row slices of the head axis) of Q, K, V and the one weight buffer.
-    groups = [slice(h[0], h[-1] + 1) for h in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
-    buf = np.empty((n_heads, len_q if keep else ATTENTION_TILE, len_k))
-    jobs = [(ag.transpose(ag.take_rows(q, heads), (1, 0, 2)), ag.take_rows(k_t, heads), ag.take_rows(v, heads),
-             buf[heads]) for heads in groups]
+    # A head group takes views (slices of the head axis) of Q, K, V and the one weight buffer.
+    groups = [np.s_[..., h[0]:h[-1] + 1, :, :]
+              for h in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
+    buf = np.empty((*lead, n_heads, len_q if keep else ATTENTION_TILE, len_k))
+    jobs = [(ag.take_rows(q, heads), ag.take_rows(k_t, heads), ag.take_rows(v, heads), buf[heads]) for heads in groups]
     rest = [_attention_pool().submit(group_tiles, *job) for job in jobs[1:]]
     try:
         first = group_tiles(*jobs[0])
@@ -211,7 +210,8 @@ def attend(
         others = [job.result() for job in rest]
     per_group = [first, *others]
     del buf, jobs  # without autograd nothing else holds the buffer: free it before the joins
-    context = ag.concat_rows([merge_heads(ag.concat_rows(list(parts))) for parts in zip(*per_group)])
+    context = ag.concat_rows([merge_heads(ag.concat_rows(list(parts), axis=-3)) for parts in zip(*per_group)],
+                             axis=-2)
     return linear(context, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 

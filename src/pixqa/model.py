@@ -188,8 +188,7 @@ class VqaModel:
         The feature is the final layer norm's output, shaped like the
         embeddings: one page's (length, d_model) matrix, or a stack's
         (pages, length, d_model). Each page of a stack is computed as it
-        would be alone, so its feature is bit-identical; a stack's pages
-        must fit in one attention tile.
+        would be alone, so its feature is bit-identical.
         """
         if embeddings.shape[-2] < 1:
             raise ValueError("cannot encode an empty embedding sequence")

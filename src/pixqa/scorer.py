@@ -16,14 +16,13 @@ followed by taking row 0, at O(length) cost instead of O(length^2) per
 head. ``avgpool`` averages the last layer's output rows; earlier layers,
 and the last layer under ``avgpool``, attend from every row.
 
-``score`` also takes a stack of features with a leading page axis,
-(pages, length, d_model), of pages whose attention rows fit in one
-attention tile, and computes each page as it would alone: row 0 of each
-page is its query, the ``cls`` token is prepended to each page, and
-``avgpool`` averages each page's rows. Gradients of a stack are added page
-by page (see ``autograd._accum``), so stage-2 training scores and
-backpropagates a batch's pairs in a few stacked calls, bit-identical to one
-call per pair. Dropout masks are drawn apart from the call
+``score`` also takes a stack of same-shape features with a leading page
+axis, (pages, length, d_model), and computes each page as it would alone:
+row 0 of each page is its query, the ``cls`` token is prepended to each
+page, and ``avgpool`` averages each page's rows. Gradients of a stack are
+added page by page (see ``autograd._accum``), so stage-2 training scores
+and backpropagates a batch's pairs in a few stacked calls, bit-identical
+to one call per pair. Dropout masks are drawn apart from the call
 (``dropout_keep``, one per page), so the caller fixes the order of its
 random draws.
 """

@@ -42,7 +42,6 @@ from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import ConfigError, DataError
 from .evaluate import BLOCK_ROWS, anls_single, encode_page, encode_stack, fuse_page, grid_stacks, retrieve
-from .layers import ATTENTION_TILE
 from .model import VqaModel
 from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
 from .scorer import SelfAttentionScorer
@@ -172,12 +171,9 @@ def sample_negative(doc: Document, positive_idx: int, rng: np.random.Generator) 
     return idx + 1 if idx >= positive_idx else idx
 
 
-def mse_smoothed_loss(pred, is_positive, eps: float):
+def mse_smoothed_loss(pred: Tensor, is_positive, eps: float) -> Tensor:
     """Squared error against the label-smoothed target 1-eps (positive) or eps; elementwise for a stack's pages."""
-    target = np.where(is_positive, 1.0 - eps, eps)
-    if isinstance(pred, Tensor):
-        return ag.powc(pred + (-target), 2.0)
-    return float((pred - target) ** 2)
+    return ag.powc(pred + (-np.where(is_positive, 1.0 - eps, eps)), 2.0)
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -209,11 +205,6 @@ def validation_anls(valid_set: Dataset, model: VqaModel) -> float:
             answers = model.generate_answers(encode_stack(list(grids), model))
             scores += [anls_single(answer, sample.answers) for answer, sample in zip(answers, samples)]
     return float(np.mean(scores))
-
-
-def _decoder_exceeds_tile(sample) -> bool:
-    """Whether the sample's teacher-forced decoder rows (answer plus EOS) overflow one attention tile."""
-    return len(sample.answers[0]) + 1 > ATTENTION_TILE
 
 
 def _stage2_stack(scorer: SelfAttentionScorer, stack: list, eps: float) -> list[float]:
@@ -373,7 +364,7 @@ def train_stage1(
     def train_batch(indices, rng) -> list[float]:
         batch = [train_set.questions[int(idx)] for idx in indices]
         losses = []
-        for stack in grid_stacks(_gold_pages(train_set, batch, model), STACK_ROWS, alone=_decoder_exceeds_tile):
+        for stack in grid_stacks(_gold_pages(train_set, batch, model), STACK_ROWS):
             losses += _stage1_stack(model, stack)
         return losses
 

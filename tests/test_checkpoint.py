@@ -97,6 +97,31 @@ class TestRoundTrip:
             assert m1.params[name].data.tobytes() == m2.params[name].data.tobytes()
 
 
+class FailsToWrite:
+    """A parameter array whose bytes cannot be produced, so a save fails after writing part of the file."""
+
+    def __init__(self, arr: np.ndarray):
+        self.shape, self.size = arr.shape, arr.size
+
+    def __array__(self, dtype=None, copy=None):
+        raise MemoryError("no room for the payload")
+
+
+class TestFailedSave:
+    def test_previous_checkpoint_survives_a_save_that_fails_partway(self, tmp_path):
+        model, scorer = make_pair()
+        path = tmp_path / "stage2.ckpt"
+        save_checkpoint(path, model, scorer)
+        before = path.read_bytes()
+        last = sorted(scorer.params)[-1]  # scorer entries come after every model entry
+        scorer.params[last].data = FailsToWrite(scorer.params[last].data)
+        with pytest.raises(MemoryError):
+            save_checkpoint(path, model, scorer)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1] is not None
+        assert [p.name for p in tmp_path.iterdir()] == ["stage2.ckpt"]
+
+
 class TestCorruption:
     def test_truncated_payload(self, tmp_path):
         model, _ = make_pair()

@@ -311,6 +311,17 @@ class TestExitCodes:
         rc = main(["eval", "--data", str(corpus), "--checkpoint", str(broken), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--data", "{corpus}", "--out", "{out}"],
+        ["answer", "--question", "what is the value of ABC?", "--doc-dir", "{doc}"],
+    ])
+    def test_stage1_checkpoint_where_a_scorer_is_needed(self, corpus, stage1, tmp_path, capsys, command):
+        ckpt, _ = stage1
+        doc = sorted((corpus / "images").glob("*.pgm"))[0].parent
+        argv = [arg.format(corpus=corpus, out=tmp_path / "o", doc=doc) for arg in command]
+        assert main(argv + ["--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: checkpoint {ckpt} has no scorer parameters; run train-scorer first\n"
+
     def test_bad_range_syntax(self, corpus, stage1, tmp_path):
         ckpt, _ = stage1
         rc = main(["sweep", "--data", str(corpus), "--checkpoint", str(ckpt), "--out", str(tmp_path / "s"),

@@ -320,10 +320,10 @@ class TestBlockEncoding:
         assert loads == list(range(doc.n_pages)) * 2
 
     def test_stream_frees_features_and_grids_as_it_goes(self, tmp_path, monkeypatch):
-        """Pages longer than one tile are blocks of their own. A block's grids are freed before its
-        feature is handed out, and a feature the consumer dropped is freed before the next page is encoded."""
-        doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(4)])
-        model = VqaModel(replace(TINY_MODEL, max_patches=256))
+        """Pages of more than BLOCK_ROWS // 2 patches are blocks of their own. A block's grids are freed before
+        its feature is handed out, and a feature the consumer dropped is freed before the next page is encoded."""
+        doc = write_document(tmp_path, [ink_page(i, 160, 416) for i in range(4)])  # 286 patches a page
+        model = VqaModel(replace(TINY_MODEL, max_patches=512))
         grids, dropped, freed_at_encode = [], [], []
         fuse_page, encode_grid = evaluate.fuse_page, VqaModel.encode_grid
 
@@ -356,8 +356,8 @@ class TestBlockEncoding:
                 self.refs.append(weakref.ref(feature.data))
                 return -float(len(self.refs))
 
-        doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(4)])
-        model = VqaModel(replace(TINY_MODEL, max_patches=256))
+        doc = write_document(tmp_path, [ink_page(i, 160, 416) for i in range(4)])  # one block a page
+        model = VqaModel(replace(TINY_MODEL, max_patches=512))
         scorer, freed_at_encode = FirstPageBest(), []
         encode_grid = VqaModel.encode_grid
 
@@ -386,12 +386,12 @@ class TestBlockEncoding:
         with pytest.raises(NumericError, match="encoder layer 0 produced non-finite values"):
             answer_question(QUESTION, doc, model, self.scorer)
 
-    def test_page_longer_than_one_tile_is_never_stacked(self, tmp_path, monkeypatch):
-        doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(3)])
+    def test_pages_longer_than_one_tile_stack_within_the_row_cap(self, tmp_path, monkeypatch):
+        doc = write_document(tmp_path, [ink_page(i, 48, 416) for i in range(5)])
         model = VqaModel(replace(TINY_MODEL, max_patches=256))
         with no_grad():
             assert encode_page(QUESTION, doc, 0, model).shape[-2] == 104 > ATTENTION_TILE
-        assert self.encode_in_blocks(doc, model, monkeypatch) == [1, 1, 1]
+        assert self.encode_in_blocks(doc, model, monkeypatch) == [BLOCK_ROWS // 104, 1] == [4, 1]
 
     def test_desk_size_block_peak_memory(self, tmp_path, monkeypatch):
         """One block of 13 desk pages (39 patches each) peaks at about 7 MiB of traced memory.

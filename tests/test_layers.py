@@ -162,21 +162,39 @@ class TestHeadGroups:
 class TestPageStacks:
     """A stack with a leading page axis computes each page as it would alone."""
 
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("n", [20, 2 * ATTENTION_TILE + 5], ids=["one-tile", "tiled"])
     @pytest.mark.parametrize("causal", [False, True])
-    def test_stacked_attention_equals_each_sequence_alone(self, causal):
-        x = Tensor(np.random.default_rng(15).normal(0.0, 1.0, (3, 20, D_MODEL)))
+    def test_stacked_attention_equals_each_sequence_alone(self, monkeypatch, causal, n, grad):
+        """Values, and gradients that add up page by page in stack order; tiled with two head groups."""
+        force_workers(monkeypatch, 2)  # one head group on the calling thread, one on a pool thread
+        pages = 3
+        r = np.random.default_rng(15)
+        x = r.normal(0.0, 1.0, (pages, n, D_MODEL))
+        weights = r.normal(0.0, 1.0, x.shape)
+        mask = np.triu(np.full((n, n), NEG_MASK), k=1) if causal else None
         params = attention_params()
-        mask = np.triu(np.full((20, 20), NEG_MASK), k=1) if causal else None
-        with ag.no_grad():
-            out = multi_head_attention(x, x, params, "a", N_HEADS, mask=mask)
-            for i in range(3):
-                alone = multi_head_attention(Tensor(x.data[i]), Tensor(x.data[i]), params, "a", N_HEADS, mask=mask)
-                assert np.array_equal(out.data[i], alone.data)
 
-    def test_stack_longer_than_one_tile_is_rejected(self):
-        x = Tensor(np.zeros((2, ATTENTION_TILE + 1, D_MODEL)))
-        with pytest.raises(ValueError, match="one attention tile"):
-            multi_head_attention(x, x, attention_params(), "a", N_HEADS)
+        def attend(x_in: Tensor, w: np.ndarray) -> np.ndarray:
+            if not grad:
+                with ag.no_grad():
+                    return multi_head_attention(x_in, x_in, params, "a", N_HEADS, mask=mask).data
+            out = multi_head_attention(x_in, x_in, params, "a", N_HEADS, mask=mask)
+            ag.sum_axis(ag.mul(out, w)).backward()
+            return out.data
+
+        stack = Tensor(x, requires_grad=True)
+        out = attend(stack, weights)
+        stacked_grads = {name: t.grad.copy() for name, t in params.items()} if grad else {}
+        for t in params.values():
+            t.zero_grad()
+        for i in range(pages):  # parameter gradients accumulate over the pages in order
+            page = Tensor(x[i], requires_grad=True)
+            assert np.array_equal(out[i], attend(page, weights[i]))
+            if grad:
+                assert np.array_equal(stack.grad[i], page.grad)
+        for name, g in stacked_grads.items():
+            assert np.array_equal(params[name].grad, g), name
 
 
 SMALL = ModelConfig(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=3, d_ff=32, patch_size=4,

@@ -207,14 +207,11 @@ class TestGridStacks:
         items = self.grids([(3, 13)] * 6 + [(2, 13)] * 2 + [(3, 13)])
         assert self.keys(grid_stacks(items, STACK_ROWS)) == [[0, 1, 2, 3], [4, 5], [6, 7], [8]]
 
-    def test_a_page_longer_than_a_tile_is_alone(self):
-        items = self.grids([(3, 13), (5, 13), (5, 13), (3, 13)])
-        assert items[1][1].n_patches > ATTENTION_TILE
-        assert self.keys(grid_stacks(items, STACK_ROWS)) == [[0], [1], [2], [3]]
-
-    def test_alone_predicate(self):
-        items = self.grids([(3, 13)] * 4)
-        assert self.keys(grid_stacks(items, STACK_ROWS, alone=lambda key: key == 1)) == [[0], [1], [2, 3]]
+    def test_the_row_cap_alone_splits_pages_longer_than_a_tile(self):
+        """65-patch pages stack two to a STACK_ROWS stack; a 91-patch page, over half the cap, is alone."""
+        items = self.grids([(3, 13)] + [(5, 13)] * 3 + [(7, 13)] * 2 + [(3, 13)])
+        assert items[1][1].n_patches > ATTENTION_TILE and 2 * items[4][1].n_patches > STACK_ROWS
+        assert self.keys(grid_stacks(items, STACK_ROWS)) == [[0], [1, 2], [3], [4], [5], [6]]
 
     def test_draws_each_pair_once_and_no_further_than_needed(self):
         drawn = []
@@ -317,8 +314,9 @@ class TestTrainStage1:
         assert sum(sizes) == len(train.questions)
         assert len(sizes) < len(train.questions) and max(sizes) <= STACK_ROWS // 39
 
-    def test_answers_longer_than_a_tile_train_alone(self, tmp_path):
-        """A 70-character answer needs 71 decoder rows: its sample is a stack of its own, and training matches."""
+    def test_answers_longer_than_a_tile_stack_with_shorter_ones(self, tmp_path, monkeypatch):
+        """A 70-character answer needs 71 decoder rows, more than one tile: its sample stacks with the
+        batch's shorter answers, one backward for the stack, and training matches the one-sample loop."""
         cfg_model = replace(SMALL_MODEL, max_answer_len=72)
         train = corpus(tmp_path / "train", 5, 32, n_documents=2)
         valid = corpus(tmp_path / "valid", 6, 32, n_documents=1)
@@ -327,10 +325,14 @@ class TestTrainStage1:
         params = {k: p.data.copy() for k, p in VqaModel(cfg_model).params.items()}
         cfg = TrainConfig(stage=1, optimizer="adam", learning_rate=1e-3, batch_size=8, max_epochs=1, seed=1)
         model, want_model = fresh(params, cfg_model), fresh(params, cfg_model)
+        backward, backwards = Tensor.backward, []
+        monkeypatch.setattr(Tensor, "backward", lambda self: backwards.append(self.data.size) or backward(self))
         history = train_stage1(train, valid, model, cfg)
+        monkeypatch.undo()
+        assert len(train.questions) == 4 and backwards == [4]  # four 39-patch pages: one stack
         assert without_time(history.records) == reference_stage1(train, valid, want_model, cfg)
         for name, p in model.params.items():
-            assert np.array_equal(p.data, want_model.params[name].data), name
+            assert np.allclose(p.data, want_model.params[name].data, rtol=0.0, atol=1e-12), name
 
     def test_epoch_s_in_every_record_and_log_line(self, mixed_corpus, small_model_params):
         train, valid = mixed_corpus
@@ -426,19 +428,23 @@ class TestTrainStage2:
         assert without_time(history.records) == reference_stage2(train, valid, model, want_scorer, cfg)
         self.assert_same_checkpoint(tmp_path, model, scorer, want_scorer)
 
-    def test_shapes_split_stacks_and_long_features_score_alone(self, stage2_corpus, small_model_params,
-                                                              monkeypatch):
+    def test_shapes_split_stacks_and_long_features_stack(self, stage2_corpus, small_model_params, tmp_path,
+                                                         monkeypatch):
         train, valid = stage2_corpus
         shapes = self.scored_shapes(monkeypatch)
         cfg = TrainConfig(stage=2, batch_size=16, max_epochs=1, seed=5)
-        history = train_stage2(train, valid, fresh(small_model_params), scorer_pair("cls", 2, 0.1)[0], cfg)
+        model = fresh(small_model_params)
+        scorer, want_scorer = scorer_pair("cls", 2, 0.1)
+        history = train_stage2(train, valid, model, scorer, cfg)
+        monkeypatch.undo()
         record = history.records[0]
         assert sum(shape[0] if len(shape) == 3 else 1 for shape in shapes) == record["n_pos_pairs"] + record[
             "n_neg_pairs"]
         assert record["n_neg_pairs"] < record["n_pos_pairs"]  # the single-page documents add no negative
         stacked = [shape for shape in shapes if len(shape) == 3]
-        assert stacked and {shape[1] for shape in stacked} == {26, 39}
-        assert (65, SMALL_MODEL.d_model) in shapes  # longer than a tile: scored alone
+        assert {shape[1] for shape in stacked} == {26, 39, 65}  # 65 rows, longer than a tile, stack too
+        assert without_time(history.records) == reference_stage2(train, valid, model, want_scorer, cfg)
+        self.assert_same_checkpoint(tmp_path, model, scorer, want_scorer)
 
     def test_cache_size_in_every_record_and_log_line(self, stage2_corpus, small_model_params):
         train, valid = stage2_corpus

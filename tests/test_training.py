@@ -90,13 +90,13 @@ class TestConfig:
 
 class TestMseSmoothedLoss:
     def test_positive_at_smoothed_target(self):
-        assert mse_smoothed_loss(0.9, True, 0.1) == pytest.approx(0.0, abs=1e-15)
+        assert mse_smoothed_loss(Tensor(np.array(0.9)), True, 0.1).data == pytest.approx(0.0, abs=1e-15)
 
     def test_positive_off_target(self):
-        assert mse_smoothed_loss(0.5, True, 0.1) == pytest.approx(0.16, abs=1e-12)
+        assert mse_smoothed_loss(Tensor(np.array(0.5)), True, 0.1).data == pytest.approx(0.16, abs=1e-12)
 
     def test_negative_at_smoothed_target(self):
-        assert mse_smoothed_loss(0.1, False, 0.1) == pytest.approx(0.0, abs=1e-15)
+        assert mse_smoothed_loss(Tensor(np.array(0.1)), False, 0.1).data == pytest.approx(0.0, abs=1e-15)
 
     def test_tensor_input_returns_tensor(self):
         out = mse_smoothed_loss(Tensor(np.array(0.5)), True, 0.1)
