@@ -374,11 +374,13 @@ def take_rows(a, indices) -> Tensor:
 
     Indices of any shape gather a row each; the backward adds the rows'
     gradients back in index order (C order), so a (pages, n) index array
-    adds one page's rows after another. A tuple of slices (``np.s_[..., :1,
-    :]``) is a basic index over any axes, a view too.
+    adds one page's rows after another. A tuple of slices (``np.s_[:, :1,
+    :]``) is a basic index over any axes, a view too; it selects each
+    element at most once, so its backward adds the gradient in place.
     """
     a = _as_tensor(a)
-    idx = indices if isinstance(indices, (slice, tuple)) else np.asarray(indices, dtype=np.intp)
+    basic = isinstance(indices, (slice, tuple))
+    idx = indices if basic else np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
     def backward(g):
@@ -386,7 +388,10 @@ def take_rows(a, indices) -> Tensor:
             return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+        if basic:
+            a.grad[idx] += g
+        else:
+            np.add.at(a.grad, idx, g)
 
     return _node(data, (a,), backward)
 

@@ -5,16 +5,16 @@ fuse the question on top of it, encode it, score it. `page_features` is
 that stream: it encodes the pages in blocks (consecutive pages that share a
 patch grid are stacked, up to `BLOCK_ROWS` patch rows, and encoded in one
 `encode_grid` call, which pays each op's per-call cost once per block
-instead of once per page) and yields one feature per page, in page order.
-`grid_stacks` is that grouping rule, which stage-1 training and its
-validation use too, and stage 2 for the scorer's stacks of frozen
-features; `encode_page` encodes one page alone, which the frozen-feature
-cache uses. `retrieve` scores a stream of features one at a time and
-keeps the top-1. Retrieval runs without
-autograd, and the answer is decoded from the feature it retrieved, so no
-page is encoded twice. Only one block plus the best feature so far (a view
-that keeps its block's features) is alive at a time, so peak memory stays
-bounded no matter how long the document is.
+instead of once per page) and yields each page's feature, a stack of one,
+in page order. `grid_stacks` is that grouping rule, which stage-1 training
+and its validation use too, and stage 2 for the scorer's stacks of frozen
+features; `encode_page` encodes one page as a stack of one, which the
+frozen-feature cache uses. `retrieve` scores a stream of features one at
+a time and keeps the top-1. Retrieval runs without autograd, and the
+answer is decoded from the feature it retrieved, so no page is encoded
+twice. Only one block plus the best feature so far (a view that keeps its
+block's features) is alive at a time, so peak memory stays bounded no
+matter how long the document is.
 
 Answer quality uses normalized Levenshtein similarity averaged over
 questions (scores whose normalized distance reaches the threshold count
@@ -150,16 +150,11 @@ def grid_stacks(
         yield hand_over(stack)
 
 
-def encode_stack(grids: list[PatchGrid], model: VqaModel) -> Tensor:
-    """One `encode_grid` call: one page's feature, or a stacked feature of pages that share a grid shape."""
-    return model.encode_grid(grids[0] if len(grids) == 1 else stack_grids(grids))
-
-
 def encode_page(question: str, doc: Document, index: int, model: VqaModel) -> Tensor:
     """Load page `index` of `doc`, fuse the question on top of it and encode the result.
 
     Autograd follows the caller. Only `FrozenFeatureCache` and the tests
-    call it: stage 1 trains through `encode_stack`.
+    call it: stage 1 trains on stacks of grids.
     """
     return model.encode_grid(fuse_page(question, doc, index, model))
 
@@ -169,16 +164,15 @@ def page_features(question: str, doc: Document, model: VqaModel) -> Iterator[Ten
 
     Pages are loaded and fused lazily and grouped into blocks by
     `grid_stacks` (a shared grid shape, within `BLOCK_ROWS` patch rows);
-    each block is one `encode_stack` call. A one-page block's feature is
-    yielded as it is; a stacked block's pages are yielded as views of its
-    array, with no graph. A block's grids are freed before its first
-    feature is handed out, and no handed-out feature is kept, so the
-    consumer decides which features stay alive.
+    each block is one `encode_grid` call. Each page is yielded as a
+    one-page view of the block's array, with no graph. A block's grids are
+    freed before its first feature is handed out, and no handed-out
+    feature is kept, so the consumer decides which features stay alive.
     """
     pages = ((index, fuse_page(question, doc, index, model)) for index in range(doc.n_pages))
     for block in grid_stacks(pages, BLOCK_ROWS):
-        feature = encode_stack([grid for _, grid in block], model)
-        features = [Tensor(page) for page in feature.data] if len(block) > 1 else [feature]
+        feature = model.encode_grid(stack_grids([grid for _, grid in block]))
+        features = [Tensor(feature.data[i : i + 1]) for i in range(len(block))]
         del block, feature
         while features:
             yield features.pop(0)

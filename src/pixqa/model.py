@@ -6,8 +6,9 @@ cross-attention over that feature. Decoding is incremental: a
 ``DecoderCache`` holds the feature's cross-attention K/V, projected once per
 answer, and each layer's self-attention K/V rows, so a greedy step runs the
 decoder on the one new token. Teacher forcing runs the same per-layer code
-on every token at once. Both also take a stack of pages, one answer each,
-and compute each page as it would alone. Deliberately small: the retrieval
+on every token at once. Every grid and feature is a stack of pages along a
+leading axis, a single page a stack of one, and each page is computed as
+it would be in a stack of its own. Deliberately small: the retrieval
 mechanism built on top is backbone-agnostic, so a desk-scale transformer
 stands in for a large pretrained one.
 """
@@ -161,9 +162,7 @@ class VqaModel:
     # ----- encoder -----
 
     def embed_patches(self, grid: PatchGrid) -> Tensor:
-        """Affine projection of each patch plus learned row and column embeddings.
-
-        A stacked grid gives a (pages, n_patches, d_model) stack.
+        """Affine projection of each patch plus learned row and column embeddings: (pages, n_patches, d_model).
 
         Patch values are recentered so the white background maps to zero;
         this removes the large shared component an all-ones background would
@@ -183,12 +182,11 @@ class VqaModel:
         return projected + ag.take_rows(p["embed.row_emb"], rows) + ag.take_rows(p["embed.col_emb"], cols)
 
     def encode(self, embeddings: Tensor) -> Tensor:
-        """Encode (length, d_model) embeddings, or a (pages, length, d_model) stack of pages.
+        """Encode a (pages, length, d_model) stack of embeddings.
 
         The feature is the final layer norm's output, shaped like the
-        embeddings: one page's (length, d_model) matrix, or a stack's
-        (pages, length, d_model). Each page of a stack is computed as it
-        would be alone, so its feature is bit-identical.
+        embeddings. Each page of a stack is computed as it would be in a
+        stack of its own, so its feature is bit-identical.
         """
         if embeddings.shape[-2] < 1:
             raise ValueError("cannot encode an empty embedding sequence")
@@ -204,13 +202,15 @@ class VqaModel:
         return apply_layer_norm(x, p, "enc.final_ln")
 
     def encode_grid(self, grid: PatchGrid) -> Tensor:
-        """Encode one page's grid, or a stacked grid's pages at once."""
+        """Encode a grid's pages at once."""
         return self.encode(self.embed_patches(grid))
 
     # ----- decoder -----
 
     def decoder_cache(self, feature: Tensor) -> DecoderCache:
-        """An empty cache for decoding from ``feature``: its cross-attention K/V projected once, in every layer."""
+        """An empty cache for decoding from a (pages, length, d_model) ``feature``: its cross-attention K/V per layer."""
+        if feature.data.ndim != 3:
+            raise ValueError(f"a feature is a (pages, length, d_model) stack, got shape {feature.shape}")
         cfg, p = self.cfg, self.params
         cross = [project_kv(feature, p, f"dec.{i}.cross_attn", cfg.n_heads) for i in range(cfg.n_dec_layers)]
         return DecoderCache(cross, [None] * cfg.n_dec_layers)
@@ -222,8 +222,8 @@ class VqaModel:
         an empty cache under a causal mask, and greedy decoding feeds one
         token per step, whose query sees every cached key. Each layer's
         self-attention K/V of ``tokens_in`` are appended to the cache.
-        ``tokens_in`` is (n,) for one answer, or (pages, n) for a cache of a
-        stacked feature, one row of tokens per page.
+        ``tokens_in`` is (pages, n), one row of tokens per page of the
+        cache's feature.
         """
         cfg, p = self.cfg, self.params
         n, past = tokens_in.shape[-1], cache.length
@@ -245,34 +245,29 @@ class VqaModel:
         x = apply_layer_norm(x, p, "dec.final_ln")
         return linear(x, p["dec.out_w"], p["dec.out_b"])
 
-    def vqa_loss(self, feature: Tensor, answers: str | Sequence[str]) -> Tensor:
+    def vqa_loss(self, feature: Tensor, answers: Sequence[str]) -> Tensor:
         """Token-level cross-entropy of teacher-forced decoding, averaged over each answer's tokens.
 
-        One page's (length, d_model) feature takes one answer and gives a
-        scalar loss. A stacked (pages, length, d_model) feature takes one
-        answer per page and gives one loss per page, in one decoder call:
+        A (pages, length, d_model) feature takes a list of one answer per
+        page and gives one loss per page, (pages,), in one decoder call:
         the answers are padded with PAD to the longest, the causal mask
         keeps the padding out of every real token's logits, and each
         answer's tokens are weighted by 1/its length (characters plus EOS).
         A stack whose answers have equal length gives each page the loss
-        and gradients of its one-page call, bit for bit; with mixed lengths
-        the padding changes sums' rounding only (within 1e-12).
+        and gradients of its one-page stack, bit for bit; with mixed
+        lengths the padding changes sums' rounding only (within 1e-12).
         """
-        stacked = feature.data.ndim == 3
-        if isinstance(answers, str) == stacked or (stacked and len(answers) != feature.shape[0]):
-            raise ValueError("one page takes one answer string, a stack of pages a list of one answer per page")
-        texts = list(answers) if stacked else [answers]
-        for text in texts:
+        if isinstance(answers, str) or len(answers) != feature.shape[0]:
+            raise ValueError(f"a stack of {feature.shape[0]} pages takes a list of one answer per page: {answers!r}")
+        for text in answers:
             if len(text) > self.cfg.max_answer_len:
                 raise ValueError(f"answer length {len(text)} exceeds max_answer_len {self.cfg.max_answer_len}")
-        targets = [self.vocab.encode_answer(text) for text in texts]
+        targets = [self.vocab.encode_answer(text) for text in answers]
         lengths = np.array([len(t) for t in targets])
         target = np.full((len(targets), lengths.max()), PAD, dtype=np.intp)
         for row, ids in zip(target, targets):
             row[: len(ids)] = ids
         tokens_in = np.concatenate((np.full((len(targets), 1), BOS), target[:, :-1]), axis=1)
-        if not stacked:
-            target, tokens_in, lengths = target[0], tokens_in[0], lengths[0]
         logits = self._decode_logits(tokens_in, self.decoder_cache(feature))
         log_probs = ag.log_softmax_last(logits)
         onehot = (target[..., None] == np.arange(self.vocab.size)) & (target != PAD)[..., None]
@@ -280,32 +275,31 @@ class VqaModel:
         return -ag.mul(ag.sum_axis(picked, axis=-1), 1.0 / lengths)
 
     def generate_answer(self, feature: Tensor, max_answer_len: int | None = None) -> str:
-        """Greedy decoding from BOS until EOS or the length cap: the one-page case of ``generate_answers``."""
+        """Greedy decoding of a one-page feature's answer from BOS until EOS or the length cap."""
         return self.generate_answers(feature, max_answer_len)[0]
 
     def generate_answers(self, feature: Tensor, max_answer_len: int | None = None) -> list[str]:
-        """Greedy decoding of one page's answer, or of one answer per page of a stacked feature.
+        """Greedy decoding of one answer per page of a (pages, length, d_model) feature.
 
         Each answer runs from BOS until its own EOS or the length cap, one
         token per step; a stack steps all its pages together until every
-        answer has stopped, and a page's logits are those it would get
-        alone. The cross-attention K/V are projected once per answer and
-        each step adds one row to every layer's self-attention cache, so a
-        step runs the decoder on one row per page. Raises NumericError when
+        answer has stopped, and a page's logits are those it would get in a
+        stack of its own. The cross-attention K/V are projected once per
+        answer and each step adds one row to every layer's self-attention
+        cache, so a step runs the decoder on one row per page. Raises NumericError when
         a step's logits are not finite for an answer still being decoded:
         an argmax over NaN would pick PAD, which decodes to nothing, and
         pass for an empty answer.
         """
         limit = self.cfg.max_answer_len if max_answer_len is None else min(max_answer_len, self.cfg.max_answer_len)
-        lead = feature.shape[:-2]  # () for one page, (pages,) for a stack
-        n_pages = lead[0] if lead else 1
+        n_pages = feature.shape[0]
         ids: list[list[int]] = [[] for _ in range(n_pages)]
         running = np.ones(n_pages, dtype=bool)
-        tokens = np.full((*lead, 1), BOS, dtype=np.intp)
+        tokens = np.full((n_pages, 1), BOS, dtype=np.intp)
         with ag.no_grad():
             cache = self.decoder_cache(feature)
             for step in range(limit):
-                logits = self._decode_logits(tokens, cache).data[..., -1, :].reshape(n_pages, -1)
+                logits = self._decode_logits(tokens, cache).data[:, -1, :]
                 if not np.isfinite(logits).all() and not np.isfinite(logits[running]).all():
                     raise NumericError(f"decoder step {step} produced non-finite logits")
                 nxt = logits.argmax(axis=-1)
@@ -314,7 +308,7 @@ class VqaModel:
                     break
                 for page in np.flatnonzero(running):
                     ids[page].append(int(nxt[page]))
-                tokens = nxt.reshape(*lead, 1)
+                tokens = nxt[:, None]
         return [self.vocab.decode(page_ids) for page_ids in ids]
 
 

@@ -47,22 +47,22 @@ class RasterImage:
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """A raster image cut into patch_size x patch_size tiles, row-major.
+    """A stack of page images, each cut into patch_size x patch_size tiles, row-major.
 
     Patch values are intensities divided by 255, so they lie in [0, 1].
-    ``stack_grids`` makes a grid of several pages with one shape, whose
-    patches carry a leading page axis; ``n_patches`` still counts one page.
+    ``patchify`` makes a stack of one page; ``stack_grids`` joins stacks of
+    one grid shape. ``n_patches`` counts one page's patches.
     """
 
     rows: int
     cols: int
     patch_size: int
-    patches: np.ndarray  # (rows * cols, patch_size**2) float64, or (pages, rows * cols, patch_size**2)
+    patches: np.ndarray  # (pages, rows * cols, patch_size**2) float64
 
     def __post_init__(self):
         expected = (self.rows * self.cols, self.patch_size**2)
-        if self.patches.ndim not in (2, 3) or self.patches.shape[-2:] != expected:
-            raise ValueError(f"patches shape {self.patches.shape} != {expected}")
+        if self.patches.ndim != 3 or self.patches.shape[1:] != expected:
+            raise ValueError(f"patches shape {self.patches.shape} != (pages, {expected[0]}, {expected[1]})")
 
     @property
     def n_patches(self) -> int:
@@ -75,12 +75,13 @@ class PatchGrid:
 
 
 def stack_grids(grids: Sequence[PatchGrid]) -> PatchGrid:
-    """Pages that share one grid shape as one grid with a leading page axis."""
+    """Stacks that share one grid shape as one stack, in page order; a lone grid is returned as it is, not copied."""
     first = grids[0]
-    if any((g.rows, g.cols, g.patch_size, g.patches.ndim) != (first.rows, first.cols, first.patch_size, 2)
-           for g in grids):
-        raise ValueError("stacked grids must be single pages with the same rows, cols and patch size")
-    return PatchGrid(first.rows, first.cols, first.patch_size, np.stack([g.patches for g in grids]))
+    if any((g.rows, g.cols, g.patch_size) != (first.rows, first.cols, first.patch_size) for g in grids):
+        raise ValueError("stacked grids must have the same rows, cols and patch size")
+    if len(grids) == 1:
+        return first
+    return PatchGrid(first.rows, first.cols, first.patch_size, np.concatenate([g.patches for g in grids]))
 
 
 def blank_image(width: int, height: int) -> RasterImage:
@@ -187,14 +188,14 @@ def resize_to_patch_budget(
 
 
 def patchify(img: RasterImage, patch_size: int = DEFAULT_PATCH_SIZE) -> PatchGrid:
-    """Pad with white to patch multiples, cut row-major, normalize to [0, 1]."""
+    """Pad with white to patch multiples, cut row-major, normalize to [0, 1]: a stack of one page."""
     pad_h = (-img.height) % patch_size
     pad_w = (-img.width) % patch_size
     px = np.pad(img.pixels, ((0, pad_h), (0, pad_w)), constant_values=WHITE)
     rows = px.shape[0] // patch_size
     cols = px.shape[1] // patch_size
     tiles = px.reshape(rows, patch_size, cols, patch_size).transpose(0, 2, 1, 3)
-    patches = tiles.reshape(rows * cols, patch_size**2).astype(np.float64) / 255.0
+    patches = tiles.reshape(1, rows * cols, patch_size**2).astype(np.float64) / 255.0
     return PatchGrid(rows=rows, cols=cols, patch_size=patch_size, patches=patches)
 
 

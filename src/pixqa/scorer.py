@@ -1,11 +1,11 @@
 """Self-attention scoring head: encoder feature -> page relevance in [0, 1].
 
-The head takes a page's feature as the encoder returns it, a (length,
-d_model) ``Tensor``, runs one or more bare self-attention layers over it
-(no positional encoding of its own), pools the output sequence to a single
-vector, and squashes it through a small MLP ending in a logistic unit.
-Three pooling strategies are supported; taking the first output vector is
-the default.
+The head takes pages' features as the encoder returns them, a (pages,
+length, d_model) ``Tensor``, runs one or more bare self-attention layers
+over each page (no positional encoding of its own), pools each page's
+output sequence to a single vector, and squashes it through a small MLP
+ending in a logistic unit. Three pooling strategies are supported; taking
+the first output vector is the default.
 
 With ``first`` or ``cls`` pooling (``cls`` prepends a learned token) the
 last self-attention layer attends from row 0 only: row 0 is its single
@@ -16,14 +16,13 @@ followed by taking row 0, at O(length) cost instead of O(length^2) per
 head. ``avgpool`` averages the last layer's output rows; earlier layers,
 and the last layer under ``avgpool``, attend from every row.
 
-``score`` also takes a stack of same-shape features with a leading page
-axis, (pages, length, d_model), and computes each page as it would alone:
-row 0 of each page is its query, the ``cls`` token is prepended to each
-page, and ``avgpool`` averages each page's rows. Gradients of a stack are
-added page by page (see ``autograd._accum``), so stage-2 training scores
-and backpropagates a batch's pairs in a few stacked calls, bit-identical
-to one call per pair. Dropout masks are drawn apart from the call
-(``dropout_keep``, one per page), so the caller fixes the order of its
+``score`` computes each page of a stack as it would be in a stack of its
+own: row 0 of each page is its query, the ``cls`` token is prepended to
+each page, and ``avgpool`` averages each page's rows. Gradients of a stack
+are added page by page (see ``autograd._accum``), so stage-2 training
+scores and backpropagates a batch's pairs in a few stacked calls,
+bit-identical to one call per pair. Dropout masks are drawn apart from the
+call (``dropout_keep``, one per page), so the caller fixes the order of its
 random draws.
 """
 
@@ -40,7 +39,7 @@ from .errors import ConfigError
 from .layers import ParamEntry, attention_table, glorot, init_params, linear, multi_head_attention, normal, zeros
 
 AGGREGATIONS = ("first", "cls", "avgpool")
-FIRST_ROW = np.s_[..., :1, :]  # row 0 of one page, or of each page of a stack
+FIRST_ROW = np.s_[:, :1, :]  # row 0 of each page of a stack
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,12 @@ class SelfAttentionScorer:
         """The sequence the scorer's self-attention actually sees: under ``cls``, the token prepended to each page."""
         if self.cfg.aggregation != "cls":
             return feature
-        token = self.params["cls"]
-        if feature.data.ndim == 3:  # one token per page: its gradient is added page by page
-            token = ag.add(np.zeros((feature.shape[0], 1, 1)), token)
+        # One token per page: its gradient is added page by page.
+        token = ag.add(np.zeros((feature.shape[0], 1, 1)), self.params["cls"])
         return ag.concat_rows([token, feature], axis=-2)
 
     def stack_size(self, feature: Tensor) -> tuple[tuple[int, ...], int]:
-        """One page's feature shape, which its stack mates share, and its attention rows (with the ``cls`` token).
+        """A one-page feature's shape, which its stack mates share, and its attention rows (with the ``cls`` token).
 
         The `size` that `evaluate.grid_stacks` takes to stack features for ``score``.
         """
@@ -108,12 +106,14 @@ class SelfAttentionScorer:
         return (rng.random((1, self.d_model)) >= p) / (1.0 - p)
 
     def score(self, feature: Tensor, training: bool = False, keep: np.ndarray | None = None) -> Tensor:
-        """Matching score in [0, 1]: shape () for one page (length, d_model), (pages,) for a stack of pages.
+        """Matching score in [0, 1] of each page of a (pages, length, d_model) feature: shape (pages,).
 
         Deterministic unless training: with dropout configured, a training
-        call scales each page's pooled vector by ``keep``, that page's
-        `dropout_keep` draw (stacked along the page axis for a stack).
+        call scales each page's pooled vector by ``keep``, the pages'
+        `dropout_keep` draws stacked along the page axis.
         """
+        if feature.data.ndim != 3:
+            raise ValueError(f"a feature is a (pages, length, d_model) stack, got shape {feature.shape}")
         cfg, p = self.cfg, self.params
         x = self.attention_inputs(feature)
         last = cfg.n_sa_layers - 1
@@ -133,6 +133,9 @@ class SelfAttentionScorer:
         return ag.reshape(out, out.shape[:-2])
 
     def score_value(self, feature: Tensor) -> float:
-        """Evaluation-mode score as a plain float."""
+        """Evaluation-mode score of a one-page feature, as a plain float."""
         with ag.no_grad():
-            return float(self.score(feature).data)
+            scores = self.score(feature).data
+        if scores.size != 1:
+            raise ValueError(f"score_value scores one page, got a stack of {scores.size} pages")
+        return scores.item()

@@ -41,9 +41,10 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import ConfigError, DataError
-from .evaluate import BLOCK_ROWS, anls_single, encode_page, encode_stack, fuse_page, grid_stacks, retrieve
+from .evaluate import BLOCK_ROWS, anls_single, encode_page, fuse_page, grid_stacks, retrieve
 from .model import VqaModel
 from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
+from .render import stack_grids
 from .scorer import SelfAttentionScorer
 
 LogFn = Callable[[str], None]
@@ -196,32 +197,26 @@ def validation_anls(valid_set: Dataset, model: VqaModel) -> float:
 
     The gold pages are stacked as retrieval stacks its blocks (up to
     `BLOCK_ROWS` patch rows) and each stack is encoded and greedily decoded
-    at once; every answer is the one its page gives alone.
+    at once; every answer is the one its page gives in a stack of its own.
     """
     scores = []
     with ag.no_grad():
         for stack in grid_stacks(_gold_pages(valid_set, valid_set.questions, model), BLOCK_ROWS):
             samples, grids = zip(*stack)
-            answers = model.generate_answers(encode_stack(list(grids), model))
+            answers = model.generate_answers(model.encode_grid(stack_grids(grids)))
             scores += [anls_single(answer, sample.answers) for answer, sample in zip(answers, samples)]
     return float(np.mean(scores))
 
 
 def _stage2_stack(scorer: SelfAttentionScorer, stack: list, eps: float) -> list[float]:
-    """Score, loss and backward of one stack of ((is positive, dropout mask), feature) pairs; returns each pair's loss.
-
-    One pair is scored as it is; several are stacked along a page axis.
-    """
+    """Score, loss and backward of a stack of ((is positive, dropout mask), one-page feature) pairs; returns their losses."""
     keys, features = zip(*stack)
     positives, keeps = zip(*keys)
-    feature, keep = features[0], keeps[0]
-    if len(stack) > 1:
-        feature = Tensor(np.stack([f.data for f in features]))
-        keep = None if keep is None else np.stack(keeps)
-    pred = scorer.score(feature, training=True, keep=keep)
-    loss = mse_smoothed_loss(pred, np.reshape(positives, pred.shape), eps)
+    keep = None if keeps[0] is None else np.stack(keeps)
+    pred = scorer.score(Tensor(np.concatenate([f.data for f in features])), training=True, keep=keep)
+    loss = mse_smoothed_loss(pred, np.array(positives), eps)
     loss.backward()
-    return np.atleast_1d(loss.data).tolist()
+    return loss.data.tolist()
 
 
 def _stage1_stack(model: VqaModel, stack: list) -> list[float]:
@@ -231,10 +226,9 @@ def _stage1_stack(model: VqaModel, stack: list) -> list[float]:
     builds the next stack.
     """
     samples, grids = zip(*stack)
-    answers = [sample.answers[0] for sample in samples]
-    loss = model.vqa_loss(encode_stack(list(grids), model), answers if len(answers) > 1 else answers[0])
+    loss = model.vqa_loss(model.encode_grid(stack_grids(grids)), [sample.answers[0] for sample in samples])
     loss.backward()
-    return np.atleast_1d(loss.data).tolist()
+    return loss.data.tolist()
 
 
 class FrozenFeatureCache:

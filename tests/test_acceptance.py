@@ -209,9 +209,9 @@ def _central_diff_check(params: dict, loss_fn, tol: float = 1e-4, h: float = 1e-
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = float(loss_fn().data)
+            lp = loss_fn().data.item()
             flat[i] = orig - h
-            lm = float(loss_fn().data)
+            lm = loss_fn().data.item()
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
@@ -231,13 +231,13 @@ def test_gradient_suite():
     model = VqaModel(cfg)
     assert model.vocab.size == 12
     rng = np.random.default_rng(7)
-    grid = PatchGrid(rows=2, cols=3, patch_size=4, patches=rng.random((6, 16)))
+    grid = PatchGrid(rows=2, cols=3, patch_size=4, patches=rng.random((1, 6, 16)))
 
     n_model, worst_model = _central_diff_check(
-        model.params, lambda: model.vqa_loss(model.encode(model.embed_patches(grid)), "abca")
+        model.params, lambda: model.vqa_loss(model.encode(model.embed_patches(grid)), ["abca"])
     )
 
-    feature = Tensor(rng.normal(0.0, 1.0, (6, 8)))
+    feature = Tensor(rng.normal(0.0, 1.0, (1, 6, 8)))
     scorer = SelfAttentionScorer(
         ScorerConfig(n_sa_layers=1, n_heads=2, aggregation="first", dropout_p=0.0), d_model=8, seed=11
     )
@@ -265,11 +265,11 @@ def test_scorer_invariants():
     for _ in range(1000):
         length = int(rng.integers(1, 20))
         scale = float(rng.choice([0.01, 0.3, 1.0, 10.0, 1000.0]))
-        f = Tensor(rng.normal(0.0, scale, (length, 32)))
+        f = Tensor(rng.normal(0.0, scale, (1, length, 32)))
         v = scorer.score_value(f)
         assert 0.0 <= v <= 1.0
 
-    arr = rng.normal(0.0, 1.0, (11, 32))
+    arr = rng.normal(0.0, 1.0, (1, 11, 32))
     by_agg = {}
     for agg in ("first", "cls", "avgpool"):
         s = SelfAttentionScorer(ScorerConfig(aggregation=agg, dropout_p=0.1), d_model=32, seed=5)
@@ -279,7 +279,7 @@ def test_scorer_invariants():
                 perm = np.concatenate([[0], 1 + rng.permutation(10)])
             else:
                 perm = rng.permutation(11)
-            assert abs(s.score_value(Tensor(arr[perm])) - base) <= 1e-9
+            assert abs(s.score_value(Tensor(arr[:, perm])) - base) <= 1e-9
         repeats = {s.score_value(Tensor(arr)) for _ in range(20)}
         assert len(repeats) == 1, "evaluation-mode variance must be exactly zero"
         by_agg[agg] = base

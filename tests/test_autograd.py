@@ -186,6 +186,18 @@ class TestGatherConcat:
         w = rng.normal(0, 1, (3, 3))
         check_op(lambda: ag.sum_axis(ag.mul(ag.take_rows(table, slice(1, 4)), w)), table)
 
+    @pytest.mark.parametrize("idx", [slice(1, 4), np.s_[:, :1, :], np.s_[..., 2:5, :], np.s_[..., 1:3, :, :]],
+                             ids=["slice", "first-row", "query-tile", "head-group"])
+    def test_basic_index_gradient_adds_as_add_at_does(self, idx):
+        """A basic index's gradient is added in place, bit for bit as ``np.add.at`` adds it."""
+        table = leaf(4, 6, 3, 2)
+        table.grad = rng.normal(0.0, 1.0, table.shape)  # added onto, so rounding shows
+        want = table.grad.copy()
+        w = rng.normal(0.0, 1.0, table.data[idx].shape)
+        np.add.at(want, idx, w)
+        ag.sum_axis(ag.mul(ag.take_rows(table, idx), w)).backward()
+        assert np.array_equal(table.grad, want)
+
     def test_concat_rows(self):
         a, b = leaf(2, 3), leaf(4, 3)
         check_op(lambda: ag.sum_axis(ag.mul(ag.concat_rows([a, b]), ag.concat_rows([a, b]))), a, b)

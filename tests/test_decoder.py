@@ -1,11 +1,12 @@
 """Incremental decoding against the decoder that recomputes every prefix.
 
-``reference_logits`` is the decoder as it was before the cache: every layer
-runs over all tokens so far, projects the feature's cross-attention K/V
-again, and builds each one-block attention from the ops
-``multi_head_attention`` used (K transposed twice); a query sequence longer
-than one tile goes through ``multi_head_attention``'s tiled path, which
-``test_layers`` holds to the one-block result. Teacher forcing must equal the
+``reference_logits`` is the decoder as it was before the cache, on one
+page's (length, d_model) matrix: every layer runs over all tokens so far,
+projects the feature's cross-attention K/V again, and builds each
+one-block attention from the ops ``multi_head_attention`` used (K
+transposed twice); a query sequence longer than one tile goes through
+``multi_head_attention``'s tiled path, which ``test_layers`` holds to the
+one-block result. Teacher forcing must equal the
 reference bit for bit; greedy decoding must emit its tokens with logits
 within 1e-12.
 """
@@ -59,16 +60,22 @@ def reference_logits(model, feature, tokens_in):
     return linear(x, p["dec.out_w"], p["dec.out_b"])
 
 
+def page_of(feature):
+    """The one page of a one-page feature, as the (length, d_model) matrix the reference decoder takes."""
+    return ag.reshape(feature, feature.shape[1:])
+
+
 def reference_loss(model, feature, answer):
+    """The loss of a one-page feature, shaped (1,) as ``vqa_loss`` returns it."""
     target = model.vocab.encode_answer(answer)
-    log_probs = ag.log_softmax_last(reference_logits(model, feature, np.concatenate(([BOS], target[:-1]))))
+    log_probs = ag.log_softmax_last(reference_logits(model, page_of(feature), np.concatenate(([BOS], target[:-1]))))
     onehot = np.zeros((len(target), model.vocab.size))
     onehot[np.arange(len(target)), target] = 1.0
-    return -ag.mean_axis(ag.sum_axis(ag.mul(log_probs, onehot), axis=-1))
+    return ag.reshape(-ag.mean_axis(ag.sum_axis(ag.mul(log_probs, onehot), axis=-1)), (1,))
 
 
 def random_feature(length, seed=0, requires_grad=False):
-    return Tensor(np.random.default_rng(seed).normal(0.0, 1.0, (length, CFG.d_model)), requires_grad=requires_grad)
+    return Tensor(np.random.default_rng(seed).normal(0.0, 1.0, (1, length, CFG.d_model)), requires_grad=requires_grad)
 
 
 def loss_and_grads(loss_fn, model, feature, answer):
@@ -93,8 +100,8 @@ def greedy_both_ways(model, feature, limit):
     with ag.no_grad():
         cache = model.decoder_cache(feature)
         for _ in range(limit):
-            cached.append(model._decode_logits(np.array(tokens[-1:]), cache).data[-1])
-            full.append(reference_logits(model, feature, np.array(tokens)).data[-1])
+            cached.append(model._decode_logits(np.array([tokens[-1:]]), cache).data[0, -1])
+            full.append(reference_logits(model, page_of(feature), np.array(tokens)).data[-1])
             nxt = int(np.argmax(full[-1]))
             if nxt == EOS:
                 break
@@ -109,7 +116,7 @@ class TestTeacherForcing:
     def test_loss_and_gradients_bit_identical(self, answer, feature_len):
         model = VqaModel(CFG)
         feature = random_feature(feature_len, requires_grad=True)
-        loss, grads = loss_and_grads(lambda m, f, a: m.vqa_loss(f, a), model, feature, answer)
+        loss, grads = loss_and_grads(lambda m, f, a: m.vqa_loss(f, [a]), model, feature, answer)
         ref_loss, ref_grads = loss_and_grads(reference_loss, model, feature, answer)
         assert np.array_equal(loss, ref_loss)
         assert grads.keys() == ref_grads.keys()
@@ -151,23 +158,29 @@ class TestCachedGreedy:
         with ag.no_grad():
             cache = model.decoder_cache(feature)
             for step, token in enumerate(tokens, start=1):
-                model._decode_logits(np.array([token]), cache)
+                model._decode_logits(np.array([[token]]), cache)
                 full = model.decoder_cache(feature)
-                model._decode_logits(np.array(tokens[:step]), full)
+                model._decode_logits(np.array([tokens[:step]]), full)
                 assert cache.length == full.length == step
                 for cached_kv, full_kv in zip(cache.self_kv, full.self_kv):
                     for c, f in zip(cached_kv, full_kv):
-                        assert c.shape == f.shape == (step, CFG.n_heads, CFG.d_model // CFG.n_heads)
+                        assert c.shape == f.shape == (1, step, CFG.n_heads, CFG.d_model // CFG.n_heads)
                         assert np.abs(c.data - f.data).max() <= 1e-12
 
     def test_cross_attention_projected_once_per_answer(self, monkeypatch):
         calls = []
         project_kv = model_module.project_kv
-        monkeypatch.setattr(model_module, "project_kv", lambda x, *a: calls.append(x.shape[0]) or project_kv(x, *a))
+        monkeypatch.setattr(model_module, "project_kv", lambda x, *a: calls.append(x.shape[-2]) or project_kv(x, *a))
         model = never_eos(VqaModel(CFG))
         model.generate_answer(random_feature(30), max_answer_len=5)
         # Two layers: the 30-row feature twice, then one new row per layer per step.
         assert calls == [30, 30] + [1] * (2 * 5)
+
+
+def test_a_bare_page_feature_is_rejected():
+    # A (length, d_model) matrix would otherwise decode as `length` pages of one row each.
+    with pytest.raises(ValueError, match="pages, length, d_model"):
+        VqaModel(CFG).decoder_cache(Tensor(random_feature(5).data[0]))
 
 
 class TestNonFiniteLogits:

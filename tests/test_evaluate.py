@@ -136,12 +136,12 @@ class StubScorer:
 
     def score_value(self, feature):
         self.calls += 1
-        return float(feature.data[0, 0])
+        return float(feature.data[0, 0, 0])
 
 
 def retrieve_stub(scores):
-    """retrieve() over one-entry features that hold the given scores."""
-    features = [Tensor(np.array([[s]])) for s in scores]
+    """retrieve() over one-page, one-entry features that hold the given scores."""
+    features = [Tensor(np.full((1, 1, 1), s)) for s in scores]
     scorer = StubScorer()
     best, feature, seen = retrieve(len(scores), features, scorer)
     assert feature is features[best]
@@ -183,7 +183,7 @@ class TestTop1:
         [(3, 2, "ended after 2 of 3"), (3, 4, "more than 3"), (1, 0, "ended after 0 of 1"), (1, 2, "more than 1")],
     )
     def test_stream_of_the_wrong_length_raises(self, n_pages, n_features, message):
-        features = (Tensor(np.array([[0.5]])) for _ in range(n_features))
+        features = (Tensor(np.full((1, 1, 1), 0.5)) for _ in range(n_features))
         with pytest.raises(ValueError, match=message):
             retrieve(n_pages, features, StubScorer())
 
@@ -243,7 +243,7 @@ def record_encoded_pages(monkeypatch) -> list[int]:
     encode_grid = VqaModel.encode_grid
 
     def counted(self, grid):
-        pages.append(len(grid.patches) if grid.patches.ndim == 3 else 1)
+        pages.append(len(grid.patches))
         return encode_grid(self, grid)
 
     monkeypatch.setattr(VqaModel, "encode_grid", counted)
@@ -421,7 +421,7 @@ class TestPaperBudgetMemory:
         cfg = DESK_MODEL
         model = VqaModel(cfg)
         scorer = SelfAttentionScorer(ScorerConfig(n_heads=16), d_model=cfg.d_model, seed=1)
-        grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(0).random((2048, 256)))
+        grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(0).random((1, 2048, 256)))
         tracemalloc.start()
         try:
             with no_grad():

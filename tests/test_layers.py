@@ -150,7 +150,7 @@ class TestHeadGroups:
         cfg = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384,
                           max_patches=2048, max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
         model = VqaModel(cfg)
-        grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(0).random((2048, 256)))
+        grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(0).random((1, 2048, 256)))
         features = []
         for workers in (1, 2):
             force_workers(monkeypatch, workers)

@@ -26,7 +26,7 @@ TINY = ModelConfig(
 
 def tiny_grid(n_rows=2, n_cols=3, seed=0) -> PatchGrid:
     rng = np.random.default_rng(seed)
-    return PatchGrid(rows=n_rows, cols=n_cols, patch_size=4, patches=rng.random((n_rows * n_cols, 16)))
+    return PatchGrid(rows=n_rows, cols=n_cols, patch_size=4, patches=rng.random((1, n_rows * n_cols, 16)))
 
 
 class TestVocab:
@@ -85,7 +85,7 @@ class TestEmbedPatches:
     def test_one_vector_per_patch(self):
         m = VqaModel(TINY)
         out = m.embed_patches(tiny_grid())
-        assert out.shape == (6, 8)
+        assert out.shape == (1, 6, 8)
 
     def test_zero_parameters_give_zero_vectors(self):
         m = VqaModel(TINY)
@@ -103,10 +103,10 @@ class TestEmbedPatches:
         m.params["embed.proj_b"].data = np.array([0.5, 0.25])
         m.params["embed.row_emb"].data = np.array([[10.0, 20.0], [30.0, 40.0], [0, 0], [0, 0]])
         m.params["embed.col_emb"].data = np.array([[1.0, 2.0], [3.0, 4.0], [0, 0], [0, 0]])
-        grid = PatchGrid(rows=1, cols=1, patch_size=1, patches=np.array([[0.5]]))
+        grid = PatchGrid(rows=1, cols=1, patch_size=1, patches=np.array([[[0.5]]]))
         # white-centered patch value 0.5 - 1.0 = -0.5:
         # projection [-1.0, 0.5] + bias [.5,.25] + row0 [10,20] + col0 [1,2]
-        assert np.allclose(m.embed_patches(grid).data, [[10.5, 22.75]])
+        assert np.allclose(m.embed_patches(grid).data, [[[10.5, 22.75]]])
 
     def test_budget_violation(self):
         m = VqaModel(TINY)
@@ -115,7 +115,7 @@ class TestEmbedPatches:
 
     def test_patch_size_mismatch(self):
         m = VqaModel(TINY)
-        grid = PatchGrid(rows=1, cols=1, patch_size=2, patches=np.zeros((1, 4)))
+        grid = PatchGrid(rows=1, cols=1, patch_size=2, patches=np.zeros((1, 1, 4)))
         with pytest.raises(ConfigError):
             m.embed_patches(grid)
 
@@ -143,7 +143,7 @@ class TestEncode:
             alone = [m.encode_grid(g).data for g in grids]
             stacked = m.encode_grid(stack_grids(grids))
         assert stacked.shape == (3, 6, TINY.d_model)
-        assert all(np.array_equal(page, a) for page, a in zip(stacked.data, alone, strict=True))
+        assert all(np.array_equal(stacked.data[i : i + 1], a) for i, a in enumerate(alone))
 
     def test_seed_reproducibility(self):
         a, b = VqaModel(TINY), VqaModel(TINY)
@@ -157,8 +157,8 @@ class TestEncode:
         m = VqaModel(TINY)
         grid = tiny_grid(seed=3)
         with no_grad():
-            ours = m.encode(m.embed_patches(grid)).data
-            x = m.embed_patches(grid).data
+            ours = m.encode(m.embed_patches(grid)).data[0]
+            x = m.embed_patches(grid).data[0]
 
         p = {k: t.data for k, t in m.params.items()}
 
@@ -200,7 +200,7 @@ class TestEncode:
     def test_empty_sequence_rejected(self):
         m = VqaModel(TINY)
         with pytest.raises(ValueError):
-            m.encode(Tensor(np.zeros((0, 8))))
+            m.encode(Tensor(np.zeros((1, 0, 8))))
 
 
 class TestLoss:
@@ -210,8 +210,8 @@ class TestLoss:
         m.params["dec.out_b"].data[:] = 0.0
         with no_grad():
             f = m.encode_grid(tiny_grid())
-        loss = m.vqa_loss(f, "ab")
-        assert float(loss.data) == pytest.approx(math.log(m.vocab.size), abs=1e-12)
+        loss = m.vqa_loss(f, ["ab"])
+        assert loss.data.item() == pytest.approx(math.log(m.vocab.size), abs=1e-12)
 
     def test_onehot_distribution_gives_zero(self):
         """Saturated logits on the target tokens make the loss exactly zero."""
@@ -239,22 +239,22 @@ class TestLoss:
         m = VqaModel(TINY)
         with no_grad():
             f = m.encode_grid(tiny_grid())
-        loss = m.vqa_loss(f, "fed")
-        assert float(loss.data) > 0.0 and np.isfinite(loss.data)
+        loss = m.vqa_loss(f, ["fed"])
+        assert loss.data.item() > 0.0 and np.isfinite(loss.data).all()
 
     def test_empty_answer_allowed_eos_only(self):
         m = VqaModel(TINY)
         with no_grad():
             f = m.encode_grid(tiny_grid())
-        loss = m.vqa_loss(f, "")
-        assert np.isfinite(loss.data)
+        loss = m.vqa_loss(f, [""])
+        assert np.isfinite(loss.data).all()
 
     def test_too_long_answer_rejected(self):
         m = VqaModel(TINY)
         with no_grad():
             f = m.encode_grid(tiny_grid())
         with pytest.raises(ValueError):
-            m.vqa_loss(f, "a" * 10)
+            m.vqa_loss(f, ["a" * 10])
 
 
 class TestGenerate:
@@ -293,7 +293,7 @@ class TestGenerate:
 class TestParameterGradients:
     def test_every_parameter_has_gradient(self):
         m = VqaModel(TINY)
-        loss = m.vqa_loss(m.encode_grid(tiny_grid()), "abc")
+        loss = m.vqa_loss(m.encode_grid(tiny_grid()), ["abc"])
         grads = parameter_gradients(loss, m.params)
         assert set(grads) == set(m.params)
         for g in grads.values():
@@ -301,7 +301,7 @@ class TestParameterGradients:
 
     def test_unused_parameter_gets_exact_zero(self):
         m = VqaModel(TINY)
-        loss = m.vqa_loss(m.encode_grid(tiny_grid(1, 2)), "a")
+        loss = m.vqa_loss(m.encode_grid(tiny_grid(1, 2)), ["a"])
         grads = parameter_gradients(loss, m.params)
         # rows beyond the grid and unused vocab rows never participate
         assert (grads["embed.row_emb"][1:] == 0.0).all()
@@ -309,11 +309,11 @@ class TestParameterGradients:
 
     def test_loss_scaling_is_linear(self):
         m = VqaModel(TINY)
-        loss = m.vqa_loss(m.encode_grid(tiny_grid()), "ab")
+        loss = m.vqa_loss(m.encode_grid(tiny_grid()), ["ab"])
         g1 = parameter_gradients(loss, m.params)["embed.proj_w"].copy()
         for p in m.params.values():
             p.zero_grad()
-        loss2 = ag.mul(m.vqa_loss(m.encode_grid(tiny_grid()), "ab"), 2.0)
+        loss2 = ag.mul(m.vqa_loss(m.encode_grid(tiny_grid()), ["ab"]), 2.0)
         g2 = parameter_gradients(loss2, m.params)["embed.proj_w"]
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12)
 

@@ -167,21 +167,21 @@ class TestPatchify:
     def test_exact_tiling(self):
         g = patchify(blank_image(32, 32), 16)
         assert (g.rows, g.cols, g.n_patches) == (2, 2, 4)
-        assert g.patches.shape == (4, 256)
+        assert g.patches.shape == (1, 4, 256)
 
     def test_padding_is_white(self):
         img = RasterImage(np.zeros((17, 33), dtype=np.uint8))
         g = patchify(img, 16)
         assert (g.rows, g.cols) == (2, 3)
         # bottom-right patch is padding except one dark pixel
-        corner = g.patches[-1].reshape(16, 16)
+        corner = g.patches[0, -1].reshape(16, 16)
         assert corner[0, 0] == 0.0
         assert (corner[1:, :] == 1.0).all() and (corner[0, 1:] == 1.0).all()
 
     def test_constant_image_gives_identical_patches(self):
         img = RasterImage(np.full((48, 64), 77, dtype=np.uint8))
         g = patchify(img, 16)
-        assert np.ptp(g.patches, axis=0).max() == 0.0
+        assert np.ptp(g.patches[0], axis=0).max() == 0.0
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -193,7 +193,7 @@ class TestPatchify:
         px = np.arange(32 * 48, dtype=np.uint64).reshape(32, 48) % 251
         g = patchify(RasterImage(px.astype(np.uint8)), 16)
         manual_patch_1_0 = px[16:32, 0:16].astype(np.float64) / 255.0
-        assert np.allclose(g.patches[1 * 3 + 0].reshape(16, 16), manual_patch_1_0)
+        assert np.allclose(g.patches[0, 1 * 3 + 0].reshape(16, 16), manual_patch_1_0)
 
 
 class TestFuse:
@@ -205,9 +205,9 @@ class TestFuse:
     def test_question_strip_on_top(self):
         page = blank_image(64, 16)
         g = fuse_question_page("??", page)
-        strip = g.patches[: g.cols]
+        strip = g.patches[0, : g.cols]
         assert strip.min() < 1.0  # ink in the question row
-        assert (g.patches[g.cols :] == 1.0).all()  # blank page below
+        assert (g.patches[0, g.cols :] == 1.0).all()  # blank page below
 
     @pytest.mark.parametrize("question, width", [("what is ABC?", 208), ("what is ABC?", 96), ("what is ABD?", 96)])
     def test_grids_equal_the_uncached_composition(self, question, width):
@@ -238,11 +238,24 @@ class TestStackGrids:
         stacked = stack_grids(grids)
         assert (stacked.rows, stacked.cols, stacked.n_patches) == (2, 3, 6)
         assert stacked.patches.shape == (3, 6, 256)
-        assert all(np.array_equal(stacked.patches[i], g.patches) for i, g in enumerate(grids))
+        assert all(np.array_equal(stacked.patches[i : i + 1], g.patches) for i, g in enumerate(grids))
+
+    def test_stacking_stacks_keeps_page_order(self):
+        grids = [patchify(RasterImage(np.full((32, 48), 40 * i, dtype=np.uint8))) for i in range(5)]
+        stacked = stack_grids([stack_grids(grids[:2]), grids[2], stack_grids(grids[3:])])
+        assert stacked.patches.shape == (5, 6, 256)
+        assert all(np.array_equal(stacked.patches[i : i + 1], g.patches) for i, g in enumerate(grids))
+
+    def test_a_lone_grid_is_returned_as_it_is(self):
+        grid = patchify(blank_image(48, 32))
+        assert stack_grids([grid]) is grid
 
     def test_pages_of_different_shapes_are_rejected(self):
         a = patchify(blank_image(48, 32))
         with pytest.raises(ValueError, match="same rows, cols"):
             stack_grids([a, patchify(blank_image(64, 32))])
-        with pytest.raises(ValueError, match="single pages"):
-            stack_grids([stack_grids([a, a]), a])
+
+    def test_a_grid_is_a_stack(self):
+        page = patchify(blank_image(48, 32)).patches[0]
+        with pytest.raises(ValueError, match="pages"):
+            PatchGrid(2, 3, 16, page)

@@ -13,8 +13,9 @@ rng = np.random.default_rng(2024)
 
 
 def feature(length=6, d=8, seed=None) -> Tensor:
+    """A one-page feature, (1, length, d)."""
     r = rng if seed is None else np.random.default_rng(seed)
-    return Tensor(r.normal(0.0, 1.0, (length, d)))
+    return Tensor(r.normal(0.0, 1.0, (1, length, d)))
 
 
 def scorer(agg="first", d=8, heads=2, layers=1, dropout=0.0, seed=3) -> SelfAttentionScorer:
@@ -65,9 +66,9 @@ class TestAggregate:
     def test_cls_runs_attention_on_length_plus_one(self):
         s = scorer(agg="cls")
         f = feature(length=6)
-        assert s.attention_inputs(f).shape == (7, 8)
+        assert s.attention_inputs(f).shape == (1, 7, 8)
         s2 = scorer(agg="first")
-        assert s2.attention_inputs(f).shape == (6, 8)
+        assert s2.attention_inputs(f).shape == (1, 6, 8)
 
 
 class TestScoreContract:
@@ -86,7 +87,7 @@ class TestScoreContract:
         s = scorer(dropout=0.5)
         f = feature()
         r = np.random.default_rng(0)
-        vals = {float(s.score(f, training=True, keep=s.dropout_keep(r)).data) for _ in range(8)}
+        vals = {s.score(f, training=True, keep=s.dropout_keep(r)).data.item() for _ in range(8)}
         assert len(vals) > 1
 
     def test_logistic_identity_with_zero_weights(self):
@@ -103,7 +104,7 @@ class TestScoreContract:
         for _ in range(200):
             length = int(r.integers(1, 12))
             scale = float(r.choice([0.01, 1.0, 100.0]))
-            f = Tensor(r.normal(0, scale, (length, 8)))
+            f = Tensor(r.normal(0, scale, (1, length, 8)))
             assert 0.0 <= s.score_value(f) <= 1.0
 
     def test_hand_computed_two_vector_case(self):
@@ -129,44 +130,55 @@ class TestScoreContract:
         h1 = np.maximum(first, 0.0)
         h2 = np.maximum(h1.sum(), 0.0)
         expected = 1 / (1 + math.exp(-(2.0 * h2 - 0.5)))
-        got = s.score_value(Tensor(F))
+        got = s.score_value(Tensor(F[None]))
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_a_bare_page_feature_is_rejected(self):
+        # A (length, d) matrix would otherwise score as `length` pages of one row each.
+        with pytest.raises(ValueError, match="pages, length, d_model"):
+            scorer().score(Tensor(feature().data[0]))
+
+    def test_score_value_scores_one_page(self):
+        pages = Tensor(np.random.default_rng(4).normal(0.0, 1.0, (3, 6, 8)))
+        with pytest.raises(ValueError, match="stack of 3 pages"):
+            scorer().score_value(pages)
 
 
 class TestPermutationInvariance:
     def test_first_vector_invariant_to_tail_permutations(self):
         s = scorer(agg="first", heads=4)
-        arr = rng.normal(0, 1, (9, 8))
+        arr = rng.normal(0, 1, (1, 9, 8))
         base = s.score_value(Tensor(arr))
         r = np.random.default_rng(1)
         for _ in range(20):
             perm = np.concatenate([[0], 1 + r.permutation(8)])
-            assert s.score_value(Tensor(arr[perm])) == pytest.approx(base, abs=1e-9)
+            assert s.score_value(Tensor(arr[:, perm])) == pytest.approx(base, abs=1e-9)
 
     @pytest.mark.parametrize("agg", ["cls", "avgpool"])
     def test_full_permutation_invariance(self, agg):
         s = scorer(agg=agg, heads=4)
-        arr = rng.normal(0, 1, (9, 8))
+        arr = rng.normal(0, 1, (1, 9, 8))
         base = s.score_value(Tensor(arr))
         r = np.random.default_rng(2)
         for _ in range(20):
             perm = r.permutation(9)
-            assert s.score_value(Tensor(arr[perm])) == pytest.approx(base, abs=1e-9)
+            assert s.score_value(Tensor(arr[:, perm])) == pytest.approx(base, abs=1e-9)
 
     def test_first_vector_not_invariant_to_moving_position_zero(self):
         # sanity: position 0 carries meaning for the first-vector strategy
         s = scorer(agg="first", heads=4)
-        arr = rng.normal(0, 1, (5, 8))
-        swapped = arr[[1, 0, 2, 3, 4]]
+        arr = rng.normal(0, 1, (1, 5, 8))
+        swapped = arr[:, [1, 0, 2, 3, 4]]
         assert s.score_value(Tensor(arr)) != pytest.approx(
             s.score_value(Tensor(swapped)), abs=1e-12
         )
 
 
 def full_attention_score(s: SelfAttentionScorer, f: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-    """The score with every layer attending from all rows, then pooling; dropout when given an rng."""
+    """A one-page feature's score with every layer attending from all rows, then pooling; dropout when given an rng."""
     cfg, p = s.cfg, s.params
     x = s.attention_inputs(f)
+    x = ag.reshape(x, x.shape[1:])  # the page as one (rows, d) matrix
     for i in range(cfg.n_sa_layers):
         x = multi_head_attention(x, x, p, f"sa.{i}", cfg.n_heads)
     pooled = ag.mean_axis(x, axis=0, keepdims=True) if cfg.aggregation == "avgpool" else ag.take_rows(x, [0])
@@ -174,7 +186,7 @@ def full_attention_score(s: SelfAttentionScorer, f: Tensor, rng: np.random.Gener
         pooled = ag.mul(pooled, (rng.random(pooled.shape) >= cfg.dropout_p) / (1.0 - cfg.dropout_p))
     h = ag.relu(linear(pooled, p["head.w1"], p["head.b1"]))
     h = ag.relu(linear(h, p["head.w2"], p["head.b2"]))
-    return ag.reshape(ag.sigmoid(linear(h, p["head.w3"], p["head.b3"])), ())
+    return ag.reshape(ag.sigmoid(linear(h, p["head.w3"], p["head.b3"])), (1,))
 
 
 def score_and_grads(s: SelfAttentionScorer, score_fn) -> tuple[float, dict[str, np.ndarray]]:
@@ -183,7 +195,7 @@ def score_and_grads(s: SelfAttentionScorer, score_fn) -> tuple[float, dict[str, 
     grads = {name: p.grad.copy() for name, p in s.params.items() if p.grad is not None}
     for p in s.params.values():
         p.zero_grad()
-    return float(out.data), grads
+    return out.data.item(), grads
 
 
 class TestFullAttentionEquivalence:
@@ -199,14 +211,14 @@ class TestFullAttentionEquivalence:
         want, want_grads = score_and_grads(s, lambda: full_attention_score(s, f, np.random.default_rng(5)))
         assert got == pytest.approx(want, abs=1e-12)
         with ag.no_grad():
-            assert s.score_value(f) == pytest.approx(float(full_attention_score(s, f).data), abs=1e-12)
+            assert s.score_value(f) == pytest.approx(full_attention_score(s, f).data.item(), abs=1e-12)
         assert got_grads.keys() == want_grads.keys()
         for name, g in want_grads.items():
             assert np.abs(got_grads[name] - g).max() <= 1e-12, name
 
 
 class TestStackedScoring:
-    """A (pages, length, d) stack scores each page as it would alone, in values and in every gradient."""
+    """A (pages, length, d) stack scores each page as a one-page stack would, in values and in every gradient."""
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -220,10 +232,10 @@ class TestStackedScoring:
             p.grad = np.random.default_rng(14).normal(0.0, 1.0, p.shape)
         primed = {name: p.grad.copy() for name, p in s.params.items()}
         want = []
-        for page, keep in zip(pages, keeps):
-            out = s.score(Tensor(page), training=True, keep=keep)
+        for i, keep in enumerate(keeps):
+            out = s.score(Tensor(pages[i : i + 1]), training=True, keep=keep)
             out.backward()
-            want.append(float(out.data))
+            want.append(out.data.item())
         want_grads = {name: p.grad.copy() for name, p in s.params.items()}
         for name, p in s.params.items():
             p.grad = primed[name].copy()
@@ -236,7 +248,7 @@ class TestStackedScoring:
         cls_moved = not np.array_equal(want_grads["cls"], primed["cls"])
         assert cls_moved == (agg == "cls")  # the token's gradient is checked above, page by page
         with ag.no_grad():
-            assert s.score(Tensor(pages)).data.tolist() == [s.score_value(Tensor(page)) for page in pages]
+            assert s.score(Tensor(pages)).data.tolist() == [s.score_value(Tensor(pages[i : i + 1])) for i in range(4)]
 
     def test_dropout_keep_draws_one_page_mask_or_nothing(self):
         r = np.random.default_rng(0)
@@ -247,4 +259,4 @@ class TestStackedScoring:
 
     @pytest.mark.parametrize("agg, rows", [("first", 64), ("cls", 65), ("avgpool", 64)])
     def test_stack_size_counts_the_cls_token(self, agg, rows):
-        assert scorer(agg=agg).stack_size(feature(length=64)) == ((64, 8), rows)
+        assert scorer(agg=agg).stack_size(feature(length=64)) == ((1, 64, 8), rows)

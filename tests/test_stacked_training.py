@@ -1,10 +1,11 @@
 """Stage 1 and stage 2 on stacks of pages against the one-at-a-time loops.
 
 ``reference_stage1`` is stage 1 as it ran before stacking: each sample's
-gold page is encoded alone, its loss backpropagated alone, and validation
-decodes each gold page alone with ``generate_answer``. Stacked training
-must give the same records and parameters bit for bit when a stack's
-answers have one length, and gradients within 1e-12 when they do not.
+gold page is encoded as a one-page stack, its loss backpropagated alone,
+and validation decodes each gold page alone with ``generate_answer``.
+Stacked training must give the same records and parameters bit for bit
+when a stack's answers have one length, and gradients within 1e-12 when
+they do not.
 
 ``reference_stage2`` is stage 2 as it ran before stacking: each pair is
 scored and backpropagated alone. Stacked stage 2 must give the same
@@ -56,9 +57,9 @@ def reference_stage1(train_set, valid_set, model, cfg):
                 sample = train_set.questions[int(idx)]
                 doc = train_set.document_for(sample)
                 loss = model.vqa_loss(encode_page(sample.question, doc, sample.answer_page_index, model),
-                                      sample.answers[0])
+                                      [sample.answers[0]])
                 loss.backward()
-                losses.append(float(loss.data))
+                losses.append(loss.data.item())
             opt.step(len(batch))
         scores = []
         for sample in valid_set.questions:
@@ -102,7 +103,7 @@ def reference_stage2(train_set, valid_set, model, scorer, cfg):
                     pred = scorer.score(feature, training=True, keep=scorer.dropout_keep(rng))
                     loss = mse_smoothed_loss(pred, is_positive, cfg.label_smooth_eps)
                     loss.backward()
-                    losses.append(float(loss.data))
+                    losses.append(loss.data.item())
             opt.step(len(losses) - done)
         metric = validation_page_accuracy(valid_set, scorer, cache)
         records.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "valid_page_acc": metric,
@@ -126,20 +127,21 @@ def grads(model):
 
 
 def random_grids(n, rows=3, cols=13, seed=0):
+    """``n`` one-page grids."""
     rng = np.random.default_rng(seed)
-    return [PatchGrid(rows, cols, 16, rng.random((rows * cols, 256))) for _ in range(n)]
+    return [PatchGrid(rows, cols, 16, rng.random((1, rows * cols, 256))) for _ in range(n)]
 
 
 def one_by_one(model, grids, answers, primed=None):
-    """Per-page losses and the parameter gradients of encoding and backpropagating each page alone, in order."""
+    """Per-page losses and the parameter gradients of encoding and backpropagating each one-page grid, in order."""
     if primed is not None:
         for k, p in model.params.items():
             p.grad = primed[k].copy()
     losses = []
     for grid, answer in zip(grids, answers):
-        loss = model.vqa_loss(model.encode_grid(grid), answer)
+        loss = model.vqa_loss(model.encode_grid(grid), [answer])
         loss.backward()
-        losses.append(float(loss.data))
+        losses.append(loss.data.item())
     return losses, grads(model)
 
 
@@ -185,14 +187,14 @@ class TestStackedLoss:
         for name in want:
             assert np.allclose(got[name], want[name], rtol=0.0, atol=1e-12), name
 
-    def test_one_page_takes_a_string_and_a_stack_a_list(self, small_model_params):
+    def test_a_string_or_a_wrong_answer_count_is_rejected(self, small_model_params):
         model = fresh(small_model_params)
         one = model.encode_grid(random_grids(1)[0])
         two = model.encode_grid(stack_grids(random_grids(2)))
-        assert model.vqa_loss(one, "12").shape == ()
+        assert model.vqa_loss(one, ["12"]).shape == (1,)
         assert model.vqa_loss(two, ["12", "3"]).shape == (2,)
-        for feature, answers in ((one, ["12"]), (two, "12"), (two, ["12"])):
-            with pytest.raises(ValueError):
+        for feature, answers in ((one, "1"), (one, "12"), (two, "12"), (two, ["12"]), (one, ["1", "2"])):
+            with pytest.raises(ValueError, match="one answer per page"):
                 model.vqa_loss(feature, answers)
 
 
@@ -297,7 +299,7 @@ class TestTrainStage1:
 
         def traced_encode(self, grid):
             if ag.grad_enabled():
-                events.append(("encode", grid.patches.shape[0] if grid.patches.ndim == 3 else 1))
+                events.append(("encode", grid.patches.shape[0]))
             return encode(self, grid)
 
         def traced_backward(self):
@@ -491,7 +493,7 @@ class TestBatchedGreedy:
     @pytest.mark.parametrize("cap", [None, 1, 2])
     def test_equals_one_page_at_a_time_and_decodes_each_answer_alone(self, model, features, monkeypatch, cap):
         want_ids, want = self.decoded_ids(
-            monkeypatch, lambda: [model.generate_answer(Tensor(page), cap) for page in features])
+            monkeypatch, lambda: [model.generate_answer(Tensor(features[i : i + 1]), cap) for i in range(8)])
         if cap is None:
             assert {len(ids) for ids in want_ids} == {0, 2, 3, self.CFG.max_answer_len}
         got_ids, got = self.decoded_ids(monkeypatch, lambda: model.generate_answers(Tensor(features), cap))
@@ -499,7 +501,7 @@ class TestBatchedGreedy:
         assert got_ids == want_ids  # one decode per answer, with only that answer's ids
 
     def test_one_page_is_a_list_of_one(self, model, features):
-        assert model.generate_answers(Tensor(features[0])) == [model.generate_answer(Tensor(features[0]))]
+        assert model.generate_answers(Tensor(features[:1])) == [model.generate_answer(Tensor(features[:1]))]
 
     def test_a_nan_page_raises(self, model, features):
         bad = features.copy()
