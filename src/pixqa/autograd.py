@@ -167,6 +167,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a backward pass; over a contracted axis of length 1, a broadcast multiply.
+
+    Each entry is then a single product, so the result is exact either way
+    (up to the sign of a zero, which adding into a gradient drops), and a
+    stack of outer products, such as the weight gradient of one-row items,
+    skips a batched matmul that numpy runs slowly.
+    """
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
@@ -198,9 +209,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if _wants(a):
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+            _accum(a, _product(g, np.swapaxes(b.data, -1, -2)))
         if _wants(b):
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accum(b, _product(np.swapaxes(a.data, -1, -2), g))
 
     return _node(data, (a, b), backward)
 
@@ -219,9 +230,9 @@ def linear(x, w, b) -> Tensor:
 
     def backward(g):
         if _wants(x):
-            _accum(x, g @ w.data.T)
+            _accum(x, _product(g, w.data.T))
         if _wants(w):
-            _accum(w, np.swapaxes(x.data, -1, -2) @ g)
+            _accum(w, _product(np.swapaxes(x.data, -1, -2), g))
         _accum(b, g)
 
     return _node(data, (x, w, b), backward)
@@ -328,9 +339,9 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None, out:
         inner = (g * data).sum(axis=-1, keepdims=True)
         gl = data * (g - inner) * scale
         if _wants(q):
-            _accum(q, gl @ np.swapaxes(k_t.data, -1, -2))
+            _accum(q, _product(gl, np.swapaxes(k_t.data, -1, -2)))
         if _wants(k_t):
-            _accum(k_t, np.swapaxes(q.data, -1, -2) @ gl)
+            _accum(k_t, _product(np.swapaxes(q.data, -1, -2), gl))
 
     return _node(data, (q, k_t), backward)
 

@@ -360,7 +360,7 @@ def cmd_answer(args: argparse.Namespace) -> int:
         pages=tuple(PageRef(page_id=p.stem, path=p) for p in pages),
     )
     page_idx, answer = answer_question(args.question, doc, model, scorer, args.max_answer_len)
-    print(f"page {page_idx}")
+    print(f"page {page_idx} ({pages[page_idx].name})")
     print(answer)
     return 0
 

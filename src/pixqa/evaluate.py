@@ -6,11 +6,12 @@ that stream: it encodes the pages in blocks (consecutive pages that share a
 patch grid are stacked, up to `BLOCK_ROWS` patch rows, and encoded in one
 `encode_grid` call, which pays each op's per-call cost once per block
 instead of once per page) and yields each page's feature, a stack of one,
-in page order. `grid_stacks` is that grouping rule, which stage-1 training
-and its validation use too, and stage 2 for the scorer's stacks of frozen
-features; `encode_page` encodes one page as a stack of one, which the
-frozen-feature cache uses. `retrieve` scores a stream of features one at
-a time and keeps the top-1. Retrieval runs without autograd, and the
+in page order; stage 2's frozen-feature cache takes a validation
+question's features from it too. `grid_stacks` is that grouping rule,
+which stage-1 training and its validation use too, and stage 2 for the
+scorer's stacks of frozen features; `encode_page` encodes one page as a
+stack of one, which the frozen-feature cache uses for a training page.
+`retrieve` scores a stream of features one at a time and keeps the top-1. Retrieval runs without autograd, and the
 answer is decoded from the feature it retrieved, so no page is encoded
 twice. Only one block plus the best feature so far (a view that keeps its
 block's features) is alive at a time, so peak memory stays bounded no

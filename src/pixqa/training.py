@@ -20,8 +20,12 @@ each optimizer batch in order, drawing each question's negative and then
 each pair's dropout mask from the epoch rng, and groups consecutive pairs
 whose frozen features share a shape into stacks of up to `BLOCK_ROWS`
 attention rows (`evaluate.grid_stacks` again); each stack is one scorer
-call and one backward, bit-identical to one per pair. Every stage-2 record
-carries the frozen-feature cache's size, `cache_mib`.
+call and one backward, bit-identical to one per pair. Validation takes
+every page of each validation question's document from the frozen-feature
+cache, which encodes a document in blocks as retrieval does
+(`evaluate.page_features`), and scores them in stacks grouped by the same
+rule, without autograd; every score is the one its page gets alone. Every
+stage-2 record carries the frozen-feature cache's size, `cache_mib`.
 
 Both stages run one epoch loop, `_fit`. Every epoch's record carries its
 wall time, validation included, as `epoch_s`, and its log line shows
@@ -40,8 +44,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
-from .errors import ConfigError, DataError
-from .evaluate import BLOCK_ROWS, anls_single, encode_page, fuse_page, grid_stacks, retrieve
+from .errors import ConfigError, DataError, NumericError
+from .evaluate import BLOCK_ROWS, anls_single, encode_page, fuse_page, grid_stacks, page_features
 from .model import VqaModel
 from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
 from .render import stack_grids
@@ -208,12 +212,18 @@ def validation_anls(valid_set: Dataset, model: VqaModel) -> float:
     return float(np.mean(scores))
 
 
+def _stacked_features(stack: list) -> tuple[tuple, Tensor]:
+    """The keys of a stack of (key, one-page feature) pairs, and their features joined into one (pages, L, d) stack."""
+    keys, features = zip(*stack)
+    return keys, Tensor(np.concatenate([f.data for f in features]))
+
+
 def _stage2_stack(scorer: SelfAttentionScorer, stack: list, eps: float) -> list[float]:
     """Score, loss and backward of a stack of ((is positive, dropout mask), one-page feature) pairs; returns their losses."""
-    keys, features = zip(*stack)
+    keys, features = _stacked_features(stack)
     positives, keeps = zip(*keys)
     keep = None if keeps[0] is None else np.stack(keeps)
-    pred = scorer.score(Tensor(np.concatenate([f.data for f in features])), training=True, keep=keep)
+    pred = scorer.score(features, training=True, keep=keep)
     loss = mse_smoothed_loss(pred, np.array(positives), eps)
     loss.backward()
     return loss.data.tolist()
@@ -234,9 +244,15 @@ def _stage1_stack(model: VqaModel, stack: list) -> list[float]:
 class FrozenFeatureCache:
     """Memoized encoder features for stage 2, where the encoder never changes.
 
-    Keyed by (question_id, page index). Trades memory for a large speedup:
-    every epoch revisits the same positive pairs and validation pages.
-    ``nbytes`` counts the bytes of the features it holds.
+    Trades memory for a large speedup: every epoch revisits the same
+    positive pairs and validation pages. A feature is keyed by what it is
+    computed from, the question's text and the page's image file, so splits
+    whose question and document ids clash (two corpora generated apart both
+    number from 0) never read each other's features. One store serves both
+    ways in, `get` (one training page) and `question_pages` (every page of a
+    validation question's document), so a page is encoded at most once
+    whichever asks first. ``nbytes`` counts the bytes of the features it
+    holds.
     """
 
     def __init__(self, model: VqaModel):
@@ -244,25 +260,72 @@ class FrozenFeatureCache:
         self._store: dict[tuple, Tensor] = {}
         self.nbytes = 0
 
-    def get(self, sample, doc: Document, page_idx: int) -> Tensor:
-        key = (sample.question_id, doc.doc_id, page_idx)
-        feature = self._store.get(key)
-        if feature is None:
-            with ag.no_grad():
-                feature = encode_page(sample.question, doc, page_idx, self.model)
-            self._store[key] = feature
-            self.nbytes += feature.data.nbytes
+    @staticmethod
+    def _key(sample, doc: Document, page_idx: int) -> tuple:
+        return sample.question, doc.pages[page_idx].path
+
+    def _hold(self, key: tuple, feature: Tensor) -> Tensor:
+        self._store[key] = feature
+        self.nbytes += feature.data.nbytes
         return feature
+
+    def _encode(self, sample, doc: Document, page_idx: int) -> Tensor:
+        with ag.no_grad():
+            return self._hold(self._key(sample, doc, page_idx), encode_page(sample.question, doc, page_idx, self.model))
+
+    def get(self, sample, doc: Document, page_idx: int) -> Tensor:
+        """One page's feature; a page not held yet is encoded alone."""
+        feature = self._store.get(self._key(sample, doc, page_idx))
+        return self._encode(sample, doc, page_idx) if feature is None else feature
+
+    def question_pages(self, sample, doc: Document) -> list[Tensor]:
+        """Every page's feature of ``sample``'s document, in page order.
+
+        A document none of whose pages is held yet is encoded in blocks, as
+        retrieval encodes it (`evaluate.page_features`); each page is a view
+        of its block, and every page of the block is held, so ``nbytes``
+        stays the bytes held. The missing pages of a partly held document
+        (a question that `get` was asked for too) are encoded alone.
+        """
+        keys = [self._key(sample, doc, i) for i in range(doc.n_pages)]
+        if not any(key in self._store for key in keys):
+            with ag.no_grad():
+                for key, feature in zip(keys, page_features(sample.question, doc, self.model)):
+                    self._hold(key, feature)
+        return [self._store[key] if key in self._store else self._encode(sample, doc, i)
+                for i, key in enumerate(keys)]
 
 
 def validation_page_accuracy(valid_set: Dataset, scorer: SelfAttentionScorer, cache: FrozenFeatureCache) -> float:
-    """Fraction (%) of validation questions whose top-scoring page is the gold one; page features come from `cache`."""
-    hits = 0
-    for sample in valid_set.questions:
-        doc = valid_set.document_for(sample)
-        best_idx, _, _ = retrieve(doc.n_pages, (cache.get(sample, doc, i) for i in range(doc.n_pages)), scorer)
-        hits += best_idx == sample.answer_page_index
-    return 100.0 * hits / len(valid_set.questions)
+    """Fraction (%) of validation questions whose top-scoring page is the gold one; page features come from `cache`.
+
+    Each question's pages come from `cache.question_pages` and are scored
+    without autograd in stacks of consecutive same-shape features, grouped
+    as the training stacks are; each page's score is the one it gets alone.
+    A question's first top score wins, `retrieve`'s tie rule, and a one-page
+    document is a hit without being scored. A non-finite score raises
+    NumericError naming the question and page.
+    """
+    questions = valid_set.questions
+    scores: list[list[float]] = [[] for _ in questions]
+
+    def pages():
+        """((question index, page index), feature) of every page of every document with more than one page."""
+        for q, sample in enumerate(questions):
+            doc = valid_set.document_for(sample)
+            if doc.n_pages > 1:
+                for i, feature in enumerate(cache.question_pages(sample, doc)):
+                    yield (q, i), feature
+
+    with ag.no_grad():
+        for stack in grid_stacks(pages(), BLOCK_ROWS, size=scorer.stack_size):
+            keys, features = _stacked_features(stack)
+            for (q, page_idx), value in zip(keys, scorer.score(features).data.tolist()):
+                if not math.isfinite(value):
+                    raise NumericError(f"validation question {questions[q].question_id}: page {page_idx} scored {value}")
+                scores[q].append(value)
+    hits = sum((s.index(max(s)) if s else 0) == sample.answer_page_index for s, sample in zip(scores, questions))
+    return 100.0 * hits / len(questions)
 
 
 def check_answers(dataset: Dataset, model: VqaModel) -> None:

@@ -174,6 +174,37 @@ class TestAttentionWeights:
         assert np.array_equal(w.data, ag.attention_weights(q, k_t, 0.5, causal(9)[:5]).data)
 
 
+# One-row operands of each op whose backward contracts an axis of length 1: the weight gradient of a stack
+# of one-row items, the input gradient of a one-column weight, the key gradient of a single query.
+ONE_ROW_OPS = {
+    "linear": (lambda x, w, b: ag.linear(x, w, b), ((5, 1, 7), (7, 1), (1,))),
+    "matmul": (lambda a, b: ag.matmul(a, b), ((5, 1, 7), (7, 1))),
+    "attention_weights": (lambda q, k_t: ag.attention_weights(q, k_t, 0.5), ((2, 3, 1, 4), (2, 3, 4, 6))),
+}
+
+
+class TestOneRowProducts:
+    @pytest.mark.parametrize("op", sorted(ONE_ROW_OPS))
+    def test_gradients_equal_those_of_matmul(self, monkeypatch, op):
+        """A backward product over a contracted axis of length 1 is a multiply; the gradients are matmul's bit for bit."""
+        build, shapes = ONE_ROW_OPS[op]
+        inputs = [rng.normal(0.0, 1.0, shape) for shape in shapes]
+
+        def gradients():
+            leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+            out = build(*leaves)
+            ag.sum_axis(ag.mul(out, np.random.default_rng(3).normal(0.0, 1.0, out.shape))).backward()
+            return [t.grad for t in leaves]
+
+        product, one_row = ag._product, []
+        monkeypatch.setattr(ag, "_product", lambda a, b: one_row.append(a.shape[-1] == 1) or product(a, b))
+        got = gradients()
+        assert any(one_row)
+        monkeypatch.setattr(ag, "_product", lambda a, b: a @ b)
+        for g, want in zip(got, gradients()):
+            assert np.array_equal(g, want)
+
+
 class TestGatherConcat:
     def test_take_rows_scatters_gradient(self):
         table = leaf(6, 3)

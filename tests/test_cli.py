@@ -18,7 +18,7 @@ from pixqa.cli import git_revision, main
 from pixqa.data import SynthConfig
 from pixqa.layers import attention_workers
 from pixqa.model import PRINTABLE_ASCII, ModelConfig, VqaModel
-from pixqa.scorer import ScorerConfig
+from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 from pixqa.training import FrozenFeatureCache, TrainConfig
 
 MODEL_FLAGS = [
@@ -141,6 +141,18 @@ class TestTraining:
         for name, p in m1.params.items():
             assert p.data.tobytes() == m2.params[name].data.tobytes(), name
 
+    def test_nan_scorer_fails_validation_with_exit_1(self, monkeypatch, corpus, stage1, tmp_path, capsys):
+        def nan_scorer(*args, **kwargs):
+            scorer = SelfAttentionScorer(*args, **kwargs)
+            scorer.params["head.b3"].data[:] = np.nan
+            return scorer
+
+        monkeypatch.setattr(cli, "SelfAttentionScorer", nan_scorer)
+        rc = main(["train-scorer", "--data", str(corpus), "--checkpoint", str(stage1[0]), "--out", str(tmp_path / "s2"),
+                   "--sa-layers", "1", "--sa-heads", "2"] + FAST_TRAIN)
+        assert rc == 1
+        assert re.search(r"^error: validation question \S+: page \d+ scored nan$", capsys.readouterr().err, re.M)
+
     def test_config_file_precedence(self, corpus, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"epochs": 1, "d_model": 16, "heads": 2, "enc_layers": 1,
@@ -187,7 +199,23 @@ class TestEvalAnswerReport:
         rc = main(["answer", "--checkpoint", str(ckpt), "--question", question, "--doc-dir", str(one_doc)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert captured.out.startswith("page ")
+        assert re.match(r"page \d+ \(doc0000_p\d+\.pgm\)\n", captured.out)
+
+    def test_answer_names_the_page_file_in_file_name_order(self, monkeypatch, corpus, stage2, tmp_path, capsys):
+        """Pages are taken in file-name order, so x_p10 comes before x_p2, and the page line names its file."""
+        ckpt, _ = stage2
+        doc_dir = tmp_path / "doc"
+        doc_dir.mkdir()
+        for i, page in zip((1, 2, 10), sorted((corpus / "images").glob("doc0000_p*.pgm")) * 2):
+            shutil.copy(page, doc_dir / f"x_p{i}.pgm")
+        seen = []
+        monkeypatch.setattr(cli, "answer_question",
+                            lambda question, doc, *rest: seen.append(doc) or (doc.n_pages - 1, "42"))
+        rc = main(["answer", "--checkpoint", str(ckpt), "--question", "what is the value of ABC?",
+                   "--doc-dir", str(doc_dir)])
+        assert rc == 0
+        assert [page.path.name for page in seen[0].pages] == ["x_p1.pgm", "x_p10.pgm", "x_p2.pgm"]
+        assert capsys.readouterr().out == "page 2 (x_p2.pgm)\n42\n"
 
     def test_answer_with_nan_scorer_is_runtime_error(self, corpus, stage2, tmp_path, capsys):
         from pixqa.checkpoint import load_checkpoint, save_checkpoint
@@ -678,21 +706,24 @@ class TestSweepGrid:
 
     def test_cells_share_one_feature_cache(self, monkeypatch, corpus, stage1, tmp_path):
         """The frozen model's page features are encoded once for the whole sweep, not once per cell."""
-        inside_get, encodes = [], []
-        get, encode_grid = FrozenFeatureCache.get, VqaModel.encode_grid
+        inside_cache, encodes = [], []
 
-        def counted_get(self, *args):
-            inside_get.append(True)
-            try:
-                return get(self, *args)
-            finally:
-                inside_get.pop()
+        def counted(method):
+            def wrapper(self, *args):
+                inside_cache.append(True)
+                try:
+                    return method(self, *args)
+                finally:
+                    inside_cache.pop()
+            return wrapper
 
         def counted_encode(self, grid):
-            encodes.append(bool(inside_get))
+            encodes.append(grid.patches.shape[0] if inside_cache else 0)  # pages the cache encodes
             return encode_grid(self, grid)
 
-        monkeypatch.setattr(FrozenFeatureCache, "get", counted_get)
+        encode_grid = VqaModel.encode_grid
+        for name in ("get", "question_pages"):  # the cache's two ways in: training pages, validation documents
+            monkeypatch.setattr(FrozenFeatureCache, name, counted(getattr(FrozenFeatureCache, name)))
         monkeypatch.setattr(VqaModel, "encode_grid", counted_encode)
         cached = {}
         for layers in ("1", "1:3"):

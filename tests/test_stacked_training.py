@@ -8,8 +8,9 @@ when a stack's answers have one length, and gradients within 1e-12 when
 they do not.
 
 ``reference_stage2`` is stage 2 as it ran before stacking: each pair is
-scored and backpropagated alone. Stacked stage 2 must give the same
-records (apart from wall time and cache size) and checkpoint bytes.
+scored and backpropagated alone, and validation encodes each page alone
+and picks each question's page with ``retrieve``. Stacked stage 2 must give
+the same records (apart from wall time and cache size) and checkpoint bytes.
 """
 
 import gc
@@ -26,13 +27,12 @@ from pixqa.autograd import Tensor
 from pixqa.checkpoint import save_checkpoint
 from pixqa.data import Dataset, SynthConfig, gen_synthetic
 from pixqa.errors import NumericError
-from pixqa.evaluate import BLOCK_ROWS, anls_single, encode_page, fuse_page, grid_stacks
+from pixqa.evaluate import BLOCK_ROWS, anls_single, encode_page, fuse_page, grid_stacks, retrieve
 from pixqa.layers import ATTENTION_TILE
 from pixqa.model import BOS, EOS, PAD, ModelConfig, VqaModel, Vocab
 from pixqa.render import PatchGrid, stack_grids
 from pixqa.training import (STACK_ROWS, Adam, FrozenFeatureCache, Sgd, TrainConfig, make_optimizer,
-                             mse_smoothed_loss, sample_negative, train_stage1, train_stage2,
-                             validation_page_accuracy)
+                             mse_smoothed_loss, sample_negative, train_stage1, train_stage2)
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
 # max_patches admits the 65-patch pages below, which are longer than one attention tile.
@@ -83,6 +83,9 @@ def reference_stage2(train_set, valid_set, model, scorer, cfg):
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg, scorer.params)
     cache = FrozenFeatureCache(model)
+    with ag.no_grad():
+        valid_features = [[encode_page(q.question, valid_set.document_for(q), i, model)
+                           for i in range(valid_set.document_for(q).n_pages)] for q in valid_set.questions]
     n_train = len(train_set.questions)
     records, best_metric, best_epoch = [], -math.inf, 0
     best = {k: p.data.copy() for k, p in scorer.params.items()}
@@ -105,7 +108,9 @@ def reference_stage2(train_set, valid_set, model, scorer, cfg):
                     loss.backward()
                     losses.append(loss.data.item())
             opt.step(len(losses) - done)
-        metric = validation_page_accuracy(valid_set, scorer, cache)
+        hits = sum(retrieve(len(features), features, scorer)[0] == q.answer_page_index
+                   for q, features in zip(valid_set.questions, valid_features))
+        metric = 100.0 * hits / len(valid_set.questions)
         records.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "valid_page_acc": metric,
                         "n_pos_pairs": n_train, "n_neg_pairs": len(losses) - n_train})
         if metric > best_metric:
@@ -448,16 +453,60 @@ class TestTrainStage2:
         assert without_time(history.records) == reference_stage2(train, valid, model, want_scorer, cfg)
         self.assert_same_checkpoint(tmp_path, model, scorer, want_scorer)
 
-    def test_cache_size_in_every_record_and_log_line(self, stage2_corpus, small_model_params):
+    @staticmethod
+    def cache_encodes(monkeypatch):
+        """Keys asked of `FrozenFeatureCache.get`, and the key and page count of each encode made inside `get`."""
+        asked, in_get, inside = [], [], []
+        get, encode_grid = FrozenFeatureCache.get, VqaModel.encode_grid
+
+        def counted_get(self, sample, doc, page_idx):
+            inside.append((sample.question_id, doc.doc_id, page_idx))
+            asked.append(inside[-1])
+            try:
+                return get(self, sample, doc, page_idx)
+            finally:
+                inside.pop()
+
+        def counted_encode(self, grid):
+            if inside:
+                in_get.append((inside[-1], grid.patches.shape[0]))
+            return encode_grid(self, grid)
+
+        monkeypatch.setattr(FrozenFeatureCache, "get", counted_get)
+        monkeypatch.setattr(VqaModel, "encode_grid", counted_encode)
+        return asked, in_get
+
+    def test_each_key_asked_of_get_is_encoded_inside_get_once(self, stage2_corpus, small_model_params, monkeypatch):
+        """What a traced benchmark run checks of the cache: `get` misses once per distinct key, and encodes it alone
+        then; validation fills the cache by its own path, so it adds no key to `get` and no encode inside it."""
         train, valid = stage2_corpus
+        asked, in_get = self.cache_encodes(monkeypatch)
+        train_stage2(train, valid, fresh(small_model_params), scorer_pair("first", 1, 0.1)[0],
+                     TrainConfig(stage=2, batch_size=16, max_epochs=3, early_stop_patience=5, seed=5))
+        assert sorted(key for key, _ in in_get) == sorted(set(asked))
+        assert {pages for _, pages in in_get} == {1}
+        assert {question for question, _, _ in asked} == {q.question_id for q in train.questions}
+
+    def test_cache_size_in_every_record_and_log_line(self, stage2_corpus, small_model_params, monkeypatch):
+        """The cache holds each training page asked of `get` and every page of each validation question's document,
+        and ``cache_mib`` counts every feature it holds."""
+        train, valid = stage2_corpus
+        asked, _ = self.cache_encodes(monkeypatch)
         lines = []
         model = fresh(small_model_params)
         cache = FrozenFeatureCache(model)
         history = train_stage2(train, valid, model, scorer_pair("first", 1, 0.0)[0],
                                TrainConfig(stage=2, max_epochs=2, early_stop_patience=5), log=lines.append,
                                cache=cache)
+        validation_pages = {(q.question_id, q.doc_id, i) for q in valid.questions
+                            for i in range(valid.document_for(q).n_pages)}
+        assert len(cache._store) == len(set(asked) | validation_pages)
         held = sum(feature.data.nbytes for feature in cache._store.values())
-        assert cache.nbytes == held > 0
+        # A validation page is a view of its block's array: the arrays alive are the blocks and the training pages.
+        arrays = {id(a): a.nbytes for a in (f.data if f.data.base is None else f.data.base
+                                            for f in cache._store.values())}
+        assert len(arrays) < len(cache._store)
+        assert cache.nbytes == held == sum(arrays.values()) > 0
         assert [rec["cache_mib"] for rec in history.records][-1] == held / 2**20
         assert 0.0 < history.records[0]["cache_mib"] <= history.records[-1]["cache_mib"]
         assert len(lines) == 2 and all(f"cache_mib={rec['cache_mib']:.4f}" in line

@@ -6,9 +6,9 @@ import pytest
 
 from pixqa import training
 from pixqa.autograd import Tensor
-from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, split
-from pixqa.errors import ConfigError, DataError
-from pixqa.evaluate import encode_page, retrieve
+from pixqa.data import Dataset, Document, PageRef, SynthConfig, gen_synthetic, split
+from pixqa.errors import ConfigError, DataError, NumericError
+from pixqa.evaluate import encode_page, fuse_page, retrieve
 from pixqa.model import ModelConfig, VqaModel
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 from pixqa.training import (
@@ -310,17 +310,69 @@ class TestStage2:
         neg = scores[1 - q.answer_page_index]
         assert pos > neg
 
-    def test_cached_validation_matches_direct_encoding(self, corpus, trained):
+    @pytest.fixture(scope="class")
+    def mixed_valid(self, corpus, tmp_path_factory):
+        """The validation split plus a one-page document and a document whose pages come in two grid shapes."""
         _, valid = corpus
-        model, scorer, _, _ = trained
-        cached = validation_page_accuracy(valid, scorer, FrozenFeatureCache(model))
-        hits = 0
-        for q in valid.questions:
-            doc = valid.document_for(q)
-            best, _, _ = retrieve(doc.n_pages,
-                                  (encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
+        short = gen_synthetic(replace(TINY_CORPUS, n_documents=1, facts_per_page=1, page_height=16, seed=12),
+                              tmp_path_factory.mktemp("short"))
+        sample = valid.questions[0]
+        doc = valid.document_for(sample)
+        documents = {"single": Document("single", (doc.pages[sample.answer_page_index],)),
+                     "mixed": Document("mixed", doc.pages + next(iter(short.documents.values())).pages)}
+        questions = [*valid.questions, replace(sample, question_id="single", doc_id="single", answer_page_index=0),
+                     replace(sample, question_id="mixed", doc_id="mixed")]
+        return Dataset("valid", questions, {**valid.documents, **documents})
+
+    @pytest.mark.parametrize("agg", ["first", "cls", "avgpool"])
+    def test_cached_validation_matches_direct_encoding(self, mixed_valid, monkeypatch, agg):
+        """Each score of stacked validation is the one `retrieve` gives the page encoded alone, and so is each pick."""
+        model = VqaModel(TINY_MODEL)
+        mixed = mixed_valid.documents["mixed"]
+        assert len({fuse_page("q", mixed, i, model).rows for i in range(mixed.n_pages)}) == 2
+        scorer = SelfAttentionScorer(ScorerConfig(n_sa_layers=2, n_heads=2, aggregation=agg), d_model=16, seed=4)
+        got, stacks = [], []
+        score = SelfAttentionScorer.score
+
+        def recorded(self, feature, training=False, keep=None):
+            out = score(self, feature, training, keep)
+            got.extend(out.data.tolist())
+            stacks.append(feature.shape[0])
+            return out
+
+        monkeypatch.setattr(SelfAttentionScorer, "score", recorded)
+        cached = validation_page_accuracy(mixed_valid, scorer, FrozenFeatureCache(model))
+        monkeypatch.undo()
+        hits, want = 0, []
+        for q in mixed_valid.questions:
+            doc = mixed_valid.document_for(q)
+            best, _, scores = retrieve(doc.n_pages,
+                                       (encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
             hits += best == q.answer_page_index
-        assert cached == 100.0 * hits / len(valid.questions)
+            want += scores
+        assert got == want  # bit for bit, the one-page document unscored
+        assert max(stacks) > 1 and len(stacks) < len(want)
+        assert cached == 100.0 * hits / len(mixed_valid.questions)
+
+    def test_cache_keeps_apart_corpora_whose_ids_clash(self, tmp_path):
+        """Corpora generated apart number their questions and documents alike; each still gets its own features."""
+        model = VqaModel(TINY_MODEL)
+        cache = FrozenFeatureCache(model)
+        corpora = [gen_synthetic(replace(TINY_CORPUS, n_documents=1, seed=seed), tmp_path / str(seed)) for seed in (1, 2)]
+        assert len({(ds.questions[0].question_id, ds.questions[0].doc_id) for ds in corpora}) == 1
+        for ds in corpora:
+            q = ds.questions[0]
+            doc = ds.document_for(q)
+            want = encode_page(q.question, doc, 0, model).data
+            assert np.array_equal(cache.get(q, doc, 0).data, want)
+            assert np.array_equal(cache.question_pages(q, doc)[0].data, want)
+
+    def test_non_finite_validation_score_names_the_page(self, corpus):
+        _, valid = corpus
+        scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=16, seed=4)
+        scorer.params["head.b3"].data[:] = np.nan
+        with pytest.raises(NumericError, match=f"question {valid.questions[0].question_id}: page 0 scored nan"):
+            validation_page_accuracy(valid, scorer, FrozenFeatureCache(VqaModel(TINY_MODEL)))
 
     def test_reproducible(self, corpus):
         train, valid = corpus
