@@ -359,7 +359,7 @@ def log_softmax_last(a) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def normalize_last(a, eps: float = 1e-12) -> Tensor:
+def normalize_last(a, eps: float) -> Tensor:
     """Standardize the last axis to mean 0 / variance 1 (pre-affine layer norm)."""
     a = _as_tensor(a)
     n = a.data.shape[-1]

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AnnotationParseError, ConfigError, DataError
-from .font import builtin_font
+from .font import GLYPH_HEIGHT, GLYPH_WIDTH
 from .render import RasterImage, render_text
 
-LINE_HEIGHT = 16  # glyph height of the builtin font; pages are laid out on this grid
+LINE_HEIGHT = GLYPH_HEIGHT  # pages are laid out on the builtin font's line grid
 
 
 # ----------------------------------------------------------------------------
@@ -295,10 +295,10 @@ class SynthConfig:
                 f"need {self.facts_per_page}"
             )
         line_chars = 1 + self.key_len + 2 + self.value_len
-        if line_chars * 8 > self.page_width:
+        if line_chars * GLYPH_WIDTH > self.page_width:
             raise ConfigError(f"page width {self.page_width} too narrow for {line_chars}-character fact lines")
         question_chars = len(question_text("K" * self.key_len))
-        if question_chars * 8 > self.page_width:
+        if question_chars * GLYPH_WIDTH > self.page_width:
             raise ConfigError(f"page width {self.page_width} too narrow for the {question_chars}-character question")
 
 
@@ -325,7 +325,6 @@ def gen_synthetic(cfg: SynthConfig, out_dir: Path) -> Dataset:
     out_dir = Path(out_dir)
     images_dir = out_dir / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
-    font = builtin_font()
     rng = np.random.default_rng(cfg.seed)
 
     slots_per_page = cfg.facts_per_page
@@ -383,7 +382,7 @@ def gen_synthetic(cfg: SynthConfig, out_dir: Path) -> Dataset:
             page = np.full((cfg.page_height, cfg.page_width), 255, dtype=np.uint8)
             for slot, fact_idx in enumerate(order):
                 key, value = facts[fact_idx]
-                line_img = render_text(fact_line(key, value), font, line_width=cfg.page_width)
+                line_img = render_text(fact_line(key, value), line_width=cfg.page_width)
                 page[slot * LINE_HEIGHT : (slot + 1) * LINE_HEIGHT, :] = line_img.pixels
             page_id = f"{doc_id}_p{k:03d}"
             path = images_dir / f"{page_id}.pgm"

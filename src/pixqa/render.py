@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .font import GlyphFont, builtin_font
+from .font import GLYPH_HEIGHT, GLYPH_WIDTH, glyph
 
 WHITE = 255
 DEFAULT_PATCH_SIZE = 16
@@ -88,26 +88,24 @@ def blank_image(width: int, height: int) -> RasterImage:
     return RasterImage(np.full((height, width), WHITE, dtype=np.uint8))
 
 
-def render_text(text: str, font: GlyphFont | None = None, line_width: int = 512) -> RasterImage:
-    """Rasterize text left-to-right, wrapping when a glyph would overflow.
+def render_text(text: str, line_width: int) -> RasterImage:
+    """Rasterize text left-to-right in the builtin font, wrapping when a glyph would overflow.
 
     The output is always line_width wide; height is line_count * glyph
     height. Empty text yields a single blank line.
     """
-    font = font or builtin_font()
-    if line_width < font.glyph_width:
-        raise ConfigError(f"line_width {line_width} < glyph width {font.glyph_width}")
+    if line_width < GLYPH_WIDTH:
+        raise ConfigError(f"line_width {line_width} < glyph width {GLYPH_WIDTH}")
 
-    per_line = line_width // font.glyph_width
+    per_line = line_width // GLYPH_WIDTH
     lines = [text[i : i + per_line] for i in range(0, len(text), per_line)] or [""]
 
-    canvas = np.full((len(lines) * font.glyph_height, line_width), WHITE, dtype=np.uint8)
+    canvas = np.full((len(lines) * GLYPH_HEIGHT, line_width), WHITE, dtype=np.uint8)
     for row, line in enumerate(lines):
-        y = row * font.glyph_height
+        y = row * GLYPH_HEIGHT
         for col, ch in enumerate(line):
-            x = col * font.glyph_width
-            mask = font.glyph(ch)
-            canvas[y : y + font.glyph_height, x : x + font.glyph_width][mask] = 0
+            x = col * GLYPH_WIDTH
+            canvas[y : y + GLYPH_HEIGHT, x : x + GLYPH_WIDTH][glyph(ch)] = 0
     return RasterImage(canvas)
 
 
@@ -126,8 +124,6 @@ def _grid_size(width: int, height: int, patch_size: int) -> int:
 
 def _bilinear_resize(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     in_h, in_w = pixels.shape
-    if (out_w, out_h) == (in_w, in_h):
-        return pixels.copy()
     # Pixel-center sampling: dst center maps to src center.
     src = pixels.astype(np.float64)
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
@@ -200,13 +196,13 @@ def patchify(img: RasterImage, patch_size: int = DEFAULT_PATCH_SIZE) -> PatchGri
 
 
 @lru_cache(maxsize=8)
-def question_strip(question: str, font: GlyphFont, line_width: int) -> RasterImage:
-    """``render_text(question, font, line_width)``, read-only and cached.
+def question_strip(question: str, line_width: int) -> RasterImage:
+    """``render_text(question, line_width)``, read-only and cached.
 
     The pages of one document share a question and usually a width, so the
     strip is rendered once per question and page width, not once per page.
     """
-    strip = render_text(question, font, line_width)
+    strip = render_text(question, line_width)
     strip.pixels.setflags(write=False)
     return strip
 
@@ -214,13 +210,11 @@ def question_strip(question: str, font: GlyphFont, line_width: int) -> RasterIma
 def fuse_question_page(
     question: str,
     page_img: RasterImage,
-    font: GlyphFont | None = None,
     patch_size: int = DEFAULT_PATCH_SIZE,
     max_patches: int = DEFAULT_MAX_PATCHES,
 ) -> PatchGrid:
     """Full front end: render question at page width, stack, fit budget, patchify."""
-    font = font or builtin_font()
-    q_img = question_strip(question, font, max(page_img.width, font.glyph_width))
+    q_img = question_strip(question, max(page_img.width, GLYPH_WIDTH))
     fused = concat_question_page(q_img, page_img)
     fused = resize_to_patch_budget(fused, patch_size, max_patches)
     return patchify(fused, patch_size)

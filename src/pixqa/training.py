@@ -20,10 +20,11 @@ each optimizer batch in order, drawing each question's negative and then
 each pair's dropout mask from the epoch rng, and groups consecutive pairs
 whose frozen features share a shape into stacks of up to `BLOCK_ROWS`
 attention rows (`evaluate.grid_stacks` again); each stack is one scorer
-call and one backward, bit-identical to one per pair. Validation takes
-every page of each validation question's document from the frozen-feature
-cache, which encodes a document in blocks as retrieval does
-(`evaluate.page_features`), and scores them in stacks grouped by the same
+call and one backward, bit-identical to one per pair. All stage-2
+features come from one frozen-feature cache: a training page missing from
+it is encoded alone, and a validation document with any page missing is
+encoded whole, in blocks as retrieval does (`evaluate.page_features`).
+Validation scores each question's pages in stacks grouped by the same
 rule, without autograd; every score is the one its page gets alone. Every
 stage-2 record carries the frozen-feature cache's size, `cache_mib`.
 
@@ -245,55 +246,43 @@ class FrozenFeatureCache:
     """Memoized encoder features for stage 2, where the encoder never changes.
 
     Trades memory for a large speedup: every epoch revisits the same
-    positive pairs and validation pages. A feature is keyed by what it is
-    computed from, the question's text and the page's image file, so splits
-    whose question and document ids clash (two corpora generated apart both
-    number from 0) never read each other's features. One store serves both
-    ways in, `get` (one training page) and `question_pages` (every page of a
-    validation question's document), so a page is encoded at most once
-    whichever asks first. ``nbytes`` counts the bytes of the features it
-    holds.
+    positive pairs and validation pages. One dict holds every feature, keyed
+    by the question's text and the page's image file, so splits whose ids
+    clash (two corpora generated apart both number from 0) never read each
+    other's features. `get` encodes a missing training page alone;
+    `question_pages` encodes a document with any page missing in blocks and
+    holds all its pages, replacing any `get` held with its same-bits block
+    view. ``nbytes`` sums the bytes of the features held.
     """
 
     def __init__(self, model: VqaModel):
         self.model = model
         self._store: dict[tuple, Tensor] = {}
-        self.nbytes = 0
 
-    @staticmethod
-    def _key(sample, doc: Document, page_idx: int) -> tuple:
-        return sample.question, doc.pages[page_idx].path
-
-    def _hold(self, key: tuple, feature: Tensor) -> Tensor:
-        self._store[key] = feature
-        self.nbytes += feature.data.nbytes
-        return feature
-
-    def _encode(self, sample, doc: Document, page_idx: int) -> Tensor:
-        with ag.no_grad():
-            return self._hold(self._key(sample, doc, page_idx), encode_page(sample.question, doc, page_idx, self.model))
+    @property
+    def nbytes(self) -> int:
+        return sum(feature.data.nbytes for feature in self._store.values())
 
     def get(self, sample, doc: Document, page_idx: int) -> Tensor:
         """One page's feature; a page not held yet is encoded alone."""
-        feature = self._store.get(self._key(sample, doc, page_idx))
-        return self._encode(sample, doc, page_idx) if feature is None else feature
+        key = sample.question, doc.pages[page_idx].path
+        if key not in self._store:
+            with ag.no_grad():
+                self._store[key] = encode_page(sample.question, doc, page_idx, self.model)
+        return self._store[key]
 
     def question_pages(self, sample, doc: Document) -> list[Tensor]:
         """Every page's feature of ``sample``'s document, in page order.
 
-        A document none of whose pages is held yet is encoded in blocks, as
-        retrieval encodes it (`evaluate.page_features`); each page is a view
-        of its block, and every page of the block is held, so ``nbytes``
-        stays the bytes held. The missing pages of a partly held document
-        (a question that `get` was asked for too) are encoded alone.
+        A document with any page not held yet is encoded in blocks, as
+        retrieval encodes it (`evaluate.page_features`), and every page of
+        it is held as a view of its block.
         """
-        keys = [self._key(sample, doc, i) for i in range(doc.n_pages)]
-        if not any(key in self._store for key in keys):
+        keys = [(sample.question, page.path) for page in doc.pages]
+        if not all(key in self._store for key in keys):
             with ag.no_grad():
-                for key, feature in zip(keys, page_features(sample.question, doc, self.model)):
-                    self._hold(key, feature)
-        return [self._store[key] if key in self._store else self._encode(sample, doc, i)
-                for i, key in enumerate(keys)]
+                self._store.update(zip(keys, page_features(sample.question, doc, self.model)))
+        return [self._store[key] for key in keys]
 
 
 def validation_page_accuracy(valid_set: Dataset, scorer: SelfAttentionScorer, cache: FrozenFeatureCache) -> float:

@@ -26,7 +26,7 @@ from pixqa.data import (
     write_pgm,
 )
 from pixqa.errors import AnnotationParseError, ConfigError, DataError, PixqaError
-from pixqa.font import builtin_font
+from pixqa.font import GLYPH_HEIGHT, GLYPH_WIDTH
 from pixqa.model import ModelConfig, VqaModel
 from pixqa.render import RasterImage, render_text
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
@@ -255,17 +255,16 @@ class TestGenerator:
     def test_one_evidence_page_by_pixel_scan(self, tmp_path):
         """The rendered key prefix appears on exactly the gold page, nowhere else."""
         ds = gen_synthetic(TINY, tmp_path)
-        font = builtin_font()
         for q in ds.questions:
             key = q.question[len("what is the value of ") : -1]
             prefix = fact_line(key, "")[:-1]  # " KEY:" without trailing space
-            target = render_text(prefix, font, line_width=len(prefix) * 8).pixels
+            target = render_text(prefix, line_width=len(prefix) * GLYPH_WIDTH).pixels
             doc = ds.document_for(q)
             hits = []
             for k in range(doc.n_pages):
                 page = doc.load_page(k).pixels
-                for slot in range(page.shape[0] // 16):
-                    region = page[slot * 16 : (slot + 1) * 16, : target.shape[1]]
+                for slot in range(page.shape[0] // GLYPH_HEIGHT):
+                    region = page[slot * GLYPH_HEIGHT : (slot + 1) * GLYPH_HEIGHT, : target.shape[1]]
                     if (region == target).all():
                         hits.append(k)
             assert hits == [q.answer_page_index], q.question_id

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pixqa import font
 from pixqa.errors import ConfigError
-from pixqa.font import builtin_font
 from pixqa.render import (
     PatchGrid,
     RasterImage,
@@ -26,20 +26,28 @@ def grid_cells(w: int, h: int, p: int) -> int:
 
 
 class TestFont:
+    PRINTABLE = [chr(code) for code in range(32, 127)]
+
     def test_all_printable_covered(self):
-        font = builtin_font()
-        for code in range(32, 127):
-            assert chr(code) in font.bitmaps
+        fallback = font.glyph(chr(0xE9))
+        for ch in self.PRINTABLE:
+            assert font.glyph(ch) is not fallback
+            assert font.glyph(ch).shape == (font.GLYPH_HEIGHT, font.GLYPH_WIDTH)
 
     def test_glyphs_distinct(self):
-        font = builtin_font()
-        rendered = {ch: bm.tobytes() for ch, bm in font.bitmaps.items()}
-        assert len(set(rendered.values())) == len(rendered)
+        rendered = {font.glyph(ch).tobytes() for ch in self.PRINTABLE}
+        assert len(rendered) == len(self.PRINTABLE)
 
     def test_fallback_for_unmapped(self):
-        font = builtin_font()
-        assert font.glyph(chr(0xE9)) is font.fallback
-        assert font.fallback.any()
+        fallback = font.glyph(chr(0xE9))
+        assert font.glyph("\n") is fallback
+        assert fallback.any()
+        assert fallback.tobytes() not in {font.glyph(ch).tobytes() for ch in self.PRINTABLE}
+
+    def test_glyphs_are_read_only(self):
+        for ch in [*self.PRINTABLE, chr(0xE9)]:
+            with pytest.raises(ValueError):
+                font.glyph(ch)[0, 0] = True
 
 
 class TestRenderText:
@@ -50,7 +58,7 @@ class TestRenderText:
 
     def test_single_glyph_at_origin(self):
         img = render_text("A", line_width=256)
-        mask = builtin_font().glyph("A")
+        mask = font.glyph("A")
         assert (img.pixels[:16, :8] == np.where(mask, 0, 255)).all()
         assert (img.pixels[:, 8:] == 255).all()
 
@@ -221,15 +229,14 @@ class TestFuse:
             assert np.array_equal(g.patches, expected.patches)
 
     def test_strip_is_rendered_once_per_question_and_width(self):
-        font = builtin_font()
-        strip = question_strip("what is ABC?", font, 208)
-        assert question_strip("what is ABC?", font, 208) is strip
+        strip = question_strip("what is ABC?", 208)
+        assert question_strip("what is ABC?", 208) is strip
         assert not strip.pixels.flags.writeable
         with pytest.raises(ValueError):
             strip.pixels[0, 0] = 0
-        assert np.array_equal(strip.pixels, render_text("what is ABC?", font, 208).pixels)
-        assert question_strip("what is ABC?", font, 96) is not strip
-        assert question_strip("what is ABD?", font, 208) is not strip
+        assert np.array_equal(strip.pixels, render_text("what is ABC?", 208).pixels)
+        assert question_strip("what is ABC?", 96) is not strip
+        assert question_strip("what is ABD?", 208) is not strip
 
 
 class TestStackGrids:

@@ -487,30 +487,57 @@ class TestTrainStage2:
         assert {pages for _, pages in in_get} == {1}
         assert {question for question, _, _ in asked} == {q.question_id for q in train.questions}
 
-    def test_cache_size_in_every_record_and_log_line(self, stage2_corpus, small_model_params, monkeypatch):
-        """The cache holds each training page asked of `get` and every page of each validation question's document,
-        and ``cache_mib`` counts every feature it holds."""
-        train, valid = stage2_corpus
-        asked, _ = self.cache_encodes(monkeypatch)
-        lines = []
-        model = fresh(small_model_params)
-        cache = FrozenFeatureCache(model)
-        history = train_stage2(train, valid, model, scorer_pair("first", 1, 0.0)[0],
-                               TrainConfig(stage=2, max_epochs=2, early_stop_patience=5), log=lines.append,
-                               cache=cache)
-        validation_pages = {(q.question_id, q.doc_id, i) for q in valid.questions
-                            for i in range(valid.document_for(q).n_pages)}
-        assert len(cache._store) == len(set(asked) | validation_pages)
+    @staticmethod
+    def assert_nbytes_of_arrays_alive(cache):
+        """``nbytes`` is the bytes of the features held and of the distinct arrays they are: a validation page is a
+        view of its block's array, so the arrays alive are the blocks and the training pages held alone."""
         held = sum(feature.data.nbytes for feature in cache._store.values())
-        # A validation page is a view of its block's array: the arrays alive are the blocks and the training pages.
         arrays = {id(a): a.nbytes for a in (f.data if f.data.base is None else f.data.base
                                             for f in cache._store.values())}
         assert len(arrays) < len(cache._store)
         assert cache.nbytes == held == sum(arrays.values()) > 0
+        return held
+
+    def test_cache_size_in_every_record_and_log_line(self, stage2_corpus, small_model_params, monkeypatch):
+        """The cache holds each training page asked of `get` and every page of each validation question's document,
+        and ``cache_mib`` counts every feature it holds; so it does when both splits are one, where a validation
+        block replaces the pages `get` held of its document."""
+        train, valid = stage2_corpus
+        asked, in_get = self.cache_encodes(monkeypatch)
+        lines = []
+        model = fresh(small_model_params)
+        cache = FrozenFeatureCache(model)
+        cfg = TrainConfig(stage=2, max_epochs=2, early_stop_patience=5)
+        history = train_stage2(train, valid, model, scorer_pair("first", 1, 0.0)[0], cfg, log=lines.append,
+                               cache=cache)
+        validation_pages = {(q.question_id, q.doc_id, i) for q in valid.questions
+                            for i in range(valid.document_for(q).n_pages)}
+        assert len(cache._store) == len(set(asked) | validation_pages)
+        held = self.assert_nbytes_of_arrays_alive(cache)
         assert [rec["cache_mib"] for rec in history.records][-1] == held / 2**20
         assert 0.0 < history.records[0]["cache_mib"] <= history.records[-1]["cache_mib"]
         assert len(lines) == 2 and all(f"cache_mib={rec['cache_mib']:.4f}" in line
                                        for rec, line in zip(history.records, lines))
+
+        asked.clear()
+        in_get.clear()
+        cache = FrozenFeatureCache(model)
+        history = train_stage2(train, train, model, scorer_pair("first", 1, 0.0)[0], cfg, cache=cache)
+        monkeypatch.undo()
+        encoded_in_get = [key for key, _ in in_get]
+        assert len(encoded_in_get) == len(set(encoded_in_get)) and set(encoded_in_get) <= set(asked)
+        pages = {(q.question_id, q.doc_id, i): (q, i, page.path) for q in train.questions
+                 for i, page in enumerate(train.document_for(q).pages)}
+        validated = {key for key, (q, _, _) in pages.items() if train.document_for(q).n_pages > 1}
+        held_pages = [pages[key] for key in validated | set(asked)]
+        assert {(q.question, path) for q, _, path in held_pages} == set(cache._store)
+        assert any(cache._store[q.question, path].data.base is not None
+                   for q, _, path in map(pages.get, encoded_in_get))  # a page `get` held, replaced by its block view
+        with ag.no_grad():
+            for q, i, path in held_pages:
+                want = encode_page(q.question, train.document_for(q), i, model).data
+                assert np.array_equal(cache._store[q.question, path].data, want)
+        assert history.records[-1]["cache_mib"] == self.assert_nbytes_of_arrays_alive(cache) / 2**20
 
 
 class TestBatchedGreedy:
