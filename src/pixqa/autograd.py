@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough machinery for a small transformer: elementwise arithmetic,
-(batched) matmul, a fused affine map x @ w + b, reshape/transpose,
-reductions, fused attention weights (scaled, masked, max-shifted softmax of
-q @ k_t), a stable log-softmax, layer-norm standardization, relu/sigmoid,
-row gathers and concatenation. Everything is double precision; gradients
-are validated against central finite differences in the test suite.
+Just enough machinery for a small transformer: ``add`` and ``mul``
+(``Tensor`` spells them ``+`` and unary ``-``), (batched) ``matmul``, the
+fused affine map ``linear`` (x @ w + b), ``reshape``, ``transpose``,
+``sum_axis``, ``relu``, ``sigmoid``, fused ``attention_weights`` (scaled,
+masked, max-shifted softmax of q @ k_t), a stable ``log_softmax_last``,
+layer-norm standardization ``normalize_last``, row gathers ``take_rows``
+and ``concat_rows``. Everything is double precision; gradients are
+validated against central finite differences in the test suite.
 
 Inside a ``no_grad()`` block (or when no input requires gradients) the same
 ops run as plain numpy with no graph recorded, which is the evaluation path.
@@ -57,30 +59,12 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; constants (ndarray / scalar) are allowed on either side.
+    # Arithmetic sugar; a constant (ndarray / scalar) is allowed on the right of ``+``.
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Backpropagate from this (scalar or any-shape) tensor, seeding with ones.
@@ -120,7 +104,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _needs_graph(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad or t._parents for t in tensors)
+    return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -133,8 +117,11 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def _wants(t: Tensor) -> bool:
-    """Whether a gradient for ``t`` is used: a constant's gradient need not be computed."""
-    return t.requires_grad or bool(t._parents)
+    """Whether a gradient for ``t`` is used: a constant's gradient need not be computed.
+
+    ``_node`` gives an output parents only with ``requires_grad``, so the flag alone tells.
+    """
+    return t.requires_grad
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -238,17 +225,6 @@ def linear(x, w, b) -> Tensor:
     return _node(data, (x, w, b), backward)
 
 
-def powc(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent."""
-    a = _as_tensor(a)
-    data = a.data**exponent
-
-    def backward(g):
-        _accum(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _node(data, (a,), backward)
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
@@ -275,20 +251,11 @@ def sum_axis(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _node(data, (a,), backward)
-
-
-def mean_axis(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_axis(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def relu(a) -> Tensor:
@@ -304,7 +271,8 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))), np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         _accum(a, g * data * (1.0 - data))

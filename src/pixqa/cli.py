@@ -184,9 +184,9 @@ MODEL_FLAGS = {
 }
 TRAIN_FLAGS = {
     "lr": "learning_rate", "batch_size": "batch_size", "epochs": "max_epochs",
-    "patience": "early_stop_patience", "label_smooth": "label_smooth_eps", "seed": "seed",
-    "optimizer": "optimizer", "weight_decay": "weight_decay",
+    "patience": "early_stop_patience", "seed": "seed", "optimizer": "optimizer", "weight_decay": "weight_decay",
 }
+STAGE2_FLAGS = {**TRAIN_FLAGS, "label_smooth": "label_smooth_eps"}  # stage 1 has no smoothed targets
 HEAD_FLAGS = {"aggregation": "aggregation", "dropout": "dropout_p"}  # the scorer settings a sweep holds fixed
 SCORER_FLAGS = {"sa_layers": "n_sa_layers", "sa_heads": "n_heads", **HEAD_FLAGS}
 
@@ -213,8 +213,8 @@ COMMAND_DEFAULTS = {
         "fractions": "0.8,0.1,0.1",
     },
     "train-vqa": {**_defaults(ModelConfig, MODEL_FLAGS), **_defaults(TrainConfig, TRAIN_FLAGS)},
-    "train-scorer": {**_defaults(ScorerConfig, SCORER_FLAGS), **SCORER_SEED, **_defaults(TrainConfig, TRAIN_FLAGS)},
-    "sweep": {**_defaults(TrainConfig, TRAIN_FLAGS), **_defaults(ScorerConfig, HEAD_FLAGS), **SCORER_SEED},
+    "train-scorer": {**_defaults(ScorerConfig, SCORER_FLAGS), **SCORER_SEED, **_defaults(TrainConfig, STAGE2_FLAGS)},
+    "sweep": {**_defaults(TrainConfig, STAGE2_FLAGS), **_defaults(ScorerConfig, HEAD_FLAGS), **SCORER_SEED},
 }
 
 
@@ -306,7 +306,7 @@ def cmd_train_scorer(args: argparse.Namespace) -> int:
     model, _ = load_checkpoint(ckpt_in)  # scorer namespace, if any, is ignored: fresh head per run
     scorer_cfg = _build(ScorerConfig, SCORER_FLAGS, r)
     scorer = SelfAttentionScorer(scorer_cfg, d_model=model.cfg.d_model, seed=r["scorer_seed"])
-    train_cfg = _build(TrainConfig, TRAIN_FLAGS, r, stage=2)
+    train_cfg = _build(TrainConfig, STAGE2_FLAGS, r, stage=2)
     out_dir = Path(args.out)
     history, ckpt_path = _train_run(out_dir, 2, partial(train_stage2, train_set, valid_set, model, scorer, train_cfg),
                                     model, scorer)
@@ -374,7 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ckpt_in = _require_path(Path(args.checkpoint), "stage-1 checkpoint")
     train_set = _load_split(Path(args.data), "train")
     valid_set = _load_split(Path(args.data), "valid")
-    train_cfg = _build(TrainConfig, TRAIN_FLAGS, r, stage=2)
+    train_cfg = _build(TrainConfig, STAGE2_FLAGS, r, stage=2)
     model, _ = load_checkpoint(ckpt_in)  # stage 2 never changes the model, so every cell shares it
     # Every cell's scorer is made before any trains, so a bad cell fails the sweep up front.
     scorers = [

@@ -57,15 +57,6 @@ def init_params(table: Iterable[ParamEntry], seed: int) -> dict[str, Tensor]:
 linear = ag.linear  # x @ w + b as one graph node
 
 
-def normalize(x: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Per-row standardization: mean 0, variance 1 (before any affine)."""
-    return ag.normalize_last(x, eps)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return ag.mul(normalize(x), gain) + bias
-
-
 def attention_table(prefix: str, d_model: int) -> list[ParamEntry]:
     # Keys start as a copy of queries, so q.k = (Wq u).(Wq v) is a PSD
     # similarity form at init: heads begin life as content-match detectors,
@@ -230,4 +221,5 @@ def norm_table(prefix: str, d_model: int) -> list[ParamEntry]:
 
 
 def apply_layer_norm(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
+    """Each row of ``x`` standardized (mean 0, variance 1), then scaled by ``prefix.g`` and shifted by ``prefix.b``."""
+    return ag.mul(ag.normalize_last(x, LN_EPS), params[f"{prefix}.g"]) + params[f"{prefix}.b"]

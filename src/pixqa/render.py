@@ -19,8 +19,6 @@ from .errors import ConfigError
 from .font import GLYPH_HEIGHT, GLYPH_WIDTH, glyph
 
 WHITE = 255
-DEFAULT_PATCH_SIZE = 16
-DEFAULT_MAX_PATCHES = 2048
 
 
 @dataclass(frozen=True)
@@ -141,11 +139,7 @@ def _bilinear_resize(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-def resize_to_patch_budget(
-    img: RasterImage,
-    patch_size: int = DEFAULT_PATCH_SIZE,
-    max_patches: int = DEFAULT_MAX_PATCHES,
-) -> RasterImage:
+def resize_to_patch_budget(img: RasterImage, patch_size: int, max_patches: int) -> RasterImage:
     """Uniformly shrink an image until its patch grid fits the budget.
 
     Images already within budget are returned unchanged. Otherwise the
@@ -183,7 +177,7 @@ def resize_to_patch_budget(
     return RasterImage(_bilinear_resize(img.pixels, out_w, out_h))
 
 
-def patchify(img: RasterImage, patch_size: int = DEFAULT_PATCH_SIZE) -> PatchGrid:
+def patchify(img: RasterImage, patch_size: int) -> PatchGrid:
     """Pad with white to patch multiples, cut row-major, normalize to [0, 1]: a stack of one page."""
     pad_h = (-img.height) % patch_size
     pad_w = (-img.width) % patch_size
@@ -207,12 +201,7 @@ def question_strip(question: str, line_width: int) -> RasterImage:
     return strip
 
 
-def fuse_question_page(
-    question: str,
-    page_img: RasterImage,
-    patch_size: int = DEFAULT_PATCH_SIZE,
-    max_patches: int = DEFAULT_MAX_PATCHES,
-) -> PatchGrid:
+def fuse_question_page(question: str, page_img: RasterImage, patch_size: int, max_patches: int) -> PatchGrid:
     """Full front end: render question at page width, stack, fit budget, patchify."""
     q_img = question_strip(question, max(page_img.width, GLYPH_WIDTH))
     fused = concat_question_page(q_img, page_img)

@@ -122,7 +122,7 @@ class SelfAttentionScorer:
             if i == last and cfg.aggregation in ("first", "cls"):
                 queries = ag.take_rows(x, FIRST_ROW)  # row 0's output is the pooled vector
             x = multi_head_attention(queries, x, p, f"sa.{i}", cfg.n_heads)
-        pooled = ag.mean_axis(x, axis=-2, keepdims=True) if cfg.aggregation == "avgpool" else x
+        pooled = ag.mul(ag.sum_axis(x, axis=-2, keepdims=True), 1.0 / x.shape[-2]) if cfg.aggregation == "avgpool" else x
         if training and cfg.dropout_p > 0.0:
             if keep is None:
                 raise ValueError("training-mode scoring needs each page's dropout mask (dropout_keep)")

@@ -101,14 +101,12 @@ class TrainHistory:
 class Sgd:
     """Plain stochastic gradient descent with a fixed learning rate."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
 
     def step(self, accumulated: int) -> None:
-        if accumulated < 1:
-            return
         for p in self.params.values():
             if p.grad is not None:
                 if self.weight_decay:
@@ -128,7 +126,7 @@ class Adam:
     textbook formulas, so the result is bit-identical to them.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
@@ -137,8 +135,6 @@ class Adam:
         self.t = 0
 
     def step(self, accumulated: int) -> None:
-        if accumulated < 1:
-            return
         self.t += 1
         for name, p in self.params.items():
             if p.grad is None:
@@ -179,7 +175,8 @@ def sample_negative(doc: Document, positive_idx: int, rng: np.random.Generator) 
 
 def mse_smoothed_loss(pred: Tensor, is_positive, eps: float) -> Tensor:
     """Squared error against the label-smoothed target 1-eps (positive) or eps; elementwise for a stack's pages."""
-    return ag.powc(pred + (-np.where(is_positive, 1.0 - eps, eps)), 2.0)
+    diff = pred + (-np.where(is_positive, 1.0 - eps, eps))
+    return ag.mul(diff, diff)
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

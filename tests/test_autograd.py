@@ -3,7 +3,7 @@ import pytest
 
 from pixqa import autograd as ag
 from pixqa.autograd import Tensor
-from pixqa.layers import layer_norm, multi_head_attention, normalize
+from pixqa.layers import LN_EPS, apply_layer_norm, multi_head_attention
 from pixqa.model import NEG_MASK
 
 
@@ -48,13 +48,9 @@ class TestElementwise:
         a, b = leaf(5), leaf(5)
         check_op(lambda: ag.sum_axis(ag.mul(ag.mul(a, 3.0), b)), a, b)
 
-    def test_sub_and_neg(self):
+    def test_neg(self):
         a, b = leaf(4), leaf(4)
-        check_op(lambda: ag.sum_axis(ag.mul(a - b, a - b)), a, b)
-
-    def test_powc(self):
-        a = Tensor(np.abs(rng.normal(1.0, 0.2, 6)) + 0.5, requires_grad=True)
-        check_op(lambda: ag.sum_axis(ag.powc(a, -0.5)), a)
+        check_op(lambda: ag.sum_axis(ag.mul(a + (-b), a + (-b))), a, b)
 
     def test_relu_away_from_kink(self):
         a = Tensor(np.array([-1.0, -0.3, 0.4, 2.0]), requires_grad=True)
@@ -107,10 +103,6 @@ class TestReductionsAndSoftmax:
     def test_sum_axis_keepdims(self):
         a = leaf(3, 5)
         check_op(lambda: ag.sum_axis(ag.mul(ag.sum_axis(a, axis=-1, keepdims=True), a)), a)
-
-    def test_mean_axis(self):
-        a = leaf(4, 3)
-        check_op(lambda: ag.sum_axis(ag.mul(ag.mean_axis(a, axis=0), [1.0, 2.0, 3.0])), a)
 
     def test_log_softmax_gradient(self):
         a = leaf(3, 5)
@@ -270,23 +262,24 @@ class TestGraphMechanics:
 class TestNormalization:
     def test_normalize_stats(self):
         x = leaf(7, 16)
-        y = normalize(x)
+        y = ag.normalize_last(x, LN_EPS)
         assert np.abs(y.data.mean(axis=-1)).max() < 1e-9
         assert np.abs(y.data.var(axis=-1) - 1.0).max() < 1e-9
 
     def test_normalize_gradient(self):
         x = leaf(3, 6)
         w = rng.normal(0, 1, (3, 6))
-        check_op(lambda: ag.sum_axis(ag.mul(normalize(x), w)), x, tol=1e-5)
+        check_op(lambda: ag.sum_axis(ag.mul(ag.normalize_last(x, LN_EPS), w)), x, tol=1e-5)
 
     def test_normalize_constant_rows_are_finite(self):
-        y = normalize(Tensor(np.full((2, 4), 3.0)))
+        y = ag.normalize_last(Tensor(np.full((2, 4), 3.0)), LN_EPS)
         assert np.isfinite(y.data).all()
         assert np.allclose(y.data, 0.0)
 
     def test_layer_norm_affine(self):
         x, g, b = leaf(4, 8), leaf(8), leaf(8)
-        check_op(lambda: ag.sum_axis(ag.mul(layer_norm(x, g, b), 0.5)), x, g, b, tol=1e-5)
+        params = {"ln.g": g, "ln.b": b}
+        check_op(lambda: ag.sum_axis(ag.mul(apply_layer_norm(x, params, "ln"), 0.5)), x, g, b, tol=1e-5)
 
 
 class TestAttentionLayer:

@@ -420,13 +420,14 @@ class TestExitCodes:
 
     def test_config_int_accepted_for_float(self, corpus, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"lr": 1, "label_smooth": 0}))
+        cfg_file.write_text(json.dumps({"lr": 1, "weight_decay": 0}))
         out = tmp_path / "s1"
         rc = main(["train-vqa", "--data", str(corpus), "--out", str(out), "--config", str(cfg_file),
                    "--epochs", "1"] + MODEL_FLAGS)
         assert rc == 0
         train = json.loads((out / "manifest.json").read_text())["config"]["train"]
-        assert (train["learning_rate"], train["label_smooth_eps"]) == (1.0, 0.0)
+        assert (train["learning_rate"], train["weight_decay"]) == (1.0, 0.0)
+        assert isinstance(train["learning_rate"], float) and isinstance(train["weight_decay"], float)
 
     def test_answer_outside_vocabulary_is_runtime_error(self, corpus, tmp_path, capsys):
         out = tmp_path / "s1"
@@ -555,25 +556,24 @@ def capture(monkeypatch, name: str) -> list[tuple]:
 # Every subcommand's options, as the hand-written parser defined them.
 MODEL_OPTIONS = {"--d-model", "--heads", "--enc-layers", "--dec-layers", "--d-ff", "--patch-size", "--max-patches",
                  "--max-answer-len", "--model-seed", "--vocab"}
-TRAIN_OPTIONS = {"--lr", "--batch-size", "--epochs", "--patience", "--label-smooth", "--seed", "--optimizer",
-                 "--weight-decay"}
+TRAIN_OPTIONS = {"--lr", "--batch-size", "--epochs", "--patience", "--seed", "--optimizer", "--weight-decay"}
 OPTIONS = {
     "gen": {"--out", "--config", "--seed", "--docs", "--pages", "--facts-per-page", "--questions-per-doc", "--key-len",
             "--value-len", "--key-alphabet", "--value-alphabet", "--page-width", "--page-height", "--fractions"},
     "train-vqa": {"--data", "--out", "--config"} | MODEL_OPTIONS | TRAIN_OPTIONS,
     "train-scorer": {"--data", "--checkpoint", "--out", "--config", "--sa-layers", "--sa-heads", "--aggregation",
-                     "--dropout", "--scorer-seed"} | TRAIN_OPTIONS,
+                     "--dropout", "--scorer-seed", "--label-smooth"} | TRAIN_OPTIONS,
     "eval": {"--data", "--checkpoint", "--out", "--split"},
     "answer": {"--checkpoint", "--question", "--doc-dir", "--max-answer-len"},
     "sweep": {"--data", "--checkpoint", "--out", "--layers", "--heads", "--config", "--dropout", "--aggregation",
-              "--scorer-seed"} | TRAIN_OPTIONS,
+              "--scorer-seed", "--label-smooth"} | TRAIN_OPTIONS,
     "report": {"--results", "--out"},
 }
 
 # Every --config key and its default, as the hand-written defaults dicts gave them (an empty
 # alphabet or vocabulary then stood for the config's own default).
-TRAIN_DEFAULTS = {"lr": 0.3, "batch_size": 8, "epochs": 60, "patience": 5, "label_smooth": 0.1, "seed": 0,
-                  "optimizer": "sgd", "weight_decay": 0.0}
+TRAIN_DEFAULTS = {"lr": 0.3, "batch_size": 8, "epochs": 60, "patience": 5, "seed": 0, "optimizer": "sgd",
+                  "weight_decay": 0.0}
 CONFIG_DEFAULTS = {
     "gen": {"seed": 0, "docs": 200, "pages": "4:8", "facts_per_page": 3, "questions_per_doc": 5, "key_len": 4,
             "value_len": 4, "key_alphabet": string.ascii_uppercase, "value_alphabet": string.digits,
@@ -582,8 +582,8 @@ CONFIG_DEFAULTS = {
                   "max_patches": 2048, "max_answer_len": 32, "model_seed": 0, "vocab": PRINTABLE_ASCII,
                   **TRAIN_DEFAULTS},
     "train-scorer": {"sa_layers": 1, "sa_heads": 16, "aggregation": "first", "dropout": 0.1, "scorer_seed": 0,
-                     **TRAIN_DEFAULTS},
-    "sweep": {"dropout": 0.1, "aggregation": "first", "scorer_seed": 0, **TRAIN_DEFAULTS},
+                     "label_smooth": 0.1, **TRAIN_DEFAULTS},
+    "sweep": {"dropout": 0.1, "aggregation": "first", "scorer_seed": 0, "label_smooth": 0.1, **TRAIN_DEFAULTS},
 }
 
 
@@ -663,6 +663,17 @@ class TestDerivedFlags:
         assert main(argv + ["--config", str(cfg_file)]) == 2
         assert f"config file {cfg_file}: {key!r} must be one of" in capsys.readouterr().err
         assert main(argv + ["--" + key, value]) == 2  # as the flag is
+        assert not (tmp_path / "o").exists()
+
+    def test_label_smooth_is_not_a_stage1_setting(self, corpus, tmp_path, capsys):
+        # Only stage 2's squared-error targets are smoothed; stage 1 would ignore the value.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"label_smooth": 0.2}))
+        argv = ["train-vqa", "--data", str(corpus), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--label-smooth", "0.2"]) == 2
+        assert "unrecognized arguments: --label-smooth" in capsys.readouterr().err
+        assert main(argv + ["--config", str(cfg_file)]) == 2
+        assert "does not take: label_smooth" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("fractions, error", [("-0.5,0.5,1", "lie in [0, 1]"), ("nan,0.5,0.5", "lie in [0, 1]"),

@@ -71,7 +71,7 @@ def reference_loss(model, feature, answer):
     log_probs = ag.log_softmax_last(reference_logits(model, page_of(feature), np.concatenate(([BOS], target[:-1]))))
     onehot = np.zeros((len(target), model.vocab.size))
     onehot[np.arange(len(target)), target] = 1.0
-    return ag.reshape(-ag.mean_axis(ag.sum_axis(ag.mul(log_probs, onehot), axis=-1)), (1,))
+    return ag.reshape(-ag.mul(ag.sum_axis(ag.sum_axis(ag.mul(log_probs, onehot), axis=-1)), 1.0 / len(target)), (1,))
 
 
 def random_feature(length, seed=0, requires_grad=False):

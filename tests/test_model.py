@@ -193,7 +193,7 @@ class TestEncode:
     def test_nonfinite_named_layer(self):
         m = VqaModel(TINY)
         m.params["enc.0.ffn.w2"].data[:] = 1e308
-        with pytest.raises(NumericError, match="encoder layer 0"):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericError, match="encoder layer 0"):
             with no_grad():
                 m.encode_grid(tiny_grid())
 

@@ -207,12 +207,12 @@ class TestPatchify:
 class TestFuse:
     def test_grid_within_budget_and_aligned(self):
         page = blank_image(224, 48)
-        g = fuse_question_page("what is the value of ABCD?", page, max_patches=2048)
+        g = fuse_question_page("what is the value of ABCD?", page, 16, 2048)
         assert (g.rows, g.cols) == (4, 14)
 
     def test_question_strip_on_top(self):
         page = blank_image(64, 16)
-        g = fuse_question_page("??", page)
+        g = fuse_question_page("??", page, 16, 2048)
         strip = g.patches[0, : g.cols]
         assert strip.min() < 1.0  # ink in the question row
         assert (g.patches[0, g.cols :] == 1.0).all()  # blank page below
@@ -222,9 +222,9 @@ class TestFuse:
         rng = np.random.default_rng(width)
         page = RasterImage(rng.integers(0, 256, (32, width), dtype=np.uint8))
         expected = patchify(resize_to_patch_budget(concat_question_page(render_text(question, line_width=width), page),
-                                                   max_patches=2048))
+                                                   16, 2048), 16)
         for _ in range(2):
-            g = fuse_question_page(question, page, max_patches=2048)
+            g = fuse_question_page(question, page, 16, 2048)
             assert (g.rows, g.cols) == (expected.rows, expected.cols)
             assert np.array_equal(g.patches, expected.patches)
 
@@ -241,28 +241,28 @@ class TestFuse:
 
 class TestStackGrids:
     def test_stack_keeps_pages_in_order(self):
-        grids = [patchify(RasterImage(np.full((32, 48), 40 * i, dtype=np.uint8))) for i in range(3)]
+        grids = [patchify(RasterImage(np.full((32, 48), 40 * i, dtype=np.uint8)), 16) for i in range(3)]
         stacked = stack_grids(grids)
         assert (stacked.rows, stacked.cols, stacked.n_patches) == (2, 3, 6)
         assert stacked.patches.shape == (3, 6, 256)
         assert all(np.array_equal(stacked.patches[i : i + 1], g.patches) for i, g in enumerate(grids))
 
     def test_stacking_stacks_keeps_page_order(self):
-        grids = [patchify(RasterImage(np.full((32, 48), 40 * i, dtype=np.uint8))) for i in range(5)]
+        grids = [patchify(RasterImage(np.full((32, 48), 40 * i, dtype=np.uint8)), 16) for i in range(5)]
         stacked = stack_grids([stack_grids(grids[:2]), grids[2], stack_grids(grids[3:])])
         assert stacked.patches.shape == (5, 6, 256)
         assert all(np.array_equal(stacked.patches[i : i + 1], g.patches) for i, g in enumerate(grids))
 
     def test_a_lone_grid_is_returned_as_it_is(self):
-        grid = patchify(blank_image(48, 32))
+        grid = patchify(blank_image(48, 32), 16)
         assert stack_grids([grid]) is grid
 
     def test_pages_of_different_shapes_are_rejected(self):
-        a = patchify(blank_image(48, 32))
+        a = patchify(blank_image(48, 32), 16)
         with pytest.raises(ValueError, match="same rows, cols"):
-            stack_grids([a, patchify(blank_image(64, 32))])
+            stack_grids([a, patchify(blank_image(64, 32), 16)])
 
     def test_a_grid_is_a_stack(self):
-        page = patchify(blank_image(48, 32)).patches[0]
+        page = patchify(blank_image(48, 32), 16).patches[0]
         with pytest.raises(ValueError, match="pages"):
             PatchGrid(2, 3, 16, page)

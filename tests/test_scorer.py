@@ -181,7 +181,10 @@ def full_attention_score(s: SelfAttentionScorer, f: Tensor, rng: np.random.Gener
     x = ag.reshape(x, x.shape[1:])  # the page as one (rows, d) matrix
     for i in range(cfg.n_sa_layers):
         x = multi_head_attention(x, x, p, f"sa.{i}", cfg.n_heads)
-    pooled = ag.mean_axis(x, axis=0, keepdims=True) if cfg.aggregation == "avgpool" else ag.take_rows(x, [0])
+    if cfg.aggregation == "avgpool":
+        pooled = ag.mul(ag.sum_axis(x, axis=0, keepdims=True), 1.0 / x.shape[0])
+    else:
+        pooled = ag.take_rows(x, [0])
     if rng is not None:
         pooled = ag.mul(pooled, (rng.random(pooled.shape) >= cfg.dropout_p) / (1.0 - cfg.dropout_p))
     h = ag.relu(linear(pooled, p["head.w1"], p["head.b1"]))

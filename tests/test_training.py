@@ -103,6 +103,17 @@ class TestMseSmoothedLoss:
         assert isinstance(out, Tensor)
         assert float(out.data) == pytest.approx(0.16, abs=1e-12)
 
+    def test_stack_loss_and_gradient_are_exact(self):
+        # d * d and 2 * d, bit for bit: stage-2 curves rest on this, and the stacked-training reference shares the loss.
+        rng = np.random.default_rng(4)
+        pred = Tensor(rng.random(7), requires_grad=True)
+        is_positive = rng.random(7) < 0.5
+        d = pred.data + (-np.where(is_positive, 1.0 - 0.1, 0.1))
+        loss = mse_smoothed_loss(pred, is_positive, 0.1)
+        assert np.array_equal(loss.data, d * d)
+        loss.backward()
+        assert np.array_equal(pred.grad, 2 * d)
+
 
 class TestSampleNegative:
     def test_two_page_forced_choice(self):
@@ -134,7 +145,7 @@ class TestOptimizers:
     def test_sgd_step_is_mean_gradient(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         p.grad = np.array([4.0, -2.0])
-        Sgd({"p": p}, lr=0.5).step(accumulated=2)
+        Sgd({"p": p}, lr=0.5, weight_decay=0.0).step(accumulated=2)
         assert np.allclose(p.data, [1.0 - 0.5 * 2.0, 2.0 + 0.5 * 1.0])
         assert p.grad is None
 
@@ -147,7 +158,7 @@ class TestOptimizers:
     def test_adam_decoupled_decay_and_step(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([1.0])
-        Adam({"p": p}, lr=0.1).step(1)
+        Adam({"p": p}, lr=0.1, weight_decay=0.0).step(1)
         # bias-corrected first step moves by ~lr regardless of gradient scale
         assert p.data[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
 
