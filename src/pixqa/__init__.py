@@ -2,7 +2,6 @@
 
 from .data import Dataset, Document, QASample, SynthConfig, gen_synthetic, load_mpdocvqa, split
 from .evaluate import (
-    anls,
     anls_single,
     answer_question,
     encode_page,

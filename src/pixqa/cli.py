@@ -291,7 +291,8 @@ def cmd_train_vqa(args: argparse.Namespace) -> int:
     history, ckpt_path = _train_run(out_dir, 1, partial(train_stage1, train_set, valid_set, model, train_cfg), model)
     _write_manifest(
         args, out_dir, seeds={"model": model_cfg.seed, "train": train_cfg.seed},
-        config={"model": asdict(model_cfg), "train": asdict(train_cfg), "data": str(args.data)},
+        config={"model": asdict(model_cfg), "data": str(args.data),  # stage 1 has no smoothed targets
+                "train": {k: v for k, v in asdict(train_cfg).items() if k != "label_smooth_eps"}},
         checkpoints={"stage1": str(ckpt_path)},
     )
     print(f"best epoch {history.best_epoch}: valid ANLS {history.best_metric:.4f} -> {ckpt_path}")

@@ -84,21 +84,6 @@ def anls_single(pred: str, gts: Iterable[str]) -> float:
     return best
 
 
-def anls(per_question_scores: Iterable[float]) -> float:
-    scores = list(per_question_scores)
-    if not scores:
-        raise ValueError("cannot average an empty score list")
-    return float(np.mean(scores))
-
-
-def page_accuracy(predicted_pages: Iterable[int], gt_pages: Iterable[int]) -> float:
-    pred = list(predicted_pages)
-    gold = list(gt_pages)
-    if not pred or len(pred) != len(gold):
-        raise ValueError("page lists must be equal-length and non-empty")
-    return 100.0 * sum(p == g for p, g in zip(pred, gold)) / len(pred)
-
-
 # ----------------------------------------------------------------------------
 # Retrieval pipeline
 # ----------------------------------------------------------------------------
@@ -116,11 +101,12 @@ def grid_size(grid: PatchGrid) -> tuple[tuple[int, int], int]:
 
 def grid_stacks(
     items: Iterable[tuple[K, V]], max_rows: int, size: Callable[[V], tuple[tuple, int]] = grid_size,
-) -> Iterator[list[tuple[K, V]]]:
+) -> Iterator[tuple[tuple[K, ...], tuple[V, ...]]]:
     """Group consecutive (key, grid) pairs into stacks that one `encode_grid` call can take.
 
-    A stack's grids share a shape, and it holds at most `max_rows` patch
-    rows, so a grid of more than half of them is a stack of its own;
+    Each stack is yielded as two tuples in draw order: its keys and its
+    grids. A stack's grids share a shape, and it holds at most `max_rows`
+    patch rows, so a grid of more than half of them is a stack of its own;
     attention tiles a stack of any length. Pairs are drawn one at a time:
     a full stack is yielded before the next pair is drawn, and a pair whose
     shape ends a stack starts the next one, so every pair is drawn once.
@@ -128,12 +114,12 @@ def grid_stacks(
     the scorer: `size` gives a value's shape and rows.
     """
     # A stack is handed over, not kept: while the generator waits it holds
-    # no grid of the stack it yielded, so the consumer frees a block's grids
-    # before the next page is fused (a 2048-patch grid is 4 MiB).
-    def hand_over(stack: list) -> list:
-        out = stack[:]
+    # no grid of the stack it yielded, so a consumer that drops the stack
+    # frees its grids before the next page is fused (a 2048-patch grid is 4 MiB).
+    def hand_over(stack: list) -> tuple[tuple, tuple]:
+        keys, values = zip(*stack)
         stack.clear()
-        return out
+        return keys, values
 
     stack: list[tuple[K, V]] = []
     stack_shape = None
@@ -171,10 +157,10 @@ def page_features(question: str, doc: Document, model: VqaModel) -> Iterator[Ten
     feature is kept, so the consumer decides which features stay alive.
     """
     pages = ((index, fuse_page(question, doc, index, model)) for index in range(doc.n_pages))
-    for block in grid_stacks(pages, BLOCK_ROWS):
-        feature = model.encode_grid(stack_grids([grid for _, grid in block]))
-        features = [Tensor(feature.data[i : i + 1]) for i in range(len(block))]
-        del block, feature
+    for _, grids in grid_stacks(pages, BLOCK_ROWS):
+        feature = model.encode_grid(stack_grids(grids))
+        features = [Tensor(feature.data[i : i + 1]) for i in range(len(grids))]
+        del grids, feature
         while features:
             yield features.pop(0)
 
@@ -257,8 +243,8 @@ def report_from_records(records: list[dict]) -> dict:
         counts[2 * (r["pred_page"] != r["gold_page"]) + (r["anls"] < 1.0)] += 1
     pages_by_doc = {r["doc_id"]: r["doc_pages"] for r in records}
     return {
-        "anls": anls(r["anls"] for r in records),
-        "page_accuracy_pct": page_accuracy([r["pred_page"] for r in records], [r["gold_page"] for r in records]),
+        "anls": float(np.mean([r["anls"] for r in records])),
+        "page_accuracy_pct": 100.0 * sum(r["pred_page"] == r["gold_page"] for r in records) / len(records),
         "n_questions": len(records),
         "quadrants": {
             "counts": counts,

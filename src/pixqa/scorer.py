@@ -94,7 +94,8 @@ class SelfAttentionScorer:
     def stack_size(self, feature: Tensor) -> tuple[tuple[int, ...], int]:
         """A one-page feature's shape, which its stack mates share, and its attention rows (with the ``cls`` token).
 
-        The `size` that `evaluate.grid_stacks` takes to stack features for ``score``.
+        The `size` that `evaluate.grid_stacks` takes to stack one-page features; a stack's
+        features joined along the page axis (`autograd.concat_rows`) are one ``score`` call.
         """
         return feature.shape, feature.shape[-2] + (self.cfg.aggregation == "cls")
 

@@ -1,43 +1,44 @@
 """Two-stage training.
 
+Both stages run one epoch loop, `_fit`, and differ only in their stacks,
+their loss and their validation. A batch is a run of stacks: `_fit` draws
+a stack, builds its loss, backpropagates it and drops the stack and its
+graph before the next stack is drawn, so one stack's graph is alive at a
+time; the optimizer steps once per batch. A stack groups consecutive
+samples of the batch by `evaluate.grid_stacks`, so its pages share a
+shape. Every epoch's record carries its wall time, validation included,
+as `epoch_s`, and its log line shows every field of the record.
+
 Stage 1 fits the encoder-decoder on positive question-page pairs only,
-selecting the epoch with the best validation answer similarity. It walks
-each optimizer batch in order and groups consecutive samples whose gold
-pages share a patch grid into stacks of up to `STACK_ROWS` patch rows
-(`evaluate.grid_stacks`); each stack is one encoder call, one
-teacher-forced decoder call and one backward, and the next stack is built
-only after that backward, so one stack's graph is alive at a time. Its
-gradients add up in the order of the one-sample-at-a-time loop, so with
-answers of one length per stack they are bit-identical to it. Validation
-stacks and greedily decodes the gold pages the same way, without autograd.
+selecting the epoch with the best validation answer similarity. A stack
+holds up to `STACK_ROWS` patch rows of gold pages, and its loss is one
+encoder call and one teacher-forced decoder call. Its gradients add up in
+the order of the one-sample-at-a-time loop, so with answers of one length
+per stack they are bit-identical to it. Validation stacks and greedily
+decodes the gold pages the same way, without autograd.
 
 Stage 2 freezes the model and fits the scoring head on balanced pairs:
 each question contributes its gold page plus one page sampled uniformly
 from the rest of the document (resampled every epoch); single-page
 documents contribute only the positive pair. Scorer targets are
-label-smoothed to 1-eps / eps and penalized with squared error. It walks
-each optimizer batch in order, drawing each question's negative and then
-each pair's dropout mask from the epoch rng, and groups consecutive pairs
-whose frozen features share a shape into stacks of up to `BLOCK_ROWS`
-attention rows (`evaluate.grid_stacks` again); each stack is one scorer
-call and one backward, bit-identical to one per pair. All stage-2
-features come from one frozen-feature cache: a training page missing from
-it is encoded alone, and a validation document with any page missing is
-encoded whole, in blocks as retrieval does (`evaluate.page_features`).
-Validation scores each question's pages in stacks grouped by the same
-rule, without autograd; every score is the one its page gets alone. Every
-stage-2 record carries the frozen-feature cache's size, `cache_mib`.
-
-Both stages run one epoch loop, `_fit`. Every epoch's record carries its
-wall time, validation included, as `epoch_s`, and its log line shows
-every field of the record.
+label-smoothed to 1-eps / eps and penalized with squared error. Each
+question's negative and then each pair's dropout mask are drawn from the
+epoch rng as the pairs are drawn. A stack holds up to `BLOCK_ROWS`
+attention rows of same-shape frozen features, and its loss is one scorer
+call, bit-identical to one per pair. All stage-2 features come from one
+frozen-feature cache: a training page missing from it is encoded alone,
+and a validation document with any page missing is encoded whole, in
+blocks as retrieval does (`evaluate.page_features`). Validation scores
+each question's pages in stacks grouped by the same rule, without
+autograd; every score is the one its page gets alone. Every stage-2
+record carries the frozen-feature cache's size, `cache_mib`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,40 +204,10 @@ def validation_anls(valid_set: Dataset, model: VqaModel) -> float:
     """
     scores = []
     with ag.no_grad():
-        for stack in grid_stacks(_gold_pages(valid_set, valid_set.questions, model), BLOCK_ROWS):
-            samples, grids = zip(*stack)
+        for samples, grids in grid_stacks(_gold_pages(valid_set, valid_set.questions, model), BLOCK_ROWS):
             answers = model.generate_answers(model.encode_grid(stack_grids(grids)))
             scores += [anls_single(answer, sample.answers) for answer, sample in zip(answers, samples)]
     return float(np.mean(scores))
-
-
-def _stacked_features(stack: list) -> tuple[tuple, Tensor]:
-    """The keys of a stack of (key, one-page feature) pairs, and their features joined into one (pages, L, d) stack."""
-    keys, features = zip(*stack)
-    return keys, Tensor(np.concatenate([f.data for f in features]))
-
-
-def _stage2_stack(scorer: SelfAttentionScorer, stack: list, eps: float) -> list[float]:
-    """Score, loss and backward of a stack of ((is positive, dropout mask), one-page feature) pairs; returns their losses."""
-    keys, features = _stacked_features(stack)
-    positives, keeps = zip(*keys)
-    keep = None if keeps[0] is None else np.stack(keeps)
-    pred = scorer.score(features, training=True, keep=keep)
-    loss = mse_smoothed_loss(pred, np.array(positives), eps)
-    loss.backward()
-    return loss.data.tolist()
-
-
-def _stage1_stack(model: VqaModel, stack: list) -> list[float]:
-    """Loss and backward of one stack of (sample, gold-page grid) pairs; returns each sample's loss.
-
-    The graph lives only inside this call, so it is freed before the caller
-    builds the next stack.
-    """
-    samples, grids = zip(*stack)
-    loss = model.vqa_loss(model.encode_grid(stack_grids(grids)), [sample.answers[0] for sample in samples])
-    loss.backward()
-    return loss.data.tolist()
 
 
 class FrozenFeatureCache:
@@ -304,9 +275,8 @@ def validation_page_accuracy(valid_set: Dataset, scorer: SelfAttentionScorer, ca
                     yield (q, i), feature
 
     with ag.no_grad():
-        for stack in grid_stacks(pages(), BLOCK_ROWS, size=scorer.stack_size):
-            keys, features = _stacked_features(stack)
-            for (q, page_idx), value in zip(keys, scorer.score(features).data.tolist()):
+        for keys, features in grid_stacks(pages(), BLOCK_ROWS, size=scorer.stack_size):
+            for (q, page_idx), value in zip(keys, scorer.score(ag.concat_rows(features)).data.tolist()):
                 if not math.isfinite(value):
                     raise NumericError(f"validation question {questions[q].question_id}: page {page_idx} scored {value}")
                 scores[q].append(value)
@@ -343,14 +313,20 @@ def check_splits(train_set: Dataset, valid_set: Dataset, stage: int) -> None:
             raise DataError(f"stage-{stage} training needs questions, and the {name} split ({dataset.split!r}) has none")
 
 
-def _fit(params: dict[str, Tensor], cfg: TrainConfig, n_train: int, train_batch: Callable[..., list[float]],
-         validate: Callable[[list[float]], dict], log: LogFn | None,
+def _fit(params: dict[str, Tensor], cfg: TrainConfig, n_train: int,
+         batch_stacks: Callable[[np.ndarray, np.random.Generator], Iterable[tuple[tuple, tuple]]],
+         stack_loss: Callable[[tuple, tuple], Tensor], validate: Callable[[list[float]], dict], log: LogFn | None,
          on_best: Callable[[int], None] | None) -> TrainHistory:
     """The epoch loop of both stages: stops `early_stop_patience` epochs after the best one, and restores it.
 
-    ``train_batch(indices, rng)`` adds the gradients of a batch of training
-    questions to ``params`` and returns one loss per optimizer sample;
-    ``validate(losses)`` returns the epoch's validation fields, metric first.
+    A batch is a run of stacks: ``batch_stacks(indices, rng)`` yields the
+    (keys, values) stacks of a batch of training questions, in order, and
+    ``stack_loss(keys, values)`` is a stack's loss vector, one loss per
+    optimizer sample. Each stack's loss is backpropagated, adding its gradients to
+    ``params``, and the stack and its graph are dropped before the next
+    stack is drawn, so one stack's graph is alive at a time; the optimizer
+    steps once per batch. ``validate(losses)`` returns the epoch's
+    validation fields, metric first.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg, params)
@@ -361,9 +337,13 @@ def _fit(params: dict[str, Tensor], cfg: TrainConfig, n_train: int, train_batch:
         order = rng.permutation(n_train)
         losses = []
         for start in range(0, n_train, cfg.batch_size):
-            batch_losses = train_batch(order[start : start + cfg.batch_size], rng)
-            opt.step(len(batch_losses))
-            losses += batch_losses
+            done = len(losses)
+            for keys, values in batch_stacks(order[start : start + cfg.batch_size], rng):
+                loss = stack_loss(keys, values)
+                loss.backward()
+                losses += loss.data.tolist()
+                del keys, values, loss  # nothing of this stack is alive while the next is drawn and run
+            opt.step(len(losses) - done)
         validation = validate(losses)
         metric = next(iter(validation.values()))
         record = {"epoch": epoch, "train_loss": float(np.mean(losses)), **validation,
@@ -404,14 +384,14 @@ def train_stage1(
     check_splits(train_set, valid_set, stage=1)
     check_answers(train_set, model)
 
-    def train_batch(indices, rng) -> list[float]:
-        batch = [train_set.questions[int(idx)] for idx in indices]
-        losses = []
-        for stack in grid_stacks(_gold_pages(train_set, batch, model), STACK_ROWS):
-            losses += _stage1_stack(model, stack)
-        return losses
+    def stacks(indices, rng):
+        return grid_stacks(_gold_pages(train_set, [train_set.questions[int(idx)] for idx in indices], model),
+                           STACK_ROWS)
 
-    return _fit(model.params, cfg, len(train_set.questions), train_batch,
+    def stack_loss(samples, grids) -> Tensor:
+        return model.vqa_loss(model.encode_grid(stack_grids(grids)), [sample.answers[0] for sample in samples])
+
+    return _fit(model.params, cfg, len(train_set.questions), stacks, stack_loss,
                 lambda losses: {"valid_anls": validation_anls(valid_set, model)}, log, on_best)
 
 
@@ -448,15 +428,17 @@ def train_stage2(
                     feature = cache.get(sample, doc, page_idx)
                     yield (is_positive, scorer.dropout_keep(rng)), feature
 
-    def train_batch(indices, rng) -> list[float]:
-        losses = []
-        for stack in grid_stacks(pairs(indices, rng), BLOCK_ROWS, size=scorer.stack_size):
-            losses += _stage2_stack(scorer, stack, cfg.label_smooth_eps)
-        return losses
+    def stacks(indices, rng):
+        return grid_stacks(pairs(indices, rng), BLOCK_ROWS, size=scorer.stack_size)
+
+    def stack_loss(keys, features) -> Tensor:
+        positives, keeps = zip(*keys)
+        pred = scorer.score(ag.concat_rows(features), training=True, keep=None if keeps[0] is None else np.stack(keeps))
+        return mse_smoothed_loss(pred, np.array(positives), cfg.label_smooth_eps)
 
     def validate(losses: list[float]) -> dict:
         # One positive pair per question; the other pairs are negatives.
         return {"valid_page_acc": validation_page_accuracy(valid_set, scorer, cache=cache),
                 "n_pos_pairs": n_train, "n_neg_pairs": len(losses) - n_train, "cache_mib": cache.nbytes / 2**20}
 
-    return _fit(scorer.params, cfg, n_train, train_batch, validate, log, on_best)  # only scorer parameters step
+    return _fit(scorer.params, cfg, n_train, stacks, stack_loss, validate, log, on_best)  # only scorer parameters step

@@ -665,8 +665,11 @@ class TestDerivedFlags:
         assert main(argv + ["--" + key, value]) == 2  # as the flag is
         assert not (tmp_path / "o").exists()
 
-    def test_label_smooth_is_not_a_stage1_setting(self, corpus, tmp_path, capsys):
+    def test_label_smooth_is_not_a_stage1_setting(self, corpus, stage1, stage2, tmp_path, capsys):
         # Only stage 2's squared-error targets are smoothed; stage 1 would ignore the value.
+        trains = [json.loads((out / "manifest.json").read_text())["config"]["train"] for _, out in (stage1, stage2)]
+        assert "label_smooth_eps" not in trains[0] and trains[0]["stage"] == 1
+        assert trains[1]["label_smooth_eps"] == 0.1
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"label_smooth": 0.2}))
         argv = ["train-vqa", "--data", str(corpus), "--out", str(tmp_path / "o")]

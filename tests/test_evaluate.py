@@ -13,12 +13,10 @@ from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, write_pgm
 from pixqa.errors import NumericError
 from pixqa.evaluate import (
     BLOCK_ROWS,
-    anls,
     anls_single,
     answer_question,
     encode_page,
     levenshtein,
-    page_accuracy,
     page_features,
     report_from_records,
     report_table,
@@ -111,21 +109,6 @@ class TestAnlsSingle:
     @settings(max_examples=100, deadline=None)
     def test_self_match_is_one(self, s):
         assert anls_single(s, {s}) == 1.0
-
-
-class TestAnlsMean:
-    def test_all_ones(self):
-        assert anls([1.0, 1.0, 1.0]) == 1.0
-
-    def test_all_zero(self):
-        assert anls([0.0, 0.0]) == 0.0
-
-    def test_mean(self):
-        assert anls([1.0, 0.0]) == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            anls([])
 
 
 class StubScorer:
@@ -443,26 +426,24 @@ class TestPaperBudgetMemory:
         assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-class TestPageAccuracy:
-    def test_all_match(self):
-        assert page_accuracy([1, 2], [1, 2]) == 100.0
-
-    def test_none_match(self):
-        assert page_accuracy([1, 2], [2, 1]) == 0.0
-
-    def test_three_of_four(self):
-        assert page_accuracy([0, 1, 2, 3], [0, 1, 2, 9]) == 75.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            page_accuracy([1], [1, 2])
-
-
-def quadrants_of(per_question: list[tuple[bool, float]]) -> dict:
-    """The quadrants of one-document records with the given (page correct?, ANLS) pairs."""
+def report_of(per_question: list[tuple[bool, float]]) -> dict:
+    """The report of one-document records with the given (page correct?, ANLS) pairs."""
     records = [{"doc_id": "d", "doc_pages": 2, "pred_page": 0, "gold_page": 0 if page_ok else 1, "anls": score}
                for page_ok, score in per_question]
-    return report_from_records(records)["quadrants"]
+    return report_from_records(records)
+
+
+class TestAnlsAndPageAccuracy:
+    """The mean ANLS and the top-1 page percentage of a report; an empty report is rejected (see TestQuadrants)."""
+
+    @pytest.mark.parametrize("scores, mean", [([1.0, 1.0, 1.0], 1.0), ([0.0, 0.0], 0.0), ([1.0, 0.0], 0.5)])
+    def test_anls_is_the_mean_score(self, scores, mean):
+        assert report_of([(True, score) for score in scores])["anls"] == mean
+
+    @pytest.mark.parametrize("pages_ok, pct", [([True, True], 100.0), ([False, False], 0.0),
+                                               ([True, True, True, False], 75.0)])
+    def test_page_accuracy_is_the_percentage_of_gold_pages(self, pages_ok, pct):
+        assert report_of([(ok, 1.0) for ok in pages_ok])["page_accuracy_pct"] == pct
 
 
 class TestQuadrants:
@@ -471,25 +452,25 @@ class TestQuadrants:
         per_question = (
             [(True, 1.0)] * 2488 + [(True, 0.4)] * 1727 + [(False, 1.0)] * 172 + [(False, 0.0)] * 800
         )
-        q = quadrants_of(per_question)
+        q = report_of(per_question)["quadrants"]
         assert q["counts"] == [2488, 1727, 172, 800]
         assert q["percentages"] == [47.97, 33.29, 3.32, 15.42]
         assert sum(q["counts"]) == 5187
         assert q["order"] == ["page_ok_exact", "page_ok_partial", "page_bad_exact", "page_bad_partial"]
 
     def test_single_cell_holds_everything(self):
-        q = quadrants_of([(True, 1.0)] * 10)
+        q = report_of([(True, 1.0)] * 10)["quadrants"]
         assert q["counts"] == [10, 0, 0, 0]
         assert q["percentages"][0] == 100.0
 
     def test_one_partial_miss(self):
-        q = quadrants_of([(False, 0.3)])
+        q = report_of([(False, 0.3)])["quadrants"]
         assert q["counts"] == [0, 0, 0, 1]
 
     def test_counts_sum_and_percentages_sum(self):
         rng = np.random.default_rng(11)
         flags = [(bool(rng.integers(2)), float(rng.choice([1.0, 0.6, 0.0]))) for _ in range(333)]
-        q = quadrants_of(flags)
+        q = report_of(flags)["quadrants"]
         assert sum(q["counts"]) == 333
         assert abs(sum(q["percentages"]) - 100.0) <= 0.02
 

@@ -1,7 +1,8 @@
-"""Every name a `pixqa` module imports is used in that module.
+"""Every name a `pixqa` module imports is used in that module, and so is every private helper it defines.
 
-No linter runs on this repository, so this stdlib-`ast` check stands in for
-one. ``__init__.py`` is skipped: its imports are the package's re-exports.
+No linter runs on this repository, so these stdlib-`ast` checks stand in
+for one. ``__init__.py`` is skipped by the import check: its imports are
+the package's re-exports.
 """
 
 import ast
@@ -35,3 +36,22 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_check_finds_an_unused_import():
     source = "from dataclasses import dataclass, field\nimport numpy as np\n\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == {"field", "np"}
+
+
+def unused_private_helpers(source: str) -> set[str]:
+    """Module-level private functions and classes (``_name``) that nothing in the module reads."""
+    tree = ast.parse(source)
+    private = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+    return private - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_module_defines_a_private_helper_it_never_uses():
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) for name in unused_private_helpers(path.read_text())}
+    assert not found, f"unused private helpers: {sorted(found)}"
+
+
+def test_the_check_finds_an_unused_private_helper():
+    source = ("def _used():\n    return 1\n\ndef _left_behind(stack):\n    return stack\n\n"
+              "class _Gone:\n    pass\n\ndef public():\n    return _used()\n")
+    assert unused_private_helpers(source) == {"_left_behind", "_Gone"}

@@ -208,7 +208,7 @@ class TestGridStacks:
         return [(i, random_grids(1, rows, cols, seed=i)[0]) for i, (rows, cols) in enumerate(shapes)]
 
     def keys(self, stacks):
-        return [[key for key, _ in stack] for stack in stacks]
+        return [list(keys) for keys, _ in stacks]
 
     def test_rows_cap_and_shape_change(self):
         items = self.grids([(3, 13)] * 6 + [(2, 13)] * 2 + [(3, 13)])
@@ -237,7 +237,7 @@ class TestGridStacks:
         """Once the consumer drops a stack, its grids are freed, before the next pair is drawn."""
         stacks = grid_stacks(((i, random_grids(1, seed=i)[0]) for i in range(6)), STACK_ROWS)
         first = next(stacks)
-        refs = [weakref.ref(grid) for _, grid in first]
+        refs = [weakref.ref(grid) for grid in first[1]]
         del first
         gc.collect()
         assert all(ref() is None for ref in refs)
@@ -538,6 +538,51 @@ class TestTrainStage2:
                 want = encode_page(q.question, train.document_for(q), i, model).data
                 assert np.array_equal(cache._store[q.question, path].data, want)
         assert history.records[-1]["cache_mib"] == self.assert_nbytes_of_arrays_alive(cache) / 2**20
+
+
+class TestOneStackGraphAtATime:
+    """A stack's graph is freed before the next stack runs: when a training stack's forward call enters, the input
+    array of every earlier stack (the encoder's output in stage 1, the joined features in stage 2) is dead."""
+
+    def test_stage1(self, mixed_corpus, small_model_params, monkeypatch):
+        train, valid = mixed_corpus
+        refs, alive = [], []
+        encode = VqaModel.encode_grid
+
+        def traced(self, grid):
+            if not ag.grad_enabled():  # validation
+                return encode(self, grid)
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            feature = encode(self, grid)
+            refs.append(weakref.ref(feature.data))
+            return feature
+
+        monkeypatch.setattr(VqaModel, "encode_grid", traced)
+        cfg = TrainConfig(stage=1, optimizer="adam", learning_rate=1e-3, batch_size=len(train.questions),
+                          max_epochs=2, early_stop_patience=2, seed=5)
+        train_stage1(train, valid, fresh(small_model_params), cfg)
+        assert len(alive) >= 2 * cfg.max_epochs  # one batch per epoch, at least two stacks in it
+        assert alive == [0] * len(alive)
+
+    def test_stage2(self, desk_corpus, small_model_params, monkeypatch):
+        train, valid = desk_corpus
+        refs, alive = [], []
+        score = SelfAttentionScorer.score
+
+        def traced(self, feature, training=False, keep=None):
+            if training:
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(feature.data))
+            return score(self, feature, training, keep)
+
+        monkeypatch.setattr(SelfAttentionScorer, "score", traced)
+        cfg = TrainConfig(stage=2, optimizer="adam", learning_rate=3e-3, batch_size=len(train.questions),
+                          max_epochs=2, early_stop_patience=2, seed=1)
+        train_stage2(train, valid, fresh(small_model_params), scorer_pair("first", 1, 0.1)[0], cfg)
+        assert len(alive) == 3 * cfg.max_epochs  # 32 pairs of 39-patch features: three stacks per batch
+        assert alive == [0] * len(alive)
 
 
 class TestBatchedGreedy:
