@@ -4,7 +4,8 @@ Just enough machinery for a small transformer: ``add`` and ``mul``
 (``Tensor`` spells them ``+`` and unary ``-``), (batched) ``matmul``, the
 fused affine map ``linear`` (x @ w + b), ``reshape``, ``transpose``,
 ``sum_axis``, ``relu``, ``sigmoid``, fused ``attention_weights`` (scaled,
-masked, max-shifted softmax of q @ k_t), a stable ``log_softmax_last``,
+masked, max-shifted softmax of q @ k_t) and ``attention`` (those weights
+times v, normalized after the value product), a stable ``log_softmax_last``,
 layer-norm standardization ``normalize_last``, row gathers ``take_rows``
 and ``concat_rows``. Everything is double precision; gradients are
 validated against central finite differences in the test suite.
@@ -280,7 +281,7 @@ def sigmoid(a) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None, out: np.ndarray | None = None) -> Tensor:
+def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> Tensor:
     """softmax(scale * (q @ k_t) + mask) over the last axis, max-shifted for stability.
 
     One fused node: every step after the matmul runs in place in the
@@ -289,13 +290,10 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None, out:
     add and a max-shifted softmax as separate ops, in the same order, so
     values and gradients are bit-identical to that composition. ``mask``
     is an additive constant broadcast against the logits; it gets no
-    gradient. ``out``, when given, is the buffer to compute in: an array of
-    the result's shape that the returned tensor's data then shares, so a
-    caller can allocate it on one thread and fill it on another, or reuse
-    it once the previous result is consumed.
+    gradient.
     """
     q, k_t = _as_tensor(q), _as_tensor(k_t)
-    data = np.matmul(q.data, k_t.data, out=out)
+    data = q.data @ k_t.data
     data *= scale
     if mask is not None:
         data += mask
@@ -312,6 +310,49 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None, out:
             _accum(k_t, _product(np.swapaxes(q.data, -1, -2), gl))
 
     return _node(data, (q, k_t), backward)
+
+
+def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None, out: np.ndarray | None = None) -> Tensor:
+    """softmax(scale * (q @ k_t) + mask) @ v as one node, normalized after the value product.
+
+    The scale is folded into q, and the exponentials E of the max-shifted
+    logits are computed in place in one (..., len_q, len_k) buffer; the
+    result is (E @ v) divided by E's row sums, as FlashAttention (arXiv
+    2205.14135) does, so no pass divides the weights themselves. Values
+    and gradients match ``matmul(attention_weights(q, k_t, scale, mask),
+    v)`` to rounding, not bit for bit. ``mask`` is an additive constant
+    broadcast against the logits; it gets no gradient. ``out``, when given,
+    is that buffer: an array of the logits' shape that holds E afterwards,
+    so a caller can allocate it on one thread and fill it on another, or
+    reuse it once the result is returned without autograd. The backward
+    divides E by its row sums once to rebuild the weights.
+    """
+    q, k_t, v = _as_tensor(q), _as_tensor(k_t), _as_tensor(v)
+    q_scaled = q.data * scale
+    e = np.matmul(q_scaled, k_t.data, out=out)
+    if mask is not None:
+        e += mask
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    sums = e.sum(axis=-1, keepdims=True)
+    data = e @ v.data
+    data /= sums
+
+    def backward(g):
+        weights = e / sums
+        if _wants(v):
+            _accum(v, _product(np.swapaxes(weights, -1, -2), g))
+        if _wants(q) or _wants(k_t):
+            # The logits' gradient: the softmax backward of the weights' gradient g @ v^T.
+            gl = _product(g, np.swapaxes(v.data, -1, -2))
+            gl -= (gl * weights).sum(axis=-1, keepdims=True)
+            gl *= weights
+            if _wants(q):
+                _accum(q, _product(gl, np.swapaxes(k_t.data, -1, -2)) * scale)
+            if _wants(k_t):
+                _accum(k_t, _product(np.swapaxes(q_scaled, -1, -2), gl))
+
+    return _node(data, (q, k_t, v), backward)
 
 
 def log_softmax_last(a) -> Tensor:

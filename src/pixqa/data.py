@@ -63,7 +63,8 @@ def read_pgm(path: Path) -> RasterImage:
     """Read a binary PGM (P5) or PPM (P6) file as 8-bit grayscale.
 
     16-bit samples are rescaled to 0..255; color images are reduced by
-    averaging the three channels.
+    averaging the three channels. An 8-bit grayscale file's pixels are its
+    raster bytes as they are, a read-only array.
     """
     path = Path(path)
     try:
@@ -84,6 +85,8 @@ def read_pgm(path: Path) -> RasterImage:
         raster = blob[offset : offset + nbytes]
         if len(raster) != nbytes:
             raise ValueError(f"expected {nbytes} raster bytes, found {len(raster)}")
+        if channels == 1 and maxval == 255:  # the samples are the pixels: no rescale, nothing to round
+            return RasterImage(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
         dtype = ">u2" if deep else np.uint8
         arr = np.frombuffer(raster, dtype=dtype).astype(np.float64)
         if channels == 3:

@@ -127,14 +127,16 @@ def attend(
 ) -> Tensor:
     """Attention of ``q_in``'s rows over keys ``k`` and values ``v`` from ``project_kv``.
 
-    Q is projected once; attention weights and context then run over
-    blocks of ``ATTENTION_TILE`` query rows, whose contexts are joined
-    before the output projection. Each output row depends only on its own
-    query row, so tiling is exact, and no online softmax is needed because
-    every tile sees all keys. A tile's weights come from one fused
-    ``ag.attention_weights`` node (QK^T, scale, mask and softmax in one
-    (heads, tile, len_k) buffer). A query sequence that fits in one tile
-    runs as a single block with no extra graph node. Both paths take a
+    Q is projected once; attention then runs over blocks of
+    ``ATTENTION_TILE`` query rows, whose contexts are joined before the
+    output projection. Each output row depends only on its own query row,
+    so tiling is exact, and no online softmax is needed because every tile
+    sees all keys. A tile is one ``ag.attention`` node: the scale folded
+    into Q, QK^T, mask, max shift and exp in one (heads, tile, len_k)
+    buffer, and the softmax's row sums divided out after the value product,
+    so tiled outputs match one block within 1e-12, not bit for bit. A query
+    sequence that fits in one tile runs as a single block with no extra
+    graph node, as ``matmul(attention_weights(...), v)``. Both paths take a
     stack of sequences with leading axes, (..., len_q, d_model), and
     compute each one as it would alone.
 
@@ -144,7 +146,7 @@ def attend(
     runs the others (with one group no pool is made). Every head's
     arithmetic is the same whatever the group count, so outputs and
     gradients are bit-identical across CPU counts; ``backward`` stays
-    serial. The calling thread allocates the one weight buffer and the tile
+    serial. The calling thread allocates the one exp buffer and the tile
     loops fill their heads' part of it in place (``out=``), since buffers
     allocated on pool threads stay in per-thread malloc arenas. Without
     autograd it is one (..., heads, tile, len_k) buffer that every tile
@@ -176,7 +178,7 @@ def attend(
     len_k = k_t.shape[-1]
 
     starts = range(0, len_q, ATTENTION_TILE)
-    keep = q.requires_grad or k_t.requires_grad  # the graph will hold every tile's weights
+    keep = q.requires_grad or k_t.requires_grad or v.requires_grad  # the graph will hold every tile's exponentials
 
     def group_tiles(q_g: Tensor, k_g: Tensor, v_g: Tensor, buf: np.ndarray) -> list[Tensor]:
         """One head group's tile contexts, (..., group, tile, head_dim) each; runs on a worker."""
@@ -185,11 +187,10 @@ def attend(
             stop = min(start + ATTENTION_TILE, len_q)
             out = buf[..., start:stop, :] if keep else buf[..., : stop - start, :]
             q_tile = ag.take_rows(q_g, np.s_[..., start:stop, :])
-            attn = ag.attention_weights(q_tile, k_g, scale, None if mask is None else mask[start:stop], out=out)
-            tiles.append(ag.matmul(attn, v_g))
+            tiles.append(ag.attention(q_tile, k_g, v_g, scale, None if mask is None else mask[start:stop], out=out))
         return tiles
 
-    # A head group takes views (slices of the head axis) of Q, K, V and the one weight buffer.
+    # A head group takes views (slices of the head axis) of Q, K, V and the one exp buffer.
     groups = [np.s_[..., h[0]:h[-1] + 1, :, :]
               for h in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
     buf = np.empty((*lead, n_heads, len_q if keep else ATTENTION_TILE, len_k))

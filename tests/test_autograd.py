@@ -158,12 +158,53 @@ class TestAttentionWeights:
         assert np.array_equal(k_t.grad, g_k)
 
 
-    def test_out_buffer_holds_the_result(self):
-        q, k_t = leaf(2, 5, 3), leaf(2, 3, 9)
+def reference_attention(q, k_t, v, scale, mask=None) -> Tensor:
+    """The two-node composition that ``ag.attention`` fuses: weights, then the value product."""
+    return ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
+
+
+class TestAttention:
+    """``ag.attention``: the softmax normalized after the value product, one node."""
+
+    def test_gradient_with_causal_mask_slice_and_stack_axes(self):
+        q, k_t, v = leaf(2, 3, 4, 5), leaf(2, 3, 5, 7), leaf(2, 3, 7, 5)  # (stack, heads, rows, head_dim)
+        w = rng.normal(0, 1, (2, 3, 4, 5))
+        check_op(lambda: ag.sum_axis(ag.mul(ag.attention(q, k_t, v, 0.37, causal(7)[3:]), w)), q, k_t, v)
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_weights_then_value_product(self, masked, rows):
+        """Values and gradients within 1e-12 of ``matmul(attention_weights(...), v)``."""
+        shapes, scale = ((2, 3, rows, 5), (2, 3, 5, 9), (2, 3, 9, 5)), 1.0 / np.sqrt(5)
+        mask = causal(9)[9 - rows:] if masked else None
+        data = [rng.normal(0.0, 2.0, shape) for shape in shapes]
+        g = rng.normal(0.0, 1.0, (2, 3, rows, 5))
+
+        def run(op):
+            leaves = [Tensor(x.copy(), requires_grad=True) for x in data]
+            out = op(*leaves, scale, mask)
+            ag.sum_axis(ag.mul(out, g)).backward()
+            return [out.data, *(t.grad for t in leaves)]
+
+        for got, want in zip(run(ag.attention), run(reference_attention)):
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_stable_for_large_logits(self):
+        q = Tensor(np.array([[1e3, 0.0]]))
+        k_t = Tensor(np.array([[1e3, 1e3 - 1e-3], [0.0, 0.0]]))  # logits 1e6 and 1e6 - 1
+        v = Tensor(np.array([[1.0], [0.0]]))
+        out = ag.attention(q, k_t, v, 1.0)
+        assert np.allclose(out.data, [[1.0 / (1.0 + np.exp(-1.0))]])
+
+    def test_out_buffer_holds_the_exponentials(self):
+        q, k_t, v = leaf(2, 5, 3), leaf(2, 3, 9), leaf(2, 9, 3)
+        mask = causal(9)[4:]
         buf = np.full((2, 5, 9), np.nan)
-        w = ag.attention_weights(q, k_t, 0.5, causal(9)[:5], out=buf)
-        assert np.shares_memory(w.data, buf)
-        assert np.array_equal(w.data, ag.attention_weights(q, k_t, 0.5, causal(9)[:5]).data)
+        out = ag.attention(q, k_t, v, 0.5, mask, out=buf)
+        assert np.array_equal(out.data, ag.attention(q, k_t, v, 0.5, mask).data)
+        assert (buf.max(axis=-1) == 1.0).all()  # max-shifted: each row's largest logit gives exp(0)
+        weights = ag.attention_weights(q, k_t, 0.5, mask).data
+        assert np.abs(buf / buf.sum(axis=-1, keepdims=True) - weights).max() <= 1e-12
 
 
 # One-row operands of each op whose backward contracts an axis of length 1: the weight gradient of a stack
@@ -172,6 +213,7 @@ ONE_ROW_OPS = {
     "linear": (lambda x, w, b: ag.linear(x, w, b), ((5, 1, 7), (7, 1), (1,))),
     "matmul": (lambda a, b: ag.matmul(a, b), ((5, 1, 7), (7, 1))),
     "attention_weights": (lambda q, k_t: ag.attention_weights(q, k_t, 0.5), ((2, 3, 1, 4), (2, 3, 4, 6))),
+    "attention": (lambda q, k_t, v: ag.attention(q, k_t, v, 0.5), ((2, 3, 1, 4), (2, 3, 4, 6), (2, 3, 6, 4))),
 }
 
 

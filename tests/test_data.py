@@ -66,6 +66,16 @@ class TestPgm:
         img = read_pgm(tmp_path / "e.ppm")
         assert img.pixels.tolist() == [[85, 85], [85, 90]]
 
+    @pytest.mark.parametrize("width, height", [(1, 1), (53, 37), (512, 1024)])
+    def test_eight_bit_gray_equals_the_general_decode(self, tmp_path, width, height):
+        """An 8-bit P5 raster is returned as its bytes: the float round trip of the general path is the identity."""
+        raster = np.random.default_rng(width).integers(0, 256, size=width * height, dtype=np.uint8).tobytes()
+        (tmp_path / "r.pgm").write_bytes(f"P5 # random\n{width} {height}\n255\n".encode() + raster)
+        img = read_pgm(tmp_path / "r.pgm")
+        general = np.clip(np.rint(np.frombuffer(raster, dtype=np.uint8).astype(np.float64)), 0, 255).astype(np.uint8)
+        assert img.pixels.dtype == np.uint8
+        assert np.array_equal(img.pixels, general.reshape(height, width))
+
     def test_truncated_rejected(self, tmp_path):
         (tmp_path / "t.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x01")
         with pytest.raises(DataError):

@@ -159,6 +159,35 @@ class TestHeadGroups:
         assert np.array_equal(features[0], features[1])
 
 
+def weights_then_value_product(q, k_t, v, scale, mask=None, out=None):
+    """A tile computed unfused: the softmax weights, then their product with v."""
+    return ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
+
+
+class TestFusedTiles:
+    def test_paper_budget_page_matches_weights_then_value_product(self, monkeypatch):
+        """A 2048-patch page's feature and scores within 1e-12, and its greedy answer identical."""
+        cfg = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384,
+                          max_patches=2048, max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
+        model = VqaModel(cfg)
+        scorers = [SelfAttentionScorer(ScorerConfig(aggregation=a), cfg.d_model, seed=1) for a in AGGREGATIONS]
+        grid = PatchGrid(rows=32, cols=64, patch_size=16, patches=np.random.default_rng(5).random((1, 2048, 256)))
+
+        def outputs():
+            with ag.no_grad():
+                feature = model.encode_grid(grid)
+                return feature.data, [s.score(feature).data.item() for s in scorers], model.generate_answer(feature)
+
+        feature, scores, answer = outputs()
+        tiles = []
+        monkeypatch.setattr(ag, "attention", lambda *args, **kw: tiles.append(1) or weights_then_value_product(*args, **kw))
+        want_feature, want_scores, want_answer = outputs()
+        assert tiles  # the encoder and the avgpool scorer ran tiled
+        assert np.abs(feature - want_feature).max() <= 1e-12
+        assert np.abs(np.subtract(scores, want_scores)).max() <= 1e-12
+        assert answer == want_answer
+
+
 class TestPageStacks:
     """A stack with a leading page axis computes each page as it would alone."""
 

@@ -10,6 +10,7 @@ from pixqa.errors import ConfigError
 from pixqa.render import (
     PatchGrid,
     RasterImage,
+    _bilinear_resize,
     blank_image,
     concat_question_page,
     fuse_question_page,
@@ -159,6 +160,26 @@ class TestResize:
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
             resize_to_patch_budget(blank_image(8, 8), 16, 0)
+
+    @pytest.mark.parametrize(
+        "in_w, in_h, out_w, out_h",
+        [(208, 64, 101, 31), (1040, 512, 1033, 508), (37, 23, 13, 7), (64, 5, 9, 3), (9, 3, 20, 11),
+         (300, 40, 1, 16), (1, 40, 1, 16), (50, 1, 17, 1)],
+        ids=["shrink", "paper-page", "odd", "wide", "grow", "one-px-wide", "one-px-source", "one-row"],
+    )
+    def test_separable_resize_equals_the_two_gather_formula(self, in_w, in_h, out_w, out_h):
+        pixels = np.random.default_rng(in_w * in_h).integers(0, 256, size=(in_h, in_w), dtype=np.uint8)
+        src = pixels.astype(np.float64)
+        xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
+        ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
+        x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
+        y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+        x1, y1 = np.minimum(x0 + 1, in_w - 1), np.minimum(y0 + 1, in_h - 1)
+        wx, wy = np.clip(xs - x0, 0.0, 1.0), np.clip(ys - y0, 0.0, 1.0)
+        top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
+        bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
+        want = np.clip(np.rint(top * (1 - wy[:, None]) + bot * wy[:, None]), 0, 255).astype(np.uint8)
+        assert np.array_equal(_bilinear_resize(pixels, out_w, out_h), want)
 
     @given(
         w=st.integers(min_value=1, max_value=2500),

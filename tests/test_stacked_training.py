@@ -337,7 +337,11 @@ class TestTrainStage1:
         history = train_stage1(train, valid, model, cfg)
         monkeypatch.undo()
         assert len(train.questions) == 4 and backwards == [4]  # four 39-patch pages: one stack
-        assert without_time(history.records) == reference_stage1(train, valid, want_model, cfg)
+        # The stack's short answers run tiled (71 decoder rows), the one-sample loop's as one block, so
+        # the loss agrees within 1e-12, like the parameters; every other field is exact.
+        (got,), (want,) = without_time(history.records), reference_stage1(train, valid, want_model, cfg)
+        assert abs(got.pop("train_loss") - want.pop("train_loss")) <= 1e-12
+        assert got == want
         for name, p in model.params.items():
             assert np.allclose(p.data, want_model.params[name].data, rtol=0.0, atol=1e-12), name
 
