@@ -104,25 +104,17 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_graph(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output, with a graph only if a parent requires grad.
+
+    So a tensor without ``requires_grad`` is a constant, and no backward pass computes its gradient.
+    """
     out = Tensor(data)
-    if _needs_graph(*parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
     return out
-
-
-def _wants(t: Tensor) -> bool:
-    """Whether a gradient for ``t`` is used: a constant's gradient need not be computed.
-
-    ``_node`` gives an output parents only with ``requires_grad``, so the flag alone tells.
-    """
-    return t.requires_grad
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -134,7 +126,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     of running its items one by one: bit-identical, not one flattened
     reduction. Within an item, broadcast axes are summed innermost first.
     """
-    if not _wants(t):
+    if not t.requires_grad:
         return
     if g.ndim > max(t.data.ndim, 2):
         for item in g:
@@ -182,9 +174,9 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if _wants(a):
+        if a.requires_grad:
             _accum(a, g * b.data)
-        if _wants(b):
+        if b.requires_grad:
             _accum(b, g * a.data)
 
     return _node(data, (a, b), backward)
@@ -196,9 +188,9 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        if _wants(a):
+        if a.requires_grad:
             _accum(a, _product(g, np.swapaxes(b.data, -1, -2)))
-        if _wants(b):
+        if b.requires_grad:
             _accum(b, _product(np.swapaxes(a.data, -1, -2), g))
 
     return _node(data, (a, b), backward)
@@ -217,9 +209,9 @@ def linear(x, w, b) -> Tensor:
     data += b.data
 
     def backward(g):
-        if _wants(x):
+        if x.requires_grad:
             _accum(x, _product(g, w.data.T))
-        if _wants(w):
+        if w.requires_grad:
             _accum(w, _product(np.swapaxes(x.data, -1, -2), g))
         _accum(b, g)
 
@@ -304,9 +296,9 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> T
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
         gl = data * (g - inner) * scale
-        if _wants(q):
+        if q.requires_grad:
             _accum(q, _product(gl, np.swapaxes(k_t.data, -1, -2)))
-        if _wants(k_t):
+        if k_t.requires_grad:
             _accum(k_t, _product(np.swapaxes(q.data, -1, -2), gl))
 
     return _node(data, (q, k_t), backward)
@@ -340,16 +332,16 @@ def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None, out: np.n
 
     def backward(g):
         weights = e / sums
-        if _wants(v):
+        if v.requires_grad:
             _accum(v, _product(np.swapaxes(weights, -1, -2), g))
-        if _wants(q) or _wants(k_t):
+        if q.requires_grad or k_t.requires_grad:
             # The logits' gradient: the softmax backward of the weights' gradient g @ v^T.
             gl = _product(g, np.swapaxes(v.data, -1, -2))
             gl -= (gl * weights).sum(axis=-1, keepdims=True)
             gl *= weights
-            if _wants(q):
+            if q.requires_grad:
                 _accum(q, _product(gl, np.swapaxes(k_t.data, -1, -2)) * scale)
-            if _wants(k_t):
+            if k_t.requires_grad:
                 _accum(k_t, _product(np.swapaxes(q_scaled, -1, -2), gl))
 
     return _node(data, (q, k_t, v), backward)
@@ -404,7 +396,7 @@ def take_rows(a, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        if not _wants(a):
+        if not a.requires_grad:
             return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)

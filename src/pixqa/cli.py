@@ -218,11 +218,15 @@ COMMAND_DEFAULTS = {
 }
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _add_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
     """One flag per default; absent flags parse to None so ``_resolve`` can tell them from given ones."""
     for dest, default in defaults.items():
         kind = {"choices": CHOICES[dest]} if dest in CHOICES else {"type": type(default)}
-        p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kind,
+        p.add_argument(_flag(dest), dest=dest, **kind,
                        help=f"default {default!r}".replace("%", "%%"))
 
 
@@ -473,60 +477,36 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------------
 
+# Each command's handler, help and own options: the dests of its required ones, then
+# its optional ones as dest -> add_argument keywords. A command with an entry in
+# COMMAND_DEFAULTS also takes --config and one flag per default.
+COMMANDS = {
+    "gen": (cmd_gen, "generate a synthetic multi-page corpus", ("out",), {}),
+    "train-vqa": (cmd_train_vqa, "stage 1: train the single-page VQA model", ("data", "out"), {}),
+    "train-scorer": (cmd_train_scorer, "stage 2: train the scoring head on a frozen model",
+                     ("data", "checkpoint", "out"), {}),
+    "eval": (cmd_eval, "evaluate a stage-2 checkpoint on a corpus split", ("data", "checkpoint", "out"),
+             {"split": {"default": "test"}}),
+    "answer": (cmd_answer, "answer one question against a directory of page images",
+               ("checkpoint", "question", "doc_dir"), {"max_answer_len": {"type": int}}),
+    "sweep": (cmd_sweep, "grid-sweep scorer layers x heads", ("data", "checkpoint", "out", "layers", "heads"), {}),
+    "report": (cmd_report, "quadrant table + page histogram from a results file", ("results",), {"out": {}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pixqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic multi-page corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    _add_flags(p, COMMAND_DEFAULTS["gen"])
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("train-vqa", help="stage 1: train the single-page VQA model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    _add_flags(p, COMMAND_DEFAULTS["train-vqa"])
-    p.set_defaults(func=cmd_train_vqa)
-
-    p = sub.add_parser("train-scorer", help="stage 2: train the scoring head on a frozen model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    _add_flags(p, COMMAND_DEFAULTS["train-scorer"])
-    p.set_defaults(func=cmd_train_scorer)
-
-    p = sub.add_parser("eval", help="evaluate a stage-2 checkpoint on a corpus split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("answer", help="answer one question against a directory of page images")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--question", required=True)
-    p.add_argument("--doc-dir", dest="doc_dir", required=True)
-    p.add_argument("--max-answer-len", dest="max_answer_len", type=int, default=None)
-    p.set_defaults(func=cmd_answer)
-
-    p = sub.add_parser("sweep", help="grid-sweep scorer layers x heads")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--layers", required=True)
-    p.add_argument("--heads", required=True)
-    p.add_argument("--config")
-    _add_flags(p, COMMAND_DEFAULTS["sweep"])
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("report", help="quadrant table + page histogram from a results file")
-    p.add_argument("--results", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
-
+    for command, (func, help_text, required, optional) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for dest in required:
+            p.add_argument(_flag(dest), dest=dest, required=True)
+        for dest, kwargs in optional.items():
+            p.add_argument(_flag(dest), dest=dest, **kwargs)
+        if command in COMMAND_DEFAULTS:
+            p.add_argument("--config")
+            _add_flags(p, COMMAND_DEFAULTS[command])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -353,7 +353,6 @@ def gen_synthetic(cfg: SynthConfig, out_dir: Path) -> Dataset:
 
         # Assign each question's gold page, never overfilling a page's slots.
         golds_per_page: list[list[tuple[str, str]]] = [[] for _ in range(n_pages)]
-        gold_pages: list[int] = []
         for key in question_keys:
             while True:
                 k = int(rng.integers(n_pages))
@@ -361,7 +360,6 @@ def gen_synthetic(cfg: SynthConfig, out_dir: Path) -> Dataset:
                     break
             value = _random_string(rng, cfg.value_alphabet, cfg.value_len)
             golds_per_page[k].append((key, value))
-            gold_pages.append(k)
             questions.append(
                 QASample(
                     question_id=next_qid,

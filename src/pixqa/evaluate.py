@@ -11,11 +11,12 @@ question's features from it too. `grid_stacks` is that grouping rule,
 which stage-1 training and its validation use too, and stage 2 for the
 scorer's stacks of frozen features; `encode_page` encodes one page as a
 stack of one, which the frozen-feature cache uses for a training page.
-`retrieve` scores a stream of features one at a time and keeps the top-1. Retrieval runs without autograd, and the
-answer is decoded from the feature it retrieved, so no page is encoded
-twice. Only one block plus the best feature so far (a view that keeps its
-block's features) is alive at a time, so peak memory stays bounded no
-matter how long the document is.
+`retrieve` scores a stream of features one at a time and keeps the
+top-1. Retrieval runs without autograd, and the answer is decoded from
+the feature it retrieved, so no page is encoded twice. Only one block
+plus the best feature so far (a view that keeps its block's features)
+is alive at a time, so peak memory stays bounded no matter how long the
+document is.
 
 Answer quality uses normalized Levenshtein similarity averaged over
 questions (scores whose normalized distance reaches the threshold count

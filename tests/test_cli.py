@@ -687,6 +687,14 @@ class TestDerivedFlags:
         assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_every_option(capsys, command):
+    # Rendering help formats every flag's "default ..." text, so a '%' in a default (--vocab's) must be escaped.
+    assert main([command, "--help"]) == 0
+    shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert OPTIONS[command] - shown == set()
+
+
 class TestSweepGrid:
     @pytest.mark.parametrize("layers, heads", [("3:1", "2"), ("1", ","), ("", "2")])
     def test_empty_grid_is_usage_error(self, corpus, stage1, tmp_path, capsys, layers, heads):

@@ -1,5 +1,8 @@
 """Every name a `pixqa` module imports is used in that module, and so is every private helper it defines.
 
+A local that a function only appends, adds, extends, updates or inserts into is never read, so it is not
+allowed either.
+
 No linter runs on this repository, so these stdlib-`ast` checks stand in
 for one. ``__init__.py`` is skipped by the import check: its imports are
 the package's re-exports.
@@ -55,3 +58,38 @@ def test_the_check_finds_an_unused_private_helper():
     source = ("def _used():\n    return 1\n\ndef _left_behind(stack):\n    return stack\n\n"
               "class _Gone:\n    pass\n\ndef public():\n    return _used()\n")
     assert unused_private_helpers(source) == {"_left_behind", "_Gone"}
+
+
+WRITES = {"append", "add", "extend", "update", "insert"}
+
+
+def write_only_locals(source: str) -> set[tuple[str, str]]:
+    """(function, name) for each local a function binds and then only calls one of ``WRITES`` on.
+
+    Any other read of the name, in the function or a function nested in it, uses the local.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        bound = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        writes = [node.value for node in nodes
+                  if isinstance(node, ast.Attribute) and node.attr in WRITES and isinstance(node.value, ast.Name)]
+        receivers = {id(w) for w in writes}
+        read = {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in receivers}
+        found |= {(func.name, name) for name in (bound & {w.id for w in writes}) - read}
+    return found
+
+
+def test_no_function_binds_a_local_it_only_writes_into():
+    found = {(path.stem, *pair) for path in sorted(SRC.glob("*.py")) for pair in write_only_locals(path.read_text())}
+    assert not found, f"locals written into and never read: {sorted(found)}"
+
+
+def test_the_check_finds_a_write_only_local():
+    source = ("def f(rows):\n    kept, seen, order, shared = [], set(), [], []\n"
+              "    for r in rows:\n        kept.append(r)\n        seen.add(r)\n        order.insert(0, r)\n"
+              "        shared.extend(rows)\n    def g():\n        return shared\n    return len(seen), g\n")
+    assert write_only_locals(source) == {("f", "kept"), ("f", "order")}
