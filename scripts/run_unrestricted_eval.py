@@ -3,14 +3,18 @@
 
 Generates a handful of very long documents (hundreds of pages), scores every
 page of each against its question with a trained scorer, and reports the
-gold-page rank plus peak additional memory, demonstrating that evaluation
-streams one block of pages at a time no matter how long the document is.
+gold-page rank, each document's retrieval time and pages per second, plus
+peak additional memory, demonstrating that evaluation streams one block of
+pages at a time no matter how long the document is. Retrieval is timed with
+tracemalloc running, which slows it; perfbench's qa-long workload times the
+same loop without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from pixqa.checkpoint import load_checkpoint
 from pixqa.cli import main as cli
 from pixqa.data import load_mpdocvqa
 from pixqa.evaluate import page_features, retrieve
+from pixqa.layers import attention_workers
 
 # Pages like those of the desk corpus the checkpoint was trained on (see run_desk_experiment.py).
 DESK_GEN = Path(__file__).resolve().parent / "desk" / "gen.json"
@@ -51,7 +56,9 @@ def main() -> None:
     baseline, _ = tracemalloc.get_traced_memory()
     for sample in dataset.questions:
         doc = dataset.document_for(sample)
+        started = time.perf_counter()
         best_idx, _, scores = retrieve(doc.n_pages, page_features(sample.question, doc, model), scorer)
+        retrieve_s = time.perf_counter() - started
         gold_score = scores[sample.answer_page_index] if scores else None  # one page: not scored
         n_above_gold = sum(1 for v in scores if v > gold_score)
         results.append(
@@ -64,6 +71,8 @@ def main() -> None:
                 "gold_rank": 1 + n_above_gold,
                 "gold_score": gold_score,
                 "top_score": scores[best_idx] if scores else None,
+                "retrieve_s": round(retrieve_s, 4),
+                "pages_per_s": round(doc.n_pages / retrieve_s, 1),
             }
         )
     current, peak = tracemalloc.get_traced_memory()
@@ -71,14 +80,17 @@ def main() -> None:
 
     peak_mib = (peak - baseline) / (1024 * 1024)
     hits = sum(r["top1"] == r["gold_page"] for r in results)
-    summary = {"results": results, "top1_hits": hits, "n_questions": len(results), "peak_additional_mib": round(peak_mib, 2)}
+    summary = {"results": results, "top1_hits": hits, "n_questions": len(results),
+               "peak_additional_mib": round(peak_mib, 2), "attention_workers": attention_workers()}
     root.mkdir(parents=True, exist_ok=True)
     (root / "unrestricted.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    print(f"{'doc':<10} {'pages':>6} {'gold':>5} {'top1':>5} {'gold rank':>9}")
+    print(f"{'doc':<10} {'pages':>6} {'gold':>5} {'top1':>5} {'gold rank':>9} {'retrieve s':>10} {'pages/s':>8}")
     for r in results:
-        print(f"{r['doc_id']:<10} {r['pages']:>6} {r['gold_page']:>5} {r['top1']:>5} {r['gold_rank']:>9}")
-    print(f"\ntop-1 hits: {hits}/{len(results)}; peak additional memory: {peak_mib:.1f} MiB")
+        print(f"{r['doc_id']:<10} {r['pages']:>6} {r['gold_page']:>5} {r['top1']:>5} {r['gold_rank']:>9}"
+              f" {r['retrieve_s']:>10.3f} {r['pages_per_s']:>8.1f}")
+    print(f"\ntop-1 hits: {hits}/{len(results)}; peak additional memory: {peak_mib:.1f} MiB;"
+          f" attention workers: {summary['attention_workers']}")
 
 
 if __name__ == "__main__":

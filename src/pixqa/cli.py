@@ -42,7 +42,12 @@ RUNTIME_ERROR = 1
 
 
 def run_environment() -> dict:
-    """What a run's speed depends on: numpy, its BLAS, and the CPUs attention splits its heads over."""
+    """What a run's speed depends on: numpy, its BLAS, and the CPUs the attention pool uses.
+
+    ``attention_workers`` bounds both kinds of pool work: the head groups of
+    tiled attention, and the parts a full retrieval block of pages is
+    encoded in (``VqaModel.encode_grid``).
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_name = f"{blas.get('name')} {blas.get('version')}"

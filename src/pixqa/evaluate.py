@@ -38,12 +38,11 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import NumericError
-from .model import VqaModel
+from .model import BLOCK_ROWS, VqaModel
 from .render import PatchGrid, fuse_question_page, stack_grids
 from .scorer import SelfAttentionScorer
 
 ANLS_TAU = 0.5
-BLOCK_ROWS = 512  # patch rows of the pages stacked into one encoder call, at most
 
 K = TypeVar("K")
 V = TypeVar("V")

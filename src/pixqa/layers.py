@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
-from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
 
 import numpy as np
@@ -15,6 +16,7 @@ from .autograd import Tensor
 
 LN_EPS = 1e-12
 ATTENTION_TILE = 64  # query rows per attention block
+M_ARENA_MAX = -8  # glibc's mallopt parameter: the most malloc arenas the process may make
 
 
 # A parameter table lists (name, shape, initializer) entries in draw order.
@@ -69,7 +71,7 @@ def attention_table(prefix: str, d_model: int) -> list[ParamEntry]:
 
 
 def attention_workers() -> int:
-    """CPUs this process may run on: tiled attention splits its heads into this many groups at most."""
+    """CPUs this process may run on: the most head groups tiled attention runs, and parts a full block is encoded in."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -78,7 +80,32 @@ def attention_workers() -> int:
 
 @cache
 def _attention_pool() -> ThreadPoolExecutor:
+    """The shared worker threads, made on first use.
+
+    First it caps glibc's malloc arenas at one, so the workers allocate from
+    the main heap's free memory instead of each growing an arena of its own
+    (a few MiB of peak RSS); a libc without ``mallopt`` is left as it is.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(M_ARENA_MAX, 1)
+    except (AttributeError, OSError, TypeError):  # not glibc
+        pass
     return ThreadPoolExecutor(max_workers=max(1, attention_workers() - 1), thread_name_prefix="pixqa-attention")
+
+
+def run_parts(fn: Callable, jobs: Sequence[tuple]) -> list:
+    """``fn(*job)`` for each job, in order: the first on the calling thread, the others on the attention pool.
+
+    Returns or raises only once every job has finished; the first job's
+    error comes first, then the earliest failed pool job's. One job never
+    touches the pool.
+    """
+    rest = [_attention_pool().submit(fn, *job) for job in jobs[1:]]
+    try:
+        first = fn(*jobs[0])
+    finally:
+        wait(rest)
+    return [first, *(job.result() for job in rest)]
 
 
 def project_kv(kv_in: Tensor, params: dict[str, Tensor], prefix: str, n_heads: int) -> tuple[Tensor, Tensor]:
@@ -143,20 +170,25 @@ def attend(
     A tiled call splits the heads into ``min(attention_workers(), n_heads)``
     contiguous groups, one tile loop each: the calling thread runs the
     first group and a shared pool of ``attention_workers() - 1`` threads
-    runs the others (with one group no pool is made). Every head's
-    arithmetic is the same whatever the group count, so outputs and
+    runs the others (``run_parts``; with one group no pool is made). Every
+    head's arithmetic is the same whatever the group count, so outputs and
     gradients are bit-identical across CPU counts; ``backward`` stays
     serial. The calling thread allocates the one exp buffer and the tile
-    loops fill their heads' part of it in place (``out=``), since buffers
-    allocated on pool threads stay in per-thread malloc arenas. Without
-    autograd it is one (..., heads, tile, len_k) buffer that every tile
-    reuses, so memory is O(heads * tile * len_k) per sequence, not
-    O(heads * len_q * len_k); with autograd it is (..., heads, len_q,
-    len_k) and each tile keeps its own rows, which the graph holds anyway.
-    Two rules keep the workers safe: they call only ``ag`` ops, never a
-    model or scorer method that a tracer might wrap, and they never enter
-    ``no_grad`` (the grad switch is one module global, which they only
-    read while the caller waits).
+    loops fill their heads' part of it in place (``out=``), so the groups
+    share one allocation. Without autograd it is one (..., heads, tile,
+    len_k) buffer that every tile reuses, so memory is O(heads * tile *
+    len_k) per sequence, not O(heads * len_q * len_k); with autograd it is
+    (..., heads, len_q, len_k) and each tile keeps its own rows, which the
+    graph holds anyway.
+    The same pool encodes the parts of a full block of pages
+    (``VqaModel.encode_grid``). Three rules keep the workers safe, for head
+    groups and block parts alike: they call only ``ag`` ops (a block part
+    through ``VqaModel.embed_patches`` and ``encode``), never a model or
+    scorer method that a tracer might wrap; they never enter ``no_grad``
+    (the grad switch is one module global, which they only read while the
+    caller waits); and a block part holds only pages that fit one tile, so
+    a worker never submits head groups to the pool it runs on, where they
+    would wait for it forever.
     """
     p = params
     *lead, len_q, d_model = q_in.shape
@@ -195,12 +227,7 @@ def attend(
               for h in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
     buf = np.empty((*lead, n_heads, len_q if keep else ATTENTION_TILE, len_k))
     jobs = [(ag.take_rows(q, heads), ag.take_rows(k_t, heads), ag.take_rows(v, heads), buf[heads]) for heads in groups]
-    rest = [_attention_pool().submit(group_tiles, *job) for job in jobs[1:]]
-    try:
-        first = group_tiles(*jobs[0])
-    finally:  # even when the first group fails, wait for the others and read their errors
-        others = [job.result() for job in rest]
-    per_group = [first, *others]
+    per_group = run_parts(group_tiles, jobs)
     del buf, jobs  # without autograd nothing else holds the buffer: free it before the joins
     context = ag.concat_rows([merge_heads(ag.concat_rows(list(parts), axis=-3)) for parts in zip(*per_group)],
                              axis=-2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import string
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,10 +25,12 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import BudgetError, ConfigError, NumericError
 from .layers import (
+    ATTENTION_TILE,
     ParamEntry,
     apply_layer_norm,
     attend,
     attention_table,
+    attention_workers,
     ffn,
     ffn_table,
     glorot,
@@ -38,6 +40,7 @@ from .layers import (
     norm_table,
     normal,
     project_kv,
+    run_parts,
     zeros,
 )
 from .render import PatchGrid
@@ -48,6 +51,7 @@ PAD, BOS, EOS = 0, 1, 2
 N_SPECIALS = 3
 
 NEG_MASK = -1e30
+BLOCK_ROWS = 512  # patch rows of the pages stacked into one encoder call, at most
 
 
 class Vocab:
@@ -202,8 +206,26 @@ class VqaModel:
         return apply_layer_norm(x, p, "enc.final_ln")
 
     def encode_grid(self, grid: PatchGrid) -> Tensor:
-        """Encode a grid's pages at once."""
-        return self.encode(self.embed_patches(grid))
+        """Encode a grid's pages at once.
+
+        Without autograd, a stack that fills a block (no room for one more
+        page under ``BLOCK_ROWS`` patch rows) of pages that fit one attention
+        tile is cut into contiguous parts, one per CPU at most and none under
+        a quarter of ``BLOCK_ROWS`` rows: the calling thread encodes the first
+        part and the attention pool the others (``layers.run_parts``), and
+        the parts' features are joined. Each page is computed as in a stack
+        of its own, so the feature is bit-identical to one call's.
+        """
+        rows, pages = grid.n_patches, len(grid.patches)
+        fills_block = (pages + 1) * rows > BLOCK_ROWS  # as `evaluate.grid_stacks` cuts blocks
+        n_parts = 1
+        if fills_block and rows <= ATTENTION_TILE and not ag.grad_enabled():
+            min_pages = -(-(BLOCK_ROWS // 4) // rows)  # a part's fewest pages: ceil(BLOCK_ROWS / 4 / rows)
+            n_parts = min(attention_workers(), pages // min_pages)
+        if n_parts < 2:
+            return self.encode(self.embed_patches(grid))
+        parts = [(replace(grid, patches=patches),) for patches in np.array_split(grid.patches, n_parts)]
+        return ag.concat_rows(run_parts(lambda part: self.encode(self.embed_patches(part)), parts))
 
     # ----- decoder -----
 

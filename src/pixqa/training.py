@@ -47,8 +47,8 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import BLOCK_ROWS, anls_single, encode_page, fuse_page, grid_stacks, page_features
-from .model import VqaModel
+from .evaluate import anls_single, encode_page, fuse_page, grid_stacks, page_features
+from .model import BLOCK_ROWS, VqaModel
 from .render import fuse_question_page  # noqa: F401  unused; perfbench/tests checks its tracer rebinds it here
 from .render import stack_grids
 from .scorer import SelfAttentionScorer

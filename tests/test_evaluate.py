@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pixqa import evaluate
+from pixqa import evaluate, render
+from pixqa import model as model_module
 from pixqa.autograd import Tensor, no_grad
 from pixqa.data import Document, PageRef, SynthConfig, gen_synthetic, write_pgm
 from pixqa.errors import NumericError
@@ -23,7 +25,7 @@ from pixqa.evaluate import (
     retrieve,
 )
 from pixqa.layers import ATTENTION_TILE
-from pixqa.model import ModelConfig, VqaModel
+from pixqa.model import ModelConfig, Vocab, VqaModel
 from pixqa.render import PatchGrid, RasterImage
 from pixqa.scorer import ScorerConfig, SelfAttentionScorer
 
@@ -395,6 +397,39 @@ class TestBlockEncoding:
             tracemalloc.stop()
         assert feature.shape[-2] == 39 and pages == [BLOCK_ROWS // 39] == [13]
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_hooked_calls_stay_on_the_calling_thread(tmp_path, monkeypatch):
+    """A span tracer wraps these methods and keeps one span stack; full blocks split across CPUs must not call
+    them from a pool thread. A 30-page desk document is two full 13-page blocks, each split, and a 4-page one."""
+    monkeypatch.setattr(model_module, "attention_workers", lambda: 2)
+    calls: dict[str, list[int]] = {}
+    blocks = []
+
+    def wrap(owner, name: str):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(VqaModel, "encode_grid"), (VqaModel, "generate_answer"), (Vocab, "decode"),
+                        (SelfAttentionScorer, "score_value"), (Document, "load_page"),
+                        (render, "fuse_question_page"), (evaluate, "fuse_question_page")]:
+        wrap(owner, name)
+    run_parts = model_module.run_parts
+    monkeypatch.setattr(model_module, "run_parts", lambda fn, jobs: blocks.append(len(jobs)) or run_parts(fn, jobs))
+
+    doc = write_document(tmp_path, [ink_page(i, 32) for i in range(30)])
+    scorer = SelfAttentionScorer(ScorerConfig(n_heads=2), d_model=DESK_MODEL.d_model, seed=1)
+    answer_question(QUESTION, doc, VqaModel(DESK_MODEL), scorer)
+    assert blocks == [2, 2]
+    assert len(calls["encode_grid"]) == 3
+    assert len(calls["load_page"]) == len(calls["fuse_question_page"]) == len(calls["score_value"]) == 30
+    assert calls["generate_answer"] and calls["decode"]
+    assert {ident for idents in calls.values() for ident in idents} == {threading.get_ident()}
 
 
 class TestPaperBudgetMemory:

@@ -1,13 +1,18 @@
 import contextlib
 import math
+import threading
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pixqa import autograd as ag
+from pixqa import layers
+from pixqa import model as model_module
 from pixqa.autograd import Tensor, no_grad
 from pixqa.errors import BudgetError, ConfigError, NumericError
-from pixqa.model import BOS, EOS, PAD, ModelConfig, Vocab, VqaModel, parameter_gradients
+from pixqa.model import BLOCK_ROWS, BOS, EOS, PAD, ModelConfig, Vocab, VqaModel, parameter_gradients
 from pixqa.render import PatchGrid, stack_grids
 
 TINY = ModelConfig(
@@ -201,6 +206,98 @@ class TestEncode:
         m = VqaModel(TINY)
         with pytest.raises(ValueError):
             m.encode(Tensor(np.zeros((1, 0, 8))))
+
+
+DESK = ModelConfig(d_model=96, n_heads=8, n_enc_layers=2, n_dec_layers=2, d_ff=384, max_patches=2048,
+                   max_answer_len=8, vocab_chars="ABCDEF0123456789? ", seed=0)
+
+
+def desk_block(pages: int, rows: int = 3, cols: int = 13) -> PatchGrid:
+    """A stack of random pages, 39 patches each by default: desk pages with the question fused on top."""
+    return PatchGrid(rows, cols, 16, np.random.default_rng(pages).random((pages, rows * cols, 256)))
+
+
+def encode_page_at_a_time(m: VqaModel, grid: PatchGrid) -> np.ndarray:
+    return np.concatenate([m.encode_grid(replace(grid, patches=page[None])).data for page in grid.patches])
+
+
+class TestBlockSplit:
+    """Without autograd, a stack that fills a block is encoded in parts, one per CPU, bit for bit."""
+
+    @staticmethod
+    def force_workers(monkeypatch, n: int) -> list[list[int]]:
+        """Let encode_grid see ``n`` CPUs; return the pages of each part of each split block, one list per block."""
+        monkeypatch.setattr(model_module, "attention_workers", lambda: n)
+        blocks, run_parts = [], model_module.run_parts
+
+        def recorded(fn, jobs):
+            blocks.append([len(part.patches) for part, in jobs])
+            return run_parts(fn, jobs)
+
+        monkeypatch.setattr(model_module, "run_parts", recorded)
+        return blocks
+
+    def test_full_desk_block_is_bit_identical_across_cpu_counts(self, monkeypatch):
+        m, grid = VqaModel(DESK), desk_block(13)
+        assert (13 + 1) * grid.n_patches > BLOCK_ROWS  # no room for a 14th page
+        features = []
+        for workers in (1, 2):
+            blocks = self.force_workers(monkeypatch, workers)
+            with no_grad():
+                features.append(m.encode_grid(grid).data)
+            assert blocks == ([] if workers == 1 else [[7, 6]])
+        with no_grad():
+            alone = encode_page_at_a_time(m, grid)
+        assert np.array_equal(features[0], features[1])
+        assert np.array_equal(features[0], alone)
+
+    def test_a_part_is_no_smaller_than_a_quarter_block(self, monkeypatch):
+        blocks = self.force_workers(monkeypatch, 16)
+        with no_grad():
+            VqaModel(DESK).encode_grid(desk_block(13))
+        assert blocks == [[5, 4, 4]]  # 4 pages of 39 patches is the fewest that reach BLOCK_ROWS // 4 rows
+
+    @pytest.mark.parametrize("workers, pages, rows, grad", [(1, 13, 3, False), (2, 8, 3, False), (2, 13, 3, True),
+                                                            (2, 3, 10, False)],
+                             ids=["one-cpu", "8-page-block", "autograd", "150-patch-pages"])
+    def test_block_that_does_not_split_never_touches_the_pool(self, monkeypatch, workers, pages, rows, grad):
+        """150-patch pages fill a block at 3 pages, but a part on the pool would tile its attention and
+        submit head groups to the pool it runs on; so they are not split."""
+        self.force_workers(monkeypatch, workers)
+        monkeypatch.setattr(layers, "attention_workers", lambda: 1)  # head groups stay on the calling thread
+        monkeypatch.setattr(layers, "_attention_pool", lambda: pytest.fail("this block must not use the pool"))
+        m = VqaModel(DESK)
+        with contextlib.nullcontext() if grad else no_grad():
+            assert m.encode_grid(desk_block(pages, rows)).shape == (pages, rows * 13, DESK.d_model)
+
+    def test_full_block_of_tiled_pages_finishes_on_two_cpus(self, monkeypatch):
+        """Head groups on the pool and no block split: it ends, and matches one page at a time.
+
+        A pool thread that submitted to its own one-thread pool would wait forever; here it raises instead.
+        """
+        blocks = self.force_workers(monkeypatch, 2)
+        monkeypatch.setattr(layers, "attention_workers", lambda: 2)
+        pool = layers._attention_pool()
+
+        def submit(fn, *args):
+            assert not threading.current_thread().name.startswith("pixqa-attention"), "a pool thread waits on its pool"
+            return pool.submit(fn, *args)
+
+        monkeypatch.setattr(layers, "_attention_pool", lambda: SimpleNamespace(submit=submit))
+        m, grid = VqaModel(DESK), desk_block(3, rows=10)
+        with no_grad():
+            assert np.array_equal(m.encode_grid(grid).data, encode_page_at_a_time(m, grid))
+        assert blocks == []
+
+    def test_nonfinite_page_in_the_pools_part_raises_and_the_next_call_works(self, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        m, grid = VqaModel(DESK), desk_block(13)
+        bad = replace(grid, patches=grid.patches.copy())
+        bad.patches[12] = np.nan  # the last page is in the second part, which the pool encodes
+        with no_grad():
+            with pytest.raises(NumericError, match="encoder layer 0"):
+                m.encode_grid(bad)
+            assert np.array_equal(m.encode_grid(grid).data, encode_page_at_a_time(m, grid))
 
 
 class TestLoss:

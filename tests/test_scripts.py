@@ -46,8 +46,11 @@ def test_unrestricted_eval_on_the_desk_checkpoint(desk, tmp_path):
     run_script("run_unrestricted_eval.py", "--checkpoint", str(desk / "stage2-first" / "stage2.ckpt"),
                "--out", "unrestricted", "--docs", "1", "--pages", "20:20", cwd=tmp_path)
     report = json.loads((tmp_path / "unrestricted" / "unrestricted.json").read_text())
-    assert sorted(report) == ["n_questions", "peak_additional_mib", "results", "top1_hits"]
+    assert sorted(report) == ["attention_workers", "n_questions", "peak_additional_mib", "results", "top1_hits"]
+    assert report["attention_workers"] >= 1
     assert report["n_questions"] == len(report["results"]) == 1
-    assert sorted(report["results"][0]) == ["doc_id", "gold_page", "gold_rank", "gold_score", "pages",
-                                            "question_id", "top1", "top_score"]
-    assert report["results"][0]["pages"] == 20
+    record = report["results"][0]
+    assert sorted(record) == ["doc_id", "gold_page", "gold_rank", "gold_score", "pages", "pages_per_s",
+                              "question_id", "retrieve_s", "top1", "top_score"]
+    assert record["pages"] == 20
+    assert record["retrieve_s"] > 0 and record["pages_per_s"] == pytest.approx(20 / record["retrieve_s"], rel=0.05)
