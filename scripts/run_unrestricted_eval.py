@@ -57,10 +57,9 @@ def main() -> None:
     for sample in dataset.questions:
         doc = dataset.document_for(sample)
         started = time.perf_counter()
-        best_idx, _, scores = retrieve(doc.n_pages, page_features(sample.question, doc, model), scorer)
+        best_idx, _, scores = retrieve(page_features(sample.question, doc, model), scorer)
         retrieve_s = time.perf_counter() - started
-        gold_score = scores[sample.answer_page_index] if scores else None  # one page: not scored
-        n_above_gold = sum(1 for v in scores if v > gold_score)
+        gold_score = scores[sample.answer_page_index]
         results.append(
             {
                 "question_id": sample.question_id,
@@ -68,9 +67,9 @@ def main() -> None:
                 "pages": doc.n_pages,
                 "gold_page": sample.answer_page_index,
                 "top1": best_idx,
-                "gold_rank": 1 + n_above_gold,
+                "gold_rank": 1 + sum(1 for v in scores if v > gold_score),
                 "gold_score": gold_score,
-                "top_score": scores[best_idx] if scores else None,
+                "top_score": scores[best_idx],
                 "retrieve_s": round(retrieve_s, 4),
                 "pages_per_s": round(doc.n_pages / retrieve_s, 1),
             }

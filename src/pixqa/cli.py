@@ -63,10 +63,11 @@ def run_environment() -> dict:
 
 
 def git_revision() -> str | None:
-    """HEAD of the git checkout this package runs from; None outside a checkout or without git."""
+    """HEAD of the checkout that holds ``src/pixqa``; None without git or a checkout there (git searches no higher)."""
+    root = Path(__file__).resolve().parents[2]
     try:
-        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
-                              capture_output=True, text=True, timeout=10)
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, timeout=10,
+                              env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)})
     except (OSError, subprocess.SubprocessError):
         return None
     return done.stdout.strip() if done.returncode == 0 else None

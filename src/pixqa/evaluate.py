@@ -38,7 +38,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Document
 from .errors import NumericError
-from .model import BLOCK_ROWS, VqaModel
+from .model import BLOCK_ROWS, VqaModel, fills_block
 from .render import PatchGrid, fuse_question_page, stack_grids
 from .scorer import SelfAttentionScorer
 
@@ -129,9 +129,8 @@ def grid_stacks(
             yield hand_over(stack)
         stack.append((key, value))
         stack_shape = shape
-        full = (len(stack) + 1) * rows > max_rows
         del key, value
-        if full:
+        if fills_block(len(stack), rows, max_rows):
             yield hand_over(stack)
     if stack:
         yield hand_over(stack)
@@ -165,36 +164,27 @@ def page_features(question: str, doc: Document, model: VqaModel) -> Iterator[Ten
             yield features.pop(0)
 
 
-def retrieve(
-    n_pages: int, features: Iterable[Tensor], scorer: SelfAttentionScorer
-) -> tuple[int, Tensor, list[float]]:
-    """Score the `n_pages` features of `features`, in page order; keep the top-1.
+def retrieve(features: Iterable[Tensor], scorer: SelfAttentionScorer) -> tuple[int, Tensor, list[float]]:
+    """Score every feature of `features`, in page order; keep the top-1.
 
     Returns the best page index, its feature and every page's score. Only the
     best feature is kept while the other pages stream past, and a tie goes
-    to the lowest index. A one-page document is not scored, so its
-    score list is empty. A stream shorter or longer than `n_pages` raises
-    ValueError. Runs without autograd, the stream's own work included.
+    to the lowest index. An empty stream raises ValueError. Runs without
+    autograd, the stream's own work included.
     """
-    if n_pages < 1:
-        raise ValueError("cannot retrieve from a document without pages")
     stream = iter(features)
     best_idx, best_feature, scores = 0, None, []
     with ag.no_grad():
-        for index in range(n_pages):
-            feature = next(stream, None)
-            if feature is None:
-                raise ValueError(f"the feature stream ended after {index} of {n_pages} pages")
-            if n_pages > 1:
-                value = scorer.score_value(feature)
-                if not math.isfinite(value):
-                    raise NumericError(f"page {index} scored {value}")
-                scores.append(value)
-            if index == 0 or scores[index] > scores[best_idx]:
-                best_idx, best_feature = index, feature
+        while (feature := next(stream, None)) is not None:
+            value = scorer.score_value(feature)
+            if not math.isfinite(value):
+                raise NumericError(f"page {len(scores)} scored {value}")
+            if not scores or value > scores[best_idx]:
+                best_idx, best_feature = len(scores), feature
+            scores.append(value)
             del feature
-        if next(stream, None) is not None:
-            raise ValueError(f"the feature stream holds more than {n_pages} pages")
+    if not scores:
+        raise ValueError("cannot retrieve from a document without pages")
     return best_idx, best_feature, scores
 
 
@@ -206,7 +196,7 @@ def answer_question(
     max_answer_len: int | None = None,
 ) -> tuple[int, str]:
     """Retrieve the best page, then decode the answer from its feature alone."""
-    best, feature, _ = retrieve(doc.n_pages, page_features(question, doc, model), scorer)
+    best, feature, _ = retrieve(page_features(question, doc, model), scorer)
     return best, model.generate_answer(feature, max_answer_len)
 
 

@@ -128,19 +128,16 @@ def multi_head_attention(
     params: dict[str, Tensor],
     prefix: str,
     n_heads: int,
-    mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention with an output projection.
-
-    ``mask`` is an additive constant of shape (len_q, len_k) broadcast over
-    heads (e.g. a causal mask of -1e30 above the diagonal).
+    """Multi-head scaled dot-product attention with an output projection, unmasked.
 
     The composition of ``project_kv`` (K and V of ``kv_in``) and ``attend``
     (everything else). The decoder calls the two apart: it projects the
-    encoder feature's K/V once per answer and keeps its self-attention K/V
-    rows in a cache that grows by one row per generated token.
+    encoder feature's K/V once per answer, keeps its self-attention K/V
+    rows in a cache that grows by one row per generated token, and masks
+    its self-attention through ``attend``.
     """
-    return attend(q_in, *project_kv(kv_in, params, prefix, n_heads), params, prefix, n_heads, mask=mask)
+    return attend(q_in, *project_kv(kv_in, params, prefix, n_heads), params, prefix, n_heads)
 
 
 def attend(
@@ -153,6 +150,9 @@ def attend(
     mask: np.ndarray | None = None,
 ) -> Tensor:
     """Attention of ``q_in``'s rows over keys ``k`` and values ``v`` from ``project_kv``.
+
+    ``mask`` is an additive constant of shape (len_q, len_k) broadcast over
+    heads (the decoder's causal mask of -1e30 above the diagonal).
 
     Q is projected once; attention then runs over blocks of
     ``ATTENTION_TILE`` query rows, whose contexts are joined before the

@@ -54,6 +54,11 @@ NEG_MASK = -1e30
 BLOCK_ROWS = 512  # patch rows of the pages stacked into one encoder call, at most
 
 
+def fills_block(pages: int, rows: int, max_rows: int = BLOCK_ROWS) -> bool:
+    """Whether a stack of ``pages`` pages of ``rows`` patch rows each has no room for one more under ``max_rows``."""
+    return (pages + 1) * rows > max_rows
+
+
 class Vocab:
     """Character vocabulary with PAD/BOS/EOS bookkeeping."""
 
@@ -208,18 +213,17 @@ class VqaModel:
     def encode_grid(self, grid: PatchGrid) -> Tensor:
         """Encode a grid's pages at once.
 
-        Without autograd, a stack that fills a block (no room for one more
-        page under ``BLOCK_ROWS`` patch rows) of pages that fit one attention
-        tile is cut into contiguous parts, one per CPU at most and none under
-        a quarter of ``BLOCK_ROWS`` rows: the calling thread encodes the first
-        part and the attention pool the others (``layers.run_parts``), and
-        the parts' features are joined. Each page is computed as in a stack
-        of its own, so the feature is bit-identical to one call's.
+        Without autograd, a stack that fills a block (``fills_block``) of
+        pages that fit one attention tile is cut into contiguous parts, one
+        per CPU at most and none under a quarter of ``BLOCK_ROWS`` rows: the
+        calling thread encodes the first part and the attention pool the
+        others (``layers.run_parts``), and the parts' features are joined.
+        Each page is computed as in a stack of its own, so the feature is
+        bit-identical to one call's.
         """
         rows, pages = grid.n_patches, len(grid.patches)
-        fills_block = (pages + 1) * rows > BLOCK_ROWS  # as `evaluate.grid_stacks` cuts blocks
         n_parts = 1
-        if fills_block and rows <= ATTENTION_TILE and not ag.grad_enabled():
+        if fills_block(pages, rows) and rows <= ATTENTION_TILE and not ag.grad_enabled():
             min_pages = -(-(BLOCK_ROWS // 4) // rows)  # a part's fewest pages: ceil(BLOCK_ROWS / 4 / rows)
             n_parts = min(attention_workers(), pages // min_pages)
         if n_parts < 2:

@@ -259,20 +259,17 @@ def validation_page_accuracy(valid_set: Dataset, scorer: SelfAttentionScorer, ca
     Each question's pages come from `cache.question_pages` and are scored
     without autograd in stacks of consecutive same-shape features, grouped
     as the training stacks are; each page's score is the one it gets alone.
-    A question's first top score wins, `retrieve`'s tie rule, and a one-page
-    document is a hit without being scored. A non-finite score raises
-    NumericError naming the question and page.
+    A question's first top score wins, `retrieve`'s tie rule. A non-finite
+    score raises NumericError naming the question and page.
     """
     questions = valid_set.questions
     scores: list[list[float]] = [[] for _ in questions]
 
     def pages():
-        """((question index, page index), feature) of every page of every document with more than one page."""
+        """((question index, page index), feature) of every page of every question's document."""
         for q, sample in enumerate(questions):
-            doc = valid_set.document_for(sample)
-            if doc.n_pages > 1:
-                for i, feature in enumerate(cache.question_pages(sample, doc)):
-                    yield (q, i), feature
+            for i, feature in enumerate(cache.question_pages(sample, valid_set.document_for(sample))):
+                yield (q, i), feature
 
     with ag.no_grad():
         for keys, features in grid_stacks(pages(), BLOCK_ROWS, size=scorer.stack_size):
@@ -280,7 +277,7 @@ def validation_page_accuracy(valid_set: Dataset, scorer: SelfAttentionScorer, ca
                 if not math.isfinite(value):
                     raise NumericError(f"validation question {questions[q].question_id}: page {page_idx} scored {value}")
                 scores[q].append(value)
-    hits = sum((s.index(max(s)) if s else 0) == sample.answer_page_index for s, sample in zip(scores, questions))
+    hits = sum(s.index(max(s)) == sample.answer_page_index for s, sample in zip(scores, questions))
     return 100.0 * hits / len(questions)
 
 

@@ -111,6 +111,19 @@ class TestGen:
         monkeypatch.setattr(subprocess, "run", run)
         assert git_revision() is None
 
+    def test_git_revision_of_a_copy_installed_in_another_checkout_is_null(self, tmp_path):
+        outer = tmp_path / "outer"
+        site = outer / "venv" / "lib" / "python3" / "site-packages"
+        shutil.copytree(Path(cli.__file__).parent, site / "pixqa", ignore=shutil.ignore_patterns("__pycache__"))
+        (outer / ".gitignore").write_text("venv/\n")
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(outer)]
+        for args in (["init", "-q"], ["add", ".gitignore"], ["commit", "-q", "-m", "outer"]):
+            subprocess.run(git + args, check=True, capture_output=True)
+        env = {**os.environ, "PYTHONPATH": str(site)}
+        done = subprocess.run([sys.executable, "-c", "from pixqa.cli import git_revision; print(git_revision())"],
+                              cwd=outer, env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "None"
+
 
 class TestTraining:
     def test_stage1_outputs(self, stage1):

@@ -3,10 +3,9 @@
 ``reference_logits`` is the decoder as it was before the cache, on one
 page's (length, d_model) matrix: every layer runs over all tokens so far,
 projects the feature's cross-attention K/V again, and builds each
-one-block attention from the ops ``multi_head_attention`` used (K
-transposed twice); a query sequence longer than one tile goes through
-``multi_head_attention``'s tiled path, which ``test_layers`` holds to the
-one-block result. Teacher forcing must equal the
+one-block attention from the ops ``attend`` uses (K transposed twice); a
+query sequence longer than one tile goes through ``attend``'s tiled path,
+which ``test_layers`` holds to the one-block result. Teacher forcing must equal the
 reference bit for bit; greedy decoding must emit its tokens with logits
 within 1e-12.
 """
@@ -20,7 +19,7 @@ from pixqa import autograd as ag
 from pixqa import model as model_module
 from pixqa.autograd import Tensor
 from pixqa.errors import NumericError
-from pixqa.layers import ATTENTION_TILE, apply_layer_norm, ffn, linear, multi_head_attention
+from pixqa.layers import ATTENTION_TILE, apply_layer_norm, attend, ffn, linear, project_kv
 from pixqa.model import BOS, EOS, NEG_MASK, ModelConfig, VqaModel
 
 CFG = ModelConfig(d_model=16, n_heads=4, n_enc_layers=1, n_dec_layers=2, d_ff=32, patch_size=4,
@@ -30,7 +29,7 @@ CFG = ModelConfig(d_model=16, n_heads=4, n_enc_layers=1, n_dec_layers=2, d_ff=32
 def reference_attention(q_in, kv_in, p, prefix, n_heads, mask=None):
     len_q, d_model = q_in.shape
     if len_q > ATTENTION_TILE:
-        return multi_head_attention(q_in, kv_in, p, prefix, n_heads, mask=mask)
+        return attend(q_in, *project_kv(kv_in, p, prefix, n_heads), p, prefix, n_heads, mask=mask)
     head_dim = d_model // n_heads
 
     def split_heads(x, length):

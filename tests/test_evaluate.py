@@ -128,7 +128,7 @@ def retrieve_stub(scores):
     """retrieve() over one-page, one-entry features that hold the given scores."""
     features = [Tensor(np.full((1, 1, 1), s)) for s in scores]
     scorer = StubScorer()
-    best, feature, seen = retrieve(len(scores), features, scorer)
+    best, feature, seen = retrieve(features, scorer)
     assert feature is features[best]
     return best, seen, scorer
 
@@ -141,7 +141,7 @@ class TestTop1:
 
     def test_singleton(self):
         best, seen, scorer = retrieve_stub([0.7])
-        assert (best, seen, scorer.calls) == (0, [], 0)
+        assert (best, seen, scorer.calls) == (0, [0.7], 1)
 
     def test_strictly_increasing(self):
         assert retrieve_stub(list(np.linspace(0.1, 0.9, 7)))[0] == 6
@@ -156,21 +156,30 @@ class TestTop1:
         with pytest.raises(ValueError):
             retrieve_stub([])
 
+    @pytest.mark.parametrize("n_features", [1, 2, 4])
+    def test_scores_every_feature_a_generator_yields(self, n_features):
+        drawn = []
+
+        def stream():
+            for i in range(n_features):
+                drawn.append(i)
+                yield Tensor(np.full((1, 1, 1), 0.5 + i))
+
+        scorer = StubScorer()
+        best, _, seen = retrieve(stream(), scorer)
+        assert drawn == list(range(n_features))
+        assert (best, seen, scorer.calls) == (n_features - 1, [0.5 + i for i in range(n_features)], n_features)
+
     @pytest.mark.parametrize("position", [0, 1])
     def test_non_finite_score_raises(self, position):
         scores = [0.3, 0.6, 0.9]
         scores[position] = float("nan")
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=f"page {position} scored nan"):
             retrieve_stub(scores)
 
-    @pytest.mark.parametrize(
-        "n_pages, n_features, message",
-        [(3, 2, "ended after 2 of 3"), (3, 4, "more than 3"), (1, 0, "ended after 0 of 1"), (1, 2, "more than 1")],
-    )
-    def test_stream_of_the_wrong_length_raises(self, n_pages, n_features, message):
-        features = (Tensor(np.full((1, 1, 1), 0.5)) for _ in range(n_features))
-        with pytest.raises(ValueError, match=message):
-            retrieve(n_pages, features, StubScorer())
+    def test_non_finite_score_of_a_one_page_document_raises(self):
+        with pytest.raises(NumericError, match="page 0 scored nan"):
+            retrieve_stub([float("nan")])
 
 
 TINY_MODEL = ModelConfig(
@@ -203,14 +212,13 @@ class TestAnswerQuestion:
     def test_decodes_the_retrieved_page(self, pipeline):
         question, doc, model, scorer = pipeline
         page, answer = answer_question(question, doc, model, scorer)
-        _, _, scores = retrieve(doc.n_pages, (encode_page(question, doc, i, model) for i in range(doc.n_pages)), scorer)
+        _, _, scores = retrieve((encode_page(question, doc, i, model) for i in range(doc.n_pages)), scorer)
         assert page == scores.index(max(scores))
         assert answer == model.generate_answer(encode_page(question, doc, page, model))
 
     def test_retrieved_feature_has_no_graph(self, pipeline):
         question, doc, model, scorer = pipeline
-        _, feature, _ = retrieve(doc.n_pages,
-                                 (encode_page(question, doc, i, model) for i in range(doc.n_pages)), scorer)
+        _, feature, _ = retrieve((encode_page(question, doc, i, model) for i in range(doc.n_pages)), scorer)
         assert not feature.requires_grad
         assert feature._parents == ()
 
@@ -273,10 +281,9 @@ class TestBlockEncoding:
         model = VqaModel(TINY_MODEL)
         doc = write_document(tmp_path, [ink_page(i) for i in range(n_pages)])
         with no_grad():
-            best, _, scores = retrieve(n_pages,
-                                       (encode_page(QUESTION, doc, i, model) for i in range(n_pages)), self.scorer)
+            best, _, scores = retrieve((encode_page(QUESTION, doc, i, model) for i in range(n_pages)), self.scorer)
         assert self.encode_in_blocks(doc, model, monkeypatch) == [n_pages]  # 26 patches a page: one block
-        block_best, _, block_scores = retrieve(n_pages, page_features(QUESTION, doc, model), self.scorer)
+        block_best, _, block_scores = retrieve(page_features(QUESTION, doc, model), self.scorer)
         assert (block_best, block_scores) == (best, scores)
 
     def test_stacked_block_yields_views_of_its_buffer_without_graph(self, tmp_path, monkeypatch):
@@ -351,7 +358,7 @@ class TestBlockEncoding:
             return encode_grid(self, grid)
 
         monkeypatch.setattr(VqaModel, "encode_grid", encode)
-        best, feature, _ = retrieve(doc.n_pages, page_features(QUESTION, doc, model), scorer)
+        best, feature, _ = retrieve(page_features(QUESTION, doc, model), scorer)
         assert best == 0 and scorer.refs[0]() is feature.data
         assert freed_at_encode == [[], [False], [False, True], [False, True, True]]
 
@@ -359,7 +366,7 @@ class TestBlockEncoding:
         x, y = ink_page(1), ink_page(2)
         doc = write_document(tmp_path, [x, y, y, x, y])
         model = VqaModel(TINY_MODEL)
-        best, _, scores = retrieve(doc.n_pages, page_features(QUESTION, doc, model), self.scorer)
+        best, _, scores = retrieve(page_features(QUESTION, doc, model), self.scorer)
         assert scores[0] == scores[3] and scores[1] == scores[2] == scores[4]
         assert best == (0 if scores[0] >= scores[1] else 1)
         assert answer_question(QUESTION, doc, model, self.scorer)[0] == best

@@ -1,4 +1,4 @@
-"""Every name a `pixqa` module imports is used in that module, and so is every private helper it defines.
+"""Every name a `pixqa` module or a script imports is used in that file, and so is every private helper it defines.
 
 A local that a function only appends, adds, extends, updates or inserts into is never read, so it is not
 allowed either.
@@ -14,6 +14,7 @@ from pathlib import Path
 import pixqa
 
 SRC = Path(pixqa.__file__).parent
+FILES = [*sorted(SRC.glob("*.py")), *sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))]
 # perfbench/tests/test_helpers.py checks that its tracer rebinds `fuse_question_page` in `training` too.
 ALLOWED = {("training", "fuse_question_page")}
 
@@ -31,7 +32,7 @@ def unused_imports(source: str) -> set[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+    found = {(path.stem, name) for path in FILES if path.name != "__init__.py"
              for name in unused_imports(path.read_text())}
     assert found == ALLOWED, f"unused: {sorted(found - ALLOWED)}; allowed but no longer unused: {sorted(ALLOWED - found)}"
 
@@ -50,7 +51,7 @@ def unused_private_helpers(source: str) -> set[str]:
 
 
 def test_no_module_defines_a_private_helper_it_never_uses():
-    found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) for name in unused_private_helpers(path.read_text())}
+    found = {(path.stem, name) for path in FILES for name in unused_private_helpers(path.read_text())}
     assert not found, f"unused private helpers: {sorted(found)}"
 
 
@@ -84,7 +85,7 @@ def write_only_locals(source: str) -> set[tuple[str, str]]:
 
 
 def test_no_function_binds_a_local_it_only_writes_into():
-    found = {(path.stem, *pair) for path in sorted(SRC.glob("*.py")) for pair in write_only_locals(path.read_text())}
+    found = {(path.stem, *pair) for path in FILES for pair in write_only_locals(path.read_text())}
     assert not found, f"locals written into and never read: {sorted(found)}"
 
 

@@ -7,7 +7,7 @@ import pytest
 from pixqa import autograd as ag
 from pixqa import layers
 from pixqa.autograd import Tensor
-from pixqa.layers import ATTENTION_TILE, attention_table, init_params, multi_head_attention
+from pixqa.layers import ATTENTION_TILE, attend, attention_table, init_params, multi_head_attention, project_kv
 from pixqa.model import NEG_MASK, ModelConfig, VqaModel
 from pixqa.render import PatchGrid
 from pixqa.scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
@@ -19,14 +19,19 @@ def attention_params(seed=0) -> dict[str, Tensor]:
     return init_params(attention_table("a", D_MODEL), seed)
 
 
+def masked_attention(q_in, kv_in, params, mask) -> Tensor:
+    """Attention of ``q_in``'s rows over ``kv_in``'s under an additive ``mask``, called as the decoder calls it."""
+    return attend(q_in, *project_kv(kv_in, params, "a", N_HEADS), params, "a", N_HEADS, mask=mask)
+
+
 def run(q_in, kv_in, params, mask, grad: bool):
     """Output, then (when grad) the gradients of a fixed random projection of it."""
     for t in (q_in, kv_in, *params.values()):
         t.zero_grad()
     if not grad:
         with ag.no_grad():
-            return multi_head_attention(q_in, kv_in, params, "a", N_HEADS, mask=mask).data, {}
-    out = multi_head_attention(q_in, kv_in, params, "a", N_HEADS, mask=mask)
+            return masked_attention(q_in, kv_in, params, mask).data, {}
+    out = masked_attention(q_in, kv_in, params, mask)
     weights = np.random.default_rng(1).normal(0.0, 1.0, out.shape)
     ag.sum_axis(ag.mul(out, weights)).backward()
     named = {"q_in": q_in, "kv_in": kv_in, **params}
@@ -64,9 +69,9 @@ class TestQueryTiling:
         mask = np.triu(np.full((n, n), NEG_MASK), k=1)
         params = attention_params()
         with ag.no_grad():
-            base = multi_head_attention(Tensor(x), Tensor(x), params, "a", N_HEADS, mask=mask).data
+            base = masked_attention(Tensor(x), Tensor(x), params, mask).data
             x[-1] += 1.0
-            moved = multi_head_attention(Tensor(x), Tensor(x), params, "a", N_HEADS, mask=mask).data
+            moved = masked_attention(Tensor(x), Tensor(x), params, mask).data
         assert (base[:-1] == moved[:-1]).all()
         assert not np.allclose(base[-1], moved[-1])
 
@@ -207,8 +212,8 @@ class TestPageStacks:
         def attend(x_in: Tensor, w: np.ndarray) -> np.ndarray:
             if not grad:
                 with ag.no_grad():
-                    return multi_head_attention(x_in, x_in, params, "a", N_HEADS, mask=mask).data
-            out = multi_head_attention(x_in, x_in, params, "a", N_HEADS, mask=mask)
+                    return masked_attention(x_in, x_in, params, mask).data
+            out = masked_attention(x_in, x_in, params, mask)
             ag.sum_axis(ag.mul(out, w)).backward()
             return out.data
 

@@ -108,7 +108,7 @@ def reference_stage2(train_set, valid_set, model, scorer, cfg):
                     loss.backward()
                     losses.append(loss.data.item())
             opt.step(len(losses) - done)
-        hits = sum(retrieve(len(features), features, scorer)[0] == q.answer_page_index
+        hits = sum(retrieve(features, scorer)[0] == q.answer_page_index
                    for q, features in zip(valid_set.questions, valid_features))
         metric = 100.0 * hits / len(valid_set.questions)
         records.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "valid_page_acc": metric,
@@ -532,8 +532,7 @@ class TestTrainStage2:
         assert len(encoded_in_get) == len(set(encoded_in_get)) and set(encoded_in_get) <= set(asked)
         pages = {(q.question_id, q.doc_id, i): (q, i, page.path) for q in train.questions
                  for i, page in enumerate(train.document_for(q).pages)}
-        validated = {key for key, (q, _, _) in pages.items() if train.document_for(q).n_pages > 1}
-        held_pages = [pages[key] for key in validated | set(asked)]
+        held_pages = list(pages.values())  # validation holds every page, a one-page document's too
         assert {(q.question, path) for q, _, path in held_pages} == set(cache._store)
         assert any(cache._store[q.question, path].data.base is not None
                    for q, _, path in map(pages.get, encoded_in_get))  # a page `get` held, replaced by its block view

@@ -315,8 +315,7 @@ class TestStage2:
         )
         q = ds.questions[0]
         doc = ds.document_for(q)
-        _, _, scores = retrieve(doc.n_pages,
-                                (encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
+        _, _, scores = retrieve((encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
         pos = scores[q.answer_page_index]
         neg = scores[1 - q.answer_page_index]
         assert pos > neg
@@ -357,11 +356,10 @@ class TestStage2:
         hits, want = 0, []
         for q in mixed_valid.questions:
             doc = mixed_valid.document_for(q)
-            best, _, scores = retrieve(doc.n_pages,
-                                       (encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
+            best, _, scores = retrieve((encode_page(q.question, doc, i, model) for i in range(doc.n_pages)), scorer)
             hits += best == q.answer_page_index
             want += scores
-        assert got == want  # bit for bit, the one-page document unscored
+        assert got == want  # bit for bit, the one-page document's page included
         assert max(stacks) > 1 and len(stacks) < len(want)
         assert cached == 100.0 * hits / len(mixed_valid.questions)
 
