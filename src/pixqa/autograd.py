@@ -304,7 +304,7 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> T
     return _node(data, (q, k_t), backward)
 
 
-def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None, out: np.ndarray | None = None) -> Tensor:
+def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None) -> Tensor:
     """softmax(scale * (q @ k_t) + mask) @ v as one node, normalized after the value product.
 
     The scale is folded into q, and the exponentials E of the max-shifted
@@ -313,15 +313,14 @@ def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None, out: np.n
     2205.14135) does, so no pass divides the weights themselves. Values
     and gradients match ``matmul(attention_weights(q, k_t, scale, mask),
     v)`` to rounding, not bit for bit. ``mask`` is an additive constant
-    broadcast against the logits; it gets no gradient. ``out``, when given,
-    is that buffer: an array of the logits' shape that holds E afterwards,
-    so a caller can allocate it on one thread and fill it on another, or
-    reuse it once the result is returned without autograd. The backward
-    divides E by its row sums once to rebuild the weights.
+    broadcast against the logits; it gets no gradient. E is allocated on
+    the thread that runs the call; without autograd it is freed when the
+    call returns, and with autograd the backward holds it and divides it
+    by its row sums once to rebuild the weights.
     """
     q, k_t, v = _as_tensor(q), _as_tensor(k_t), _as_tensor(v)
     q_scaled = q.data * scale
-    e = np.matmul(q_scaled, k_t.data, out=out)
+    e = q_scaled @ k_t.data
     if mask is not None:
         e += mask
     e -= e.max(axis=-1, keepdims=True)

@@ -42,11 +42,14 @@ RUNTIME_ERROR = 1
 
 
 def run_environment() -> dict:
-    """What a run's speed depends on: numpy, its BLAS, and the CPUs the attention pool uses.
+    """What a run's speed depends on: numpy, its BLAS, the CPUs the attention pool uses, and the allocator.
 
     ``attention_workers`` bounds both kinds of pool work: the head groups of
     tiled attention, and the parts a full retrieval block of pages is
-    encoded in (``VqaModel.encode_grid``).
+    encoded in (``VqaModel.encode_grid``). Each attention tile allocates its
+    exponentials afresh, so its speed depends on whether malloc reuses the
+    freed blocks: ``libc`` names the C library and ``malloc_env`` holds the
+    ``MALLOC_*`` environment variables that tune glibc's malloc.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -59,6 +62,8 @@ def run_environment() -> dict:
         "blas": blas_name,
         "cpu_count": os.cpu_count(),
         "attention_workers": attention_workers(),
+        "libc": " ".join(filter(None, platform.libc_ver())),
+        "malloc_env": {name: value for name, value in os.environ.items() if name.startswith("MALLOC_")},
     }
 
 
@@ -413,7 +418,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             fh.write(f"{cell['sa_layers']}\t{cell['sa_heads']}\t{cell['page_accuracy_pct']:.2f}\t{cell['anls']:.4f}\n")
     _write_manifest(
         args, out_dir, seeds={"scorer": r["scorer_seed"], "train": train_cfg.seed},
-        config={"train": asdict(train_cfg), "layers": layer_grid, "heads": head_grid, "data": str(args.data)},
+        config={"train": asdict(train_cfg), "scorer": {name: r[dest] for dest, name in HEAD_FLAGS.items()},
+                "layers": layer_grid, "heads": head_grid, "data": str(args.data)},
         checkpoints={"stage1": str(ckpt_in)},
     )
     return 0

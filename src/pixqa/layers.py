@@ -85,6 +85,9 @@ def _attention_pool() -> ThreadPoolExecutor:
     First it caps glibc's malloc arenas at one, so the workers allocate from
     the main heap's free memory instead of each growing an arena of its own
     (a few MiB of peak RSS); a libc without ``mallopt`` is left as it is.
+    The tiles' exponentials depend on the cap too: each tile allocates its
+    own on the worker that runs it, and the cap lets a tile reuse the block
+    any thread's last tile freed.
     """
     try:
         ctypes.CDLL(None).mallopt(M_ARENA_MAX, 1)
@@ -173,13 +176,13 @@ def attend(
     runs the others (``run_parts``; with one group no pool is made). Every
     head's arithmetic is the same whatever the group count, so outputs and
     gradients are bit-identical across CPU counts; ``backward`` stays
-    serial. The calling thread allocates the one exp buffer and the tile
-    loops fill their heads' part of it in place (``out=``), so the groups
-    share one allocation. Without autograd it is one (..., heads, tile,
-    len_k) buffer that every tile reuses, so memory is O(heads * tile *
-    len_k) per sequence, not O(heads * len_q * len_k); with autograd it is
-    (..., heads, len_q, len_k) and each tile keeps its own rows, which the
-    graph holds anyway.
+    serial. Each tile allocates its exponentials, (..., group, tile, len_k),
+    on the thread that runs it, and a group's tile contexts are joined along
+    the rows, then the groups along the heads. Without autograd a tile's
+    exponentials are freed before the group's next tile, so memory is
+    O(heads * tile * len_k) per sequence, not O(heads * len_q * len_k);
+    with autograd the graph holds every tile's, (..., heads, len_q, len_k)
+    in all.
     The same pool encodes the parts of a full block of pages
     (``VqaModel.encode_grid``). Three rules keep the workers safe, for head
     groups and block parts alike: they call only ``ag`` ops (a block part
@@ -198,40 +201,28 @@ def attend(
     swap = (*range(n), n + 1, n, n + 2)  # (..., rows, heads, head_dim) <-> (..., heads, rows, head_dim)
 
     def merge_heads(x: Tensor) -> Tensor:
-        return ag.reshape(ag.transpose(x, swap), (*lead, x.shape[-2], d_model))
+        return ag.reshape(ag.transpose(x, swap), (*lead, len_q, d_model))
 
     q = ag.transpose(ag.reshape(linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), (*lead, len_q, n_heads, head_dim)), swap)
     k_t = ag.transpose(k, (*range(n), n + 1, n + 2, n))
     v = ag.transpose(v, swap)
 
     if len_q <= ATTENTION_TILE:
-        return linear(merge_heads(ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)),
-                      p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    len_k = k_t.shape[-1]
+        context = ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
+    else:
+        tiles = [slice(start, start + ATTENTION_TILE) for start in range(0, len_q, ATTENTION_TILE)]
 
-    starts = range(0, len_q, ATTENTION_TILE)
-    keep = q.requires_grad or k_t.requires_grad or v.requires_grad  # the graph will hold every tile's exponentials
+        def group_context(q_g: Tensor, k_g: Tensor, v_g: Tensor) -> Tensor:
+            """One head group's context, (..., group, len_q, head_dim), joined from its tiles; runs on a worker."""
+            return ag.concat_rows([ag.attention(ag.take_rows(q_g, np.s_[..., rows, :]), k_g, v_g, scale,
+                                                None if mask is None else mask[rows]) for rows in tiles], axis=-2)
 
-    def group_tiles(q_g: Tensor, k_g: Tensor, v_g: Tensor, buf: np.ndarray) -> list[Tensor]:
-        """One head group's tile contexts, (..., group, tile, head_dim) each; runs on a worker."""
-        tiles = []
-        for start in starts:
-            stop = min(start + ATTENTION_TILE, len_q)
-            out = buf[..., start:stop, :] if keep else buf[..., : stop - start, :]
-            q_tile = ag.take_rows(q_g, np.s_[..., start:stop, :])
-            tiles.append(ag.attention(q_tile, k_g, v_g, scale, None if mask is None else mask[start:stop], out=out))
-        return tiles
-
-    # A head group takes views (slices of the head axis) of Q, K, V and the one exp buffer.
-    groups = [np.s_[..., h[0]:h[-1] + 1, :, :]
-              for h in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
-    buf = np.empty((*lead, n_heads, len_q if keep else ATTENTION_TILE, len_k))
-    jobs = [(ag.take_rows(q, heads), ag.take_rows(k_t, heads), ag.take_rows(v, heads), buf[heads]) for heads in groups]
-    per_group = run_parts(group_tiles, jobs)
-    del buf, jobs  # without autograd nothing else holds the buffer: free it before the joins
-    context = ag.concat_rows([merge_heads(ag.concat_rows(list(parts), axis=-3)) for parts in zip(*per_group)],
-                             axis=-2)
-    return linear(context, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+        # A head group takes views (slices of the head axis) of Q, K and V.
+        groups = [np.s_[..., h[0]:h[-1] + 1, :, :]
+                  for h in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
+        jobs = [(ag.take_rows(q, heads), ag.take_rows(k_t, heads), ag.take_rows(v, heads)) for heads in groups]
+        context = ag.concat_rows(run_parts(group_context, jobs), axis=-3)
+    return linear(merge_heads(context), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def ffn_table(prefix: str, d_model: int, d_ff: int) -> list[ParamEntry]:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import platform
 import re
 import shutil
 import string
@@ -90,13 +91,18 @@ class TestGen:
         assert manifest["config"]["synth"]["n_documents"] == 4
         assert manifest["seeds"] == {"corpus": 3}
 
-    def test_manifest_records_environment(self, corpus):
+    def test_manifest_records_environment(self, corpus, monkeypatch):
         manifest = json.loads((corpus / "manifest.json").read_text())
         env = manifest["environment"]
         assert env["numpy"] == np.__version__
         assert isinstance(env["blas"], str) and env["blas"]
         assert env["cpu_count"] == os.cpu_count()
         assert env["attention_workers"] == attention_workers() >= 1
+        assert env["libc"] == " ".join(part for part in platform.libc_ver() if part)
+        assert env["malloc_env"] == {name: os.environ[name] for name in os.environ if name.startswith("MALLOC_")}
+        monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "131072")
+        monkeypatch.setenv("PIXQA_NOT_MALLOC", "1")
+        assert cli.run_environment()["malloc_env"] == {**env["malloc_env"], "MALLOC_MMAP_THRESHOLD_": "131072"}
         assert isinstance(manifest["elapsed_s"], float) and 0.0 < manifest["elapsed_s"] < 600.0
         assert manifest["git_revision"] == git_revision()
         assert manifest["git_revision"] is None or re.fullmatch(r"[0-9a-f]{40}", manifest["git_revision"])
@@ -738,6 +744,18 @@ class TestSweepGrid:
         assert len(loads) == 1
         cells = json.loads((out / "sweep.json").read_text())
         assert [(c["sa_layers"], c["sa_heads"]) for c in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_manifest_records_the_head_settings_of_a_config_file(self, corpus, stage1, tmp_path):
+        """The scorer head settings every cell trained with, given only through --config, are in the manifest."""
+        cfg_file = tmp_path / "head.json"
+        cfg_file.write_text(json.dumps({"aggregation": "avgpool", "dropout": 0.3}))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(corpus), "--checkpoint", str(stage1[0]), "--out", str(out),
+                   "--layers", "1", "--heads", "2", "--epochs", "1", "--batch-size", "4", "--config", str(cfg_file)])
+        assert rc == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["scorer"] == {"aggregation": "avgpool", "dropout_p": 0.3}
+        assert (config["layers"], config["heads"]) == ([1], [2])
 
     def test_cells_share_one_feature_cache(self, monkeypatch, corpus, stage1, tmp_path):
         """The frozen model's page features are encoded once for the whole sweep, not once per cell."""

@@ -1,7 +1,7 @@
 """Every name a `pixqa` module or a script imports is used in that file, and so is every private helper it defines.
 
-A local that a function only appends, adds, extends, updates or inserts into is never read, so it is not
-allowed either.
+A local that a function never reads, or only appends, adds, extends, updates or inserts into, is not allowed
+either.
 
 No linter runs on this repository, so these stdlib-`ast` checks stand in
 for one. ``__init__.py`` is skipped by the import check: its imports are
@@ -94,3 +94,47 @@ def test_the_check_finds_a_write_only_local():
               "    for r in rows:\n        kept.append(r)\n        seen.add(r)\n        order.insert(0, r)\n"
               "        shared.extend(rows)\n    def g():\n        return shared\n    return len(seen), g\n")
     assert write_only_locals(source) == {("f", "kept"), ("f", "order")}
+
+
+def own_scope(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.AST]:
+    """The nodes of ``func``'s body, leaving out the bodies of the functions, lambdas and classes nested in it."""
+    nodes, stack = [], list(func.body)
+    while stack:
+        nodes.append(node := stack.pop())
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def unread_locals(source: str) -> set[tuple[str, str]]:
+    """(function, name) for each local a function binds and never reads.
+
+    A binding is an ``=``, annotated or augmented assignment, or ``:=``; a read anywhere in the function or
+    a function nested in it counts. ``_``, the names a tuple unpacks
+    into, ``for`` targets and names declared ``global`` or ``nonlocal`` are exempt.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = own_scope(func)
+        targets = [target for node in nodes if isinstance(node, ast.Assign) for target in node.targets]
+        targets += [node.target for node in nodes if isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr))]
+        bound = {target.id for target in targets if isinstance(target, ast.Name)}
+        declared = {name for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+        read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found |= {(func.name, name) for name in bound - read - declared - {"_"}}
+    return found
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    found = {(path.stem, *pair) for path in FILES for pair in unread_locals(path.read_text())}
+    assert not found, f"locals bound and never read: {sorted(found)}"
+
+
+def test_the_check_finds_an_unread_local():
+    source = ("def f(k_t, rows):\n    len_k = k_t.shape[-1]\n    total: int = 0\n    count = 0\n    count += 1\n"
+              "    if (n := len(rows)) > 1:\n        pass\n    _ = rows\n    head, tail = rows\n"
+              "    for r in rows:\n        pass\n    kept = 1\n    def g():\n        nonlocal total\n"
+              "        total = kept\n        inner = 2\n    return g, total\n")
+    assert unread_locals(source) == {("f", "len_k"), ("f", "count"), ("f", "n"), ("g", "inner")}

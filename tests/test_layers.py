@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,7 +165,31 @@ class TestHeadGroups:
         assert np.array_equal(features[0], features[1])
 
 
-def weights_then_value_product(q, k_t, v, scale, mask=None, out=None):
+class TestTileMemory:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_grad_peak_stays_within_two_tiles_of_exponentials(self, monkeypatch, workers):
+        """Without autograd a tile's exponentials are freed before its group's next tile allocates its own.
+
+        One tile's exponentials for all heads, 8 x 64 x 1024 doubles, are 4 MiB, and the rest of the call
+        (Q, K, V, the contexts and the projections) holds about 3 MiB, so a tile that outlives the next one
+        breaks the bound of two tiles' exponentials.
+        """
+        d_model, n_heads, rows = 96, 8, 1024
+        force_workers(monkeypatch, workers)
+        params = init_params(attention_table("a", d_model), 0)
+        x = Tensor(np.random.default_rng(0).normal(0.0, 1.0, (rows, d_model)))
+        with ag.no_grad():
+            multi_head_attention(x, x, params, "a", n_heads)  # the pool's threads start before the trace
+            tracemalloc.start()
+            try:
+                multi_head_attention(x, x, params, "a", n_heads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * n_heads * ATTENTION_TILE * rows * 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+def weights_then_value_product(q, k_t, v, scale, mask=None):
     """A tile computed unfused: the softmax weights, then their product with v."""
     return ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
 
