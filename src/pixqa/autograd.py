@@ -3,12 +3,13 @@
 Just enough machinery for a small transformer: ``add`` and ``mul``
 (``Tensor`` spells them ``+`` and unary ``-``), (batched) ``matmul``, the
 fused affine map ``linear`` (x @ w + b), ``reshape``, ``transpose``,
-``sum_axis``, ``relu``, ``sigmoid``, fused ``attention_weights`` (scaled,
-masked, max-shifted softmax of q @ k_t) and ``attention`` (those weights
-times v, normalized after the value product), a stable ``log_softmax_last``,
-layer-norm standardization ``normalize_last``, row gathers ``take_rows``
-and ``concat_rows``. Everything is double precision; gradients are
-validated against central finite differences in the test suite.
+``contiguous``, ``sum_axis``, ``relu``, ``sigmoid``, fused
+``attention_weights`` (scaled, masked, max-shifted softmax of q @ k_t) and
+``attention`` (those weights times v, normalized after the value product),
+a stable ``log_softmax_last``, layer-norm standardization
+``normalize_last``, row gathers ``take_rows`` and ``concat_rows``.
+Everything is double precision; gradients are validated against central
+finite differences in the test suite.
 
 Inside a ``no_grad()`` block (or when no input requires gradients) the same
 ops run as plain numpy with no graph recorded, which is the evaluation path.
@@ -26,6 +27,9 @@ from contextlib import contextmanager
 import numpy as np
 
 _grad_enabled: bool = True
+# The largest logit magnitude ``attention`` exponentiates without a max shift: exp(300) is about 1.9e130,
+# far inside float64's range (exp(709)), so row sums and value products of such terms stay finite.
+EXP_BOUND = 300.0
 
 
 @contextmanager
@@ -239,6 +243,16 @@ def transpose(a, axes) -> Tensor:
     return _node(data, (a,), backward)
 
 
+def contiguous(a) -> Tensor:
+    """A C-contiguous copy of ``a`` (its own array if it already is one); the gradient passes straight through."""
+    a = _as_tensor(a)
+
+    def backward(g):
+        _accum(a, g)
+
+    return _node(np.ascontiguousarray(a.data), (a,), backward)
+
+
 def sum_axis(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -253,11 +267,11 @@ def sum_axis(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        _accum(a, g * mask)
+        # data > 0 exactly where a > 0 (NaN and signed zeros included), so no graph-free call builds the mask.
+        _accum(a, g * (data > 0))
 
     return _node(data, (a,), backward)
 
@@ -307,23 +321,38 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> T
 def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None) -> Tensor:
     """softmax(scale * (q @ k_t) + mask) @ v as one node, normalized after the value product.
 
-    The scale is folded into q, and the exponentials E of the max-shifted
-    logits are computed in place in one (..., len_q, len_k) buffer; the
-    result is (E @ v) divided by E's row sums, as FlashAttention (arXiv
-    2205.14135) does, so no pass divides the weights themselves. Values
-    and gradients match ``matmul(attention_weights(q, k_t, scale, mask),
-    v)`` to rounding, not bit for bit. ``mask`` is an additive constant
+    The scale is folded into q, and the exponentials E of the logits are
+    computed in place in one (..., len_q, len_k) buffer; the result is
+    (E @ v) divided by E's row sums, as FlashAttention (arXiv 2205.14135)
+    does, so no pass divides the weights themselves. Values and gradients
+    match ``matmul(attention_weights(q, k_t, scale, mask), v)`` to rounding,
+    not bit for bit. ``mask``, (..., len_q, len_k), is an additive constant
     broadcast against the logits; it gets no gradient. E is allocated on
     the thread that runs the call; without autograd it is freed when the
-    call returns, and with autograd the backward holds it and divides it
-    by its row sums once to rebuild the weights.
+    call returns, and with autograd the backward holds it and divides it by
+    its row sums once to rebuild the weights.
+
+    E holds the unshifted exponentials wherever a bound proves them safe,
+    which saves a row max and a shift pass over it. By Hölder's inequality
+    every logit of an item (one matrix of the leading axes) is at most
+    B = max_i ||scale * q_i||_1 * max|k_t| in magnitude; a mask moves each
+    row's largest logit by at most its largest entry, so B grows by the
+    largest magnitude of the mask's row maxima. Where B <= ``EXP_BOUND``,
+    no exponential overflows and each row's largest is at least exp(-B),
+    so no row sum is zero or infinite. An item over the bound, or whose
+    bound is not finite, keeps the per-row max shift. The choice is made
+    item by item, so a stack computes each item as it would alone.
     """
     q, k_t, v = _as_tensor(q), _as_tensor(k_t), _as_tensor(v)
     q_scaled = q.data * scale
+    bound = np.abs(q_scaled).sum(axis=-1).max(axis=-1) * np.abs(k_t.data).max(axis=(-2, -1))
     e = q_scaled @ k_t.data
     if mask is not None:
         e += mask
-    e -= e.max(axis=-1, keepdims=True)
+        bound = bound + np.abs(mask.max(axis=-1)).max(axis=-1)
+    safe = bound <= EXP_BOUND
+    if not safe.all():
+        e -= np.where(safe[..., None, None], 0.0, e.max(axis=-1, keepdims=True))
     np.exp(e, out=e)
     sums = e.sum(axis=-1, keepdims=True)
     data = e @ v.data

@@ -41,15 +41,45 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
+CPUINFO = Path("/proc/cpuinfo")
+CPU0_CACHES = Path("/sys/devices/system/cpu/cpu0/cache")
+
+
+def cpu_model() -> str | None:
+    """The first ``model name`` in ``CPUINFO``, else ``platform.processor()``, else None."""
+    try:
+        with CPUINFO.open() as lines:
+            for line in lines:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def l2_cache() -> str | None:
+    """The size of cpu0's level-2 cache as sysfs gives it (such as ``"2048K"``), or None where it cannot be read."""
+    for index in sorted(CPU0_CACHES.glob("index*")):
+        try:
+            if (index / "level").read_text().strip() == "2":
+                return (index / "size").read_text().strip() or None
+        except OSError:
+            pass
+    return None
+
+
 def run_environment() -> dict:
-    """What a run's speed depends on: numpy, its BLAS, the CPUs the attention pool uses, and the allocator.
+    """What a run's speed depends on: numpy, its BLAS, the CPUs, their L2 cache, and the allocator.
 
     ``attention_workers`` bounds both kinds of pool work: the head groups of
     tiled attention, and the parts a full retrieval block of pages is
-    encoded in (``VqaModel.encode_grid``). Each attention tile allocates its
-    exponentials afresh, so its speed depends on whether malloc reuses the
-    freed blocks: ``libc`` names the C library and ``malloc_env`` holds the
-    ``MALLOC_*`` environment variables that tune glibc's malloc.
+    encoded in (``VqaModel.encode_grid``). A tile runs one head at a time,
+    so its speed depends on whether that head's exponentials (a MiB at 2048
+    keys) fit in ``l2_cache``. Each attention tile allocates its
+    exponentials afresh, so its speed also depends on whether malloc reuses
+    the freed blocks: ``libc`` names the C library and ``malloc_env`` holds
+    the ``MALLOC_*`` environment variables that tune glibc's malloc.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -60,6 +90,8 @@ def run_environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas_name,
+        "cpu_model": cpu_model(),
+        "l2_cache": l2_cache(),
         "cpu_count": os.cpu_count(),
         "attention_workers": attention_workers(),
         "libc": " ".join(filter(None, platform.libc_ver())),

@@ -163,6 +163,19 @@ def reference_attention(q, k_t, v, scale, mask=None) -> Tensor:
     return ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
 
 
+def holder_bound(q: np.ndarray, k_t: np.ndarray, scale: float) -> float:
+    """The largest logit magnitude Hölder's inequality allows: max row 1-norm of scale * q times max |k_t|."""
+    return np.abs(scale * q).sum(axis=-1).max() * np.abs(k_t).max()
+
+
+def attend_and_backward(op, data, scale, mask, g) -> list[np.ndarray]:
+    """``op``'s output on fresh leaves holding ``data``, then the leaves' gradients of sum(out * g)."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in data]
+    out = op(*leaves, scale, mask)
+    ag.sum_axis(ag.mul(out, g)).backward()
+    return [out.data, *(t.grad for t in leaves)]
+
+
 class TestAttention:
     """``ag.attention``: the softmax normalized after the value product, one node."""
 
@@ -174,20 +187,46 @@ class TestAttention:
     @pytest.mark.parametrize("rows", [1, 6])
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_weights_then_value_product(self, masked, rows):
-        """Values and gradients within 1e-12 of ``matmul(attention_weights(...), v)``."""
+        """Values and gradients within 1e-12 of ``matmul(attention_weights(...), v)``, from unshifted exponentials."""
         shapes, scale = ((2, 3, rows, 5), (2, 3, 5, 9), (2, 3, 9, 5)), 1.0 / np.sqrt(5)
         mask = causal(9)[9 - rows:] if masked else None
         data = [rng.normal(0.0, 2.0, shape) for shape in shapes]
         g = rng.normal(0.0, 1.0, (2, 3, rows, 5))
+        assert holder_bound(*data[:2], scale) <= ag.EXP_BOUND  # and each causal mask row's largest entry is 0
 
-        def run(op):
-            leaves = [Tensor(x.copy(), requires_grad=True) for x in data]
-            out = op(*leaves, scale, mask)
-            ag.sum_axis(ag.mul(out, g)).backward()
-            return [out.data, *(t.grad for t in leaves)]
-
-        for got, want in zip(run(ag.attention), run(reference_attention)):
+        for got, want in zip(attend_and_backward(ag.attention, data, scale, mask, g),
+                             attend_and_backward(reference_attention, data, scale, mask, g)):
             assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_logits_past_the_bound_keep_the_max_shift(self, masked):
+        """Logits of about +-1000, where unshifted exponentials overflow, still match the unfused composition."""
+        shapes, scale = ((2, 3, 6, 5), (2, 3, 5, 9), (2, 3, 9, 5)), 1.0 / np.sqrt(5)
+        mask = causal(9)[3:] if masked else None
+        q, k_t, v = (rng.normal(0.0, 1.0, shape) for shape in shapes)
+        q *= 1000.0 / np.abs(scale * q @ k_t).max()
+        g = rng.normal(0.0, 1.0, (2, 3, 6, 5))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(scale * q @ k_t)).any()
+
+        got = attend_and_backward(ag.attention, [q, k_t, v], scale, mask, g)
+        want = attend_and_backward(reference_attention, [q, k_t, v], scale, mask, g)
+        for a, b in zip(got, want):
+            assert np.isfinite(a).all()
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+    def test_a_stack_chooses_the_shift_item_by_item(self):
+        """An item under the bound and one over it, stacked, give each item's values and gradients alone."""
+        shapes, scale = ((2, 6, 5), (2, 5, 9), (2, 9, 5)), 0.5
+        q, k_t, v = (rng.normal(0.0, 1.0, shape) for shape in shapes)
+        k_t[1] *= 1000.0
+        g = rng.normal(0.0, 1.0, (2, 6, 5))
+        assert holder_bound(q[0], k_t[0], scale) <= ag.EXP_BOUND < holder_bound(q[1], k_t[1], scale)
+
+        stacked = attend_and_backward(ag.attention, [q, k_t, v], scale, None, g)
+        for i in range(2):
+            alone = attend_and_backward(ag.attention, [q[i], k_t[i], v[i]], scale, None, g[i])
+            assert all(np.array_equal(a[i], b) for a, b in zip(stacked, alone))
 
     def test_stable_for_large_logits(self):
         q = Tensor(np.array([[1e3, 0.0]]))

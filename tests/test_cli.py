@@ -97,6 +97,9 @@ class TestGen:
         assert env["numpy"] == np.__version__
         assert isinstance(env["blas"], str) and env["blas"]
         assert env["cpu_count"] == os.cpu_count()
+        assert env["cpu_model"] == cli.cpu_model() and (env["cpu_model"] is None or env["cpu_model"])
+        assert env["l2_cache"] == cli.l2_cache()
+        assert env["l2_cache"] is None or re.fullmatch(r"\d+[KMG]", env["l2_cache"])
         assert env["attention_workers"] == attention_workers() >= 1
         assert env["libc"] == " ".join(part for part in platform.libc_ver() if part)
         assert env["malloc_env"] == {name: os.environ[name] for name in os.environ if name.startswith("MALLOC_")}
@@ -106,6 +109,23 @@ class TestGen:
         assert isinstance(manifest["elapsed_s"], float) and 0.0 < manifest["elapsed_s"] < 600.0
         assert manifest["git_revision"] == git_revision()
         assert manifest["git_revision"] is None or re.fullmatch(r"[0-9a-f]{40}", manifest["git_revision"])
+
+    def test_cpu_model_and_l2_cache_fall_back(self, tmp_path, monkeypatch):
+        cpuinfo, caches = tmp_path / "cpuinfo", tmp_path / "cache"
+        cpuinfo.write_text("processor\t: 0\nmodel name\t: Test CPU @ 2.0GHz\n\nprocessor\t: 1\nmodel name\t: Other\n")
+        for index, (level, size) in enumerate([("1", "48K"), ("1", "32K"), ("2", "2048K"), ("3", "105M")]):
+            (caches / f"index{index}").mkdir(parents=True)
+            (caches / f"index{index}" / "level").write_text(level + "\n")
+            (caches / f"index{index}" / "size").write_text(size + "\n")
+        monkeypatch.setattr(cli, "CPUINFO", cpuinfo)
+        monkeypatch.setattr(cli, "CPU0_CACHES", caches)
+        assert (cli.cpu_model(), cli.l2_cache()) == ("Test CPU @ 2.0GHz", "2048K")
+        monkeypatch.setattr(cli, "CPUINFO", tmp_path / "missing")
+        monkeypatch.setattr(cli, "CPU0_CACHES", tmp_path / "missing")
+        monkeypatch.setattr(platform, "processor", lambda: "x86_64")
+        assert (cli.cpu_model(), cli.l2_cache()) == ("x86_64", None)
+        monkeypatch.setattr(platform, "processor", lambda: "")
+        assert cli.cpu_model() is None
 
     @pytest.mark.parametrize("failure", ["no-git", "not-a-checkout"])
     def test_git_revision_is_null_outside_a_checkout(self, monkeypatch, failure):

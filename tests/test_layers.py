@@ -256,6 +256,22 @@ class TestPageStacks:
             assert np.array_equal(params[name].grad, g), name
 
 
+class TestKeyBias:
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("n", [39, 150], ids=["one-block", "tiled"])
+    def test_key_bias_gradient_is_zero_to_rounding(self, causal, n):
+        """q . bk adds one constant to a query's every logit, which the softmax cancels: bk's exact gradient is 0."""
+        r = np.random.default_rng(16)
+        x = Tensor(r.normal(0.0, 1.0, (n, D_MODEL)), requires_grad=True)
+        params = attention_params()
+        for name in ("a.bq", "a.bk"):
+            params[name].data = r.normal(0.0, 0.5, D_MODEL)
+        mask = np.triu(np.full((n, n), NEG_MASK), k=1) if causal else None
+        _, grads = run(x, x, params, mask, grad=True)
+        assert np.abs(grads["a.bq"]).max() > 1.0
+        assert np.abs(grads["a.bk"]).max() <= 1e-12 * np.abs(grads["a.bq"]).max()
+
+
 SMALL = ModelConfig(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=3, d_ff=32, patch_size=4,
                     max_patches=16, vocab_chars="abcdef", max_answer_len=5, seed=1)
 SCORER_1_LAYER = "8f9f45df2c146db1ceb22d3995fd1b76a275a5594499367c5306177693a0a487"

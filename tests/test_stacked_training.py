@@ -342,8 +342,14 @@ class TestTrainStage1:
         (got,), (want,) = without_time(history.records), reference_stage1(train, valid, want_model, cfg)
         assert abs(got.pop("train_loss") - want.pop("train_loss")) <= 1e-12
         assert got == want
+        # A key bias's exact gradient is zero (tests/test_layers.py::TestKeyBias), so Adam moves it only by
+        # rounding noise scaled up by about lr / eps: both runs keep it near its initial zero, not within
+        # 1e-12 of each other.
         for name, p in model.params.items():
-            assert np.allclose(p.data, want_model.params[name].data, rtol=0.0, atol=1e-12), name
+            if name.endswith(".bk"):
+                assert np.abs(p.data).max() <= 1e-10 and np.abs(want_model.params[name].data).max() <= 1e-10, name
+            else:
+                assert np.allclose(p.data, want_model.params[name].data, rtol=0.0, atol=1e-12), name
 
     def test_epoch_s_in_every_record_and_log_line(self, mixed_corpus, small_model_params):
         train, valid = mixed_corpus
