@@ -3,11 +3,12 @@
 Just enough machinery for a small transformer: ``add`` and ``mul``
 (``Tensor`` spells them ``+`` and unary ``-``), (batched) ``matmul``, the
 fused affine map ``linear`` (x @ w + b), ``reshape``, ``transpose``,
-``contiguous``, ``sum_axis``, ``relu``, ``sigmoid``, fused
-``attention_weights`` (scaled, masked, max-shifted softmax of q @ k_t) and
-``attention`` (those weights times v, normalized after the value product),
-a stable ``log_softmax_last``, layer-norm standardization
-``normalize_last``, row gathers ``take_rows`` and ``concat_rows``.
+``sum_axis``, ``relu``, ``sigmoid``, fused ``attention_weights`` (scaled,
+masked, max-shifted softmax of q @ k_t) and ``attention`` (those weights
+times v, normalized after the value product; it runs item by item, over
+tiles of ``ATTENTION_TILE`` query rows), a stable ``log_softmax_last``,
+layer-norm standardization ``normalize_last``, row gathers ``take_rows``
+and ``concat_rows``.
 Everything is double precision; gradients are validated against central
 finite differences in the test suite.
 
@@ -30,6 +31,7 @@ _grad_enabled: bool = True
 # The largest logit magnitude ``attention`` exponentiates without a max shift: exp(300) is about 1.9e130,
 # far inside float64's range (exp(709)), so row sums and value products of such terms stay finite.
 EXP_BOUND = 300.0
+ATTENTION_TILE = 64  # query rows per tile of ``attention``
 
 
 @contextmanager
@@ -108,13 +110,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` records a graph: autograd is on and a parent requires grad."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """An op's output, with a graph only if a parent requires grad.
 
     So a tensor without ``requires_grad`` is a constant, and no backward pass computes its gradient.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -243,16 +250,6 @@ def transpose(a, axes) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def contiguous(a) -> Tensor:
-    """A C-contiguous copy of ``a`` (its own array if it already is one); the gradient passes straight through."""
-    a = _as_tensor(a)
-
-    def backward(g):
-        _accum(a, g)
-
-    return _node(np.ascontiguousarray(a.data), (a,), backward)
-
-
 def sum_axis(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -319,58 +316,78 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> T
 
 
 def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(scale * (q @ k_t) + mask) @ v as one node, normalized after the value product.
+    """softmax(scale * (q @ k_t) + mask) @ v as one node, tiled over query rows, normalized after the value product.
 
-    The scale is folded into q, and the exponentials E of the logits are
-    computed in place in one (..., len_q, len_k) buffer; the result is
-    (E @ v) divided by E's row sums, as FlashAttention (arXiv 2205.14135)
-    does, so no pass divides the weights themselves. Values and gradients
-    match ``matmul(attention_weights(q, k_t, scale, mask), v)`` to rounding,
-    not bit for bit. ``mask``, (..., len_q, len_k), is an additive constant
-    broadcast against the logits; it gets no gradient. E is allocated on
-    the thread that runs the call; without autograd it is freed when the
-    call returns, and with autograd the backward holds it and divides it by
-    its row sums once to rebuild the weights.
+    Each item (one matrix of the shared leading axes: one head of one
+    page) runs alone, as it would outside a stack: its K^T and V are
+    copied once into C-contiguous arrays, and its query rows run in tiles
+    of ``ATTENTION_TILE``. A tile folds the scale into its queries and
+    computes the exponentials E of its logits in place in one (tile,
+    len_k) buffer; its rows are E @ v divided by E's row sums, as in
+    FlashAttention (arXiv 2205.14135). An output row depends only on its
+    query row, and every tile sees all keys, so tiling is exact. Values
+    and gradients match ``matmul(attention_weights(q, k_t, scale, mask),
+    v)`` to rounding, not bit for bit. ``mask``, (len_q, len_k), is an
+    additive constant shared by every item; it gets no gradient.
 
-    E holds the unshifted exponentials wherever a bound proves them safe,
-    which saves a row max and a shift pass over it. By Hölder's inequality
-    every logit of an item (one matrix of the leading axes) is at most
-    B = max_i ||scale * q_i||_1 * max|k_t| in magnitude; a mask moves each
-    row's largest logit by at most its largest entry, so B grows by the
-    largest magnitude of the mask's row maxima. Where B <= ``EXP_BOUND``,
-    no exponential overflows and each row's largest is at least exp(-B),
-    so no row sum is zero or infinite. An item over the bound, or whose
-    bound is not finite, keeps the per-row max shift. The choice is made
-    item by item, so a stack computes each item as it would alone.
+    E is unshifted wherever a bound proves it safe, which saves a row max
+    and a shift pass. By Hölder's inequality each logit of query row i is
+    at most ||scale * q_i||_1 * max|k_t| in magnitude (max|k_t| found once
+    per item), and a mask moves the row's largest logit by at most the
+    magnitude of its largest entry, so their sum B_i bounds the row. Where
+    a tile's largest B_i is at most ``EXP_BOUND``, no exponential overflows
+    and each row's largest is at least exp(-B_i), so no row sum is zero or
+    infinite; a tile over the bound, or whose bound is not finite, keeps
+    the per-row max shift.
+
+    Without autograd each tile's E is freed before the next tile allocates
+    its own. With autograd every tile's E and row sums are kept, and the
+    backward walks the tiles, dividing each E by its sums to rebuild the
+    weights.
     """
     q, k_t, v = _as_tensor(q), _as_tensor(k_t), _as_tensor(v)
-    q_scaled = q.data * scale
-    bound = np.abs(q_scaled).sum(axis=-1).max(axis=-1) * np.abs(k_t.data).max(axis=(-2, -1))
-    e = q_scaled @ k_t.data
-    if mask is not None:
-        e += mask
-        bound = bound + np.abs(mask.max(axis=-1)).max(axis=-1)
-    safe = bound <= EXP_BOUND
-    if not safe.all():
-        e -= np.where(safe[..., None, None], 0.0, e.max(axis=-1, keepdims=True))
-    np.exp(e, out=e)
-    sums = e.sum(axis=-1, keepdims=True)
-    data = e @ v.data
-    data /= sums
+    *lead, len_q, _ = q.shape
+    tiles = [slice(start, start + ATTENTION_TILE) for start in range(0, len_q, ATTENTION_TILE)]
+    record = _records((q, k_t, v))
+    kept = []  # with a graph: each tile's (item, rows, E, E's row sums)
+    data = np.empty((*lead, len_q, v.shape[-1]))
+    mask_bounds = 0.0 if mask is None else np.abs(mask.max(axis=-1))
+    for item in np.ndindex(*lead):
+        q_item = q.data[item] * scale
+        k_item, v_item = np.ascontiguousarray(k_t.data[item]), np.ascontiguousarray(v.data[item])
+        bounds = np.abs(q_item).sum(axis=-1) * np.abs(k_item).max() + mask_bounds
+        for rows in tiles:
+            e = q_item[rows] @ k_item
+            if mask is not None:
+                e += mask[rows]
+            if not bounds[rows].max() <= EXP_BOUND:
+                e -= e.max(axis=-1, keepdims=True)
+            np.exp(e, out=e)
+            sums = e.sum(axis=-1, keepdims=True)
+            np.divide(e @ v_item, sums, out=data[item][rows])
+            if record:
+                kept.append((item, rows, e, sums))
+            del e  # without a graph, this tile's E is freed before the next tile allocates its own
 
     def backward(g):
-        weights = e / sums
-        if v.requires_grad:
-            _accum(v, _product(np.swapaxes(weights, -1, -2), g))
-        if q.requires_grad or k_t.requires_grad:
-            # The logits' gradient: the softmax backward of the weights' gradient g @ v^T.
-            gl = _product(g, np.swapaxes(v.data, -1, -2))
-            gl -= (gl * weights).sum(axis=-1, keepdims=True)
-            gl *= weights
-            if q.requires_grad:
-                _accum(q, _product(gl, np.swapaxes(k_t.data, -1, -2)) * scale)
-            if k_t.requires_grad:
-                _accum(k_t, _product(np.swapaxes(q_scaled, -1, -2), gl))
+        g_q, g_k, g_v = grads = [np.zeros(t.shape) if t.requires_grad else None for t in (q, k_t, v)]
+        for item, rows, e, sums in kept:
+            weights = e / sums
+            g_tile = g[item][rows]
+            if g_v is not None:
+                g_v[item] += _product(weights.T, g_tile)
+            if g_q is not None or g_k is not None:
+                # The logits' gradient: the softmax backward of the weights' gradient g @ v^T.
+                gl = _product(g_tile, v.data[item].T)
+                gl -= (gl * weights).sum(axis=-1, keepdims=True)
+                gl *= weights
+                if g_q is not None:
+                    g_q[item][rows] = _product(gl, k_t.data[item].T) * scale
+                if g_k is not None:
+                    g_k[item] += _product((q.data[item][rows] * scale).T, gl)
+        for t, grad in zip((q, k_t, v), grads):
+            if grad is not None:
+                _accum(t, grad)
 
     return _node(data, (q, k_t, v), backward)
 

@@ -12,10 +12,9 @@ from functools import cache
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import ATTENTION_TILE, Tensor
 
 LN_EPS = 1e-12
-ATTENTION_TILE = 64  # query rows per attention block
 M_ARENA_MAX = -8  # glibc's mallopt parameter: the most malloc arenas the process may make
 
 
@@ -157,39 +156,24 @@ def attend(
     ``mask`` is an additive constant of shape (len_q, len_k) broadcast over
     heads (the decoder's causal mask of -1e30 above the diagonal).
 
-    Q is projected once; attention then runs over blocks of
-    ``ATTENTION_TILE`` query rows, whose contexts are joined before the
-    output projection. Each output row depends only on its own query row,
-    so tiling is exact, and no online softmax is needed because every tile
-    sees all keys. A tile is one ``ag.attention`` node: the scale folded
-    into Q, QK^T, mask and exp in one (tile, len_k) buffer per head, with
-    no max shift where a Hölder bound on the logits rules out overflow
-    (``ag.EXP_BOUND``; logits past it keep the shift), and the softmax's
-    row sums divided out after the value product, so tiled outputs match
-    one block within 1e-12, not bit for bit. A query sequence that fits in
-    one tile runs as a single block with no extra graph node, as
-    ``matmul(attention_weights(...), v)``, the max-shifted arithmetic of
-    desk pages, decoder steps and the single-query scorer. Both paths take
-    a stack of sequences with leading axes, (..., len_q, d_model), and
-    compute each one as it would alone.
+    Q is projected once. A query sequence of at most ``ATTENTION_TILE``
+    rows runs as one block, ``matmul(attention_weights(...), v)``, the
+    max-shifted arithmetic of desk pages, decoder steps and the
+    single-query scorer. A longer one splits its heads into
+    ``min(attention_workers(), n_heads)`` contiguous groups, each one
+    ``ag.attention`` node over the group's head slice, which tiles the
+    query rows itself, so tiled outputs match one block within 1e-12, not
+    bit for bit. The calling thread runs the first group and a shared pool
+    of ``attention_workers() - 1`` threads runs the others (``run_parts``;
+    with one group no pool is made), and the groups' contexts are joined
+    along the head axis once. Both paths take a stack of sequences with
+    leading axes, (..., len_q, d_model), and compute each one as it would
+    alone. Every head's arithmetic is the same whatever the group count,
+    so outputs and gradients are bit-identical across CPU counts;
+    ``backward`` stays serial. Without autograd memory is O(tile * len_k)
+    per CPU, not O(heads * len_q * len_k); with autograd the graph holds
+    every tile's exponentials, (..., heads, len_q, len_k) in all.
 
-    A tiled call splits the heads into ``min(attention_workers(), n_heads)``
-    contiguous groups: the calling thread runs the first group and a shared
-    pool of ``attention_workers() - 1`` threads runs the others
-    (``run_parts``; with one group no pool is made). A group runs its heads
-    one at a time. Each head first copies its K^T and V into C-contiguous
-    arrays (``ag.contiguous``, whose gradient passes straight through), so
-    no tile's matmul copies a strided operand again, and then runs its
-    tiles, each allocating that head's exponentials, (..., tile, len_k): a
-    MiB at 2048 keys, which fits a 2 MiB L2 cache where a group's would
-    not. A head's tile contexts are joined along the rows, then the heads
-    along the head axis. Every head's arithmetic is the same whatever the
-    group count, so outputs and gradients are bit-identical across CPU
-    counts; ``backward`` stays serial. Without autograd a tile's
-    exponentials are freed before the head's next tile, so memory is
-    O(tile * len_k) per sequence and CPU, not O(heads * len_q * len_k);
-    with autograd the graph holds every tile's, (..., heads, len_q, len_k)
-    in all.
     The same pool encodes the parts of a full block of pages
     (``VqaModel.encode_grid``). Three rules keep the workers safe, for head
     groups and block parts alike: they call only ``ag`` ops (a block part
@@ -217,21 +201,10 @@ def attend(
     if len_q <= ATTENTION_TILE:
         context = ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
     else:
-        tiles = [slice(start, start + ATTENTION_TILE) for start in range(0, len_q, ATTENTION_TILE)]
-
-        def head_context(h: int) -> Tensor:
-            """Head ``h``'s context, (..., 1, len_q, head_dim), joined from its tiles; runs on a worker."""
-            q_h, k_h, v_h = (ag.take_rows(x, np.s_[..., h:h + 1, :, :]) for x in (q, k_t, v))
-            k_h, v_h = ag.contiguous(k_h), ag.contiguous(v_h)
-            return ag.concat_rows([ag.attention(ag.take_rows(q_h, np.s_[..., rows, :]), k_h, v_h, scale,
-                                                None if mask is None else mask[rows]) for rows in tiles], axis=-2)
-
-        def group_contexts(heads: np.ndarray) -> list[Tensor]:
-            return [head_context(h) for h in heads]
-
-        groups = np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))
-        context = ag.concat_rows([c for part in run_parts(group_contexts, [(g,) for g in groups]) for c in part],
-                                 axis=-3)
+        groups = [slice(g[0], g[-1] + 1) for g in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
+        context = ag.concat_rows(run_parts(
+            lambda heads: ag.attention(*(ag.take_rows(x, np.s_[..., heads, :, :]) for x in (q, k_t, v)), scale, mask),
+            [(heads,) for heads in groups]), axis=-3)
     return linear(merge_heads(context), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 

@@ -25,7 +25,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import BudgetError, ConfigError, NumericError
 from .layers import (
-    ATTENTION_TILE,
     ParamEntry,
     apply_layer_norm,
     attend,
@@ -223,7 +222,7 @@ class VqaModel:
         """
         rows, pages = grid.n_patches, len(grid.patches)
         n_parts = 1
-        if fills_block(pages, rows) and rows <= ATTENTION_TILE and not ag.grad_enabled():
+        if fills_block(pages, rows) and rows <= ag.ATTENTION_TILE and not ag.grad_enabled():
             min_pages = -(-(BLOCK_ROWS // 4) // rows)  # a part's fewest pages: ceil(BLOCK_ROWS / 4 / rows)
             n_parts = min(attention_workers(), pages // min_pages)
         if n_parts < 2:

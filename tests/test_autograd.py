@@ -184,12 +184,13 @@ class TestAttention:
         w = rng.normal(0, 1, (2, 3, 4, 5))
         check_op(lambda: ag.sum_axis(ag.mul(ag.attention(q, k_t, v, 0.37, causal(7)[3:]), w)), q, k_t, v)
 
-    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("rows", [1, 6, 2 * ag.ATTENTION_TILE + 5], ids=["one-row", "one-tile", "three-tiles"])
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_weights_then_value_product(self, masked, rows):
         """Values and gradients within 1e-12 of ``matmul(attention_weights(...), v)``, from unshifted exponentials."""
-        shapes, scale = ((2, 3, rows, 5), (2, 3, 5, 9), (2, 3, 9, 5)), 1.0 / np.sqrt(5)
-        mask = causal(9)[9 - rows:] if masked else None
+        len_k = rows + 8  # room for the causal slice
+        shapes, scale = ((2, 3, rows, 5), (2, 3, 5, len_k), (2, 3, len_k, 5)), 1.0 / np.sqrt(5)
+        mask = causal(len_k)[len_k - rows:] if masked else None
         data = [rng.normal(0.0, 2.0, shape) for shape in shapes]
         g = rng.normal(0.0, 1.0, (2, 3, rows, 5))
         assert holder_bound(*data[:2], scale) <= ag.EXP_BOUND  # and each causal mask row's largest entry is 0
@@ -197,6 +198,24 @@ class TestAttention:
         for got, want in zip(attend_and_backward(ag.attention, data, scale, mask, g),
                              attend_and_backward(reference_attention, data, scale, mask, g)):
             assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_a_tile_past_the_bound_after_one_under_it(self, masked):
+        """An item whose first tile is under the bound and whose second is past it still matches the composition."""
+        tile, rows, len_k = ag.ATTENTION_TILE, 2 * ag.ATTENTION_TILE + 5, 2 * ag.ATTENTION_TILE + 13
+        shapes, scale = ((2, rows, 5), (2, 5, len_k), (2, len_k, 5)), 1.0 / np.sqrt(5)
+        mask = causal(len_k)[len_k - rows:] if masked else None
+        q, k_t, v = (rng.normal(0.0, 1.0, shape) for shape in shapes)
+        q[:, tile:2 * tile] *= 1000.0 / np.abs(scale * q[:, tile:2 * tile] @ k_t).max()
+        g = rng.normal(0.0, 1.0, (2, rows, 5))
+        for q_i, k_i in zip(q, k_t):
+            assert holder_bound(q_i[:tile], k_i, scale) <= ag.EXP_BOUND < holder_bound(q_i[tile:2 * tile], k_i, scale)
+
+        got = attend_and_backward(ag.attention, [q, k_t, v], scale, mask, g)
+        want = attend_and_backward(reference_attention, [q, k_t, v], scale, mask, g)
+        for a, b in zip(got, want):
+            assert np.isfinite(a).all()
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_logits_past_the_bound_keep_the_max_shift(self, masked):

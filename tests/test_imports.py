@@ -1,7 +1,7 @@
 """Every name a `pixqa` module or a script imports is used in that file, and so is every private helper it defines.
 
 A local that a function never reads, or only appends, adds, extends, updates or inserts into, is not allowed
-either.
+either, and every public function of `pixqa.autograd` is read by another `pixqa` module.
 
 No linter runs on this repository, so these stdlib-`ast` checks stand in
 for one. ``__init__.py`` is skipped by the import check: its imports are
@@ -138,3 +138,35 @@ def test_the_check_finds_an_unread_local():
               "    for r in rows:\n        pass\n    kept = 1\n    def g():\n        nonlocal total\n"
               "        total = kept\n        inner = 2\n    return g, total\n")
     assert unread_locals(source) == {("f", "len_k"), ("f", "count"), ("f", "n"), ("g", "inner")}
+
+
+def autograd_reads(source: str) -> set[str]:
+    """Names a module reads from ``autograd``: imported from it, or as an attribute of an alias of the module."""
+    tree = ast.parse(source)
+    aliases, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "autograd":
+            read |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "autograd"}
+    return read | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in aliases}
+
+
+def unread_ops(source: str, readers: list[str]) -> set[str]:
+    """Public top-level functions of ``source`` that none of ``readers`` reads from ``autograd``."""
+    public = {node.name for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    return public - set().union(*map(autograd_reads, readers))
+
+
+def test_every_autograd_op_is_read_by_another_module():
+    others = [path.read_text() for path in sorted(SRC.glob("*.py")) if path.stem != "autograd"]
+    unread = unread_ops((SRC / "autograd.py").read_text(), others)
+    assert not unread, f"autograd functions no other pixqa module reads: {sorted(unread)}"
+
+
+def test_the_check_finds_an_unread_op():
+    source = "def matmul(a, b):\n    pass\n\ndef relu(a):\n    pass\n\ndef left_behind(a):\n    pass\n\ndef _helper():\n    pass\n"
+    readers = ["from . import autograd as ag\n\nag.matmul(x, y)\nnp.left_behind(x)\n", "from .autograd import relu\n"]
+    assert unread_ops(source, readers) == {"left_behind"}
