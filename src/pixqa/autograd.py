@@ -4,11 +4,11 @@ Just enough machinery for a small transformer: ``add`` and ``mul``
 (``Tensor`` spells them ``+`` and unary ``-``), (batched) ``matmul``, the
 fused affine map ``linear`` (x @ w + b), ``reshape``, ``transpose``,
 ``sum_axis``, ``relu``, ``sigmoid``, fused ``attention_weights`` (scaled,
-masked, max-shifted softmax of q @ k_t) and ``attention`` (those weights
-times v, normalized after the value product; it runs item by item, over
-tiles of ``ATTENTION_TILE`` query rows), a stable ``log_softmax_last``,
-layer-norm standardization ``normalize_last``, row gathers ``take_rows``
-and ``concat_rows``.
+masked, max-shifted softmax of q @ k_t) and ``attention`` (the unmasked
+softmax of q @ k_t times v, normalized after the value product; it runs
+item by item, over tiles of ``ATTENTION_TILE`` query rows), a stable
+``log_softmax_last``, layer-norm standardization ``normalize_last``, row
+gathers ``take_rows`` and ``concat_rows``.
 Everything is double precision; gradients are validated against central
 finite differences in the test suite.
 
@@ -315,8 +315,8 @@ def attention_weights(q, k_t, scale: float, mask: np.ndarray | None = None) -> T
     return _node(data, (q, k_t), backward)
 
 
-def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(scale * (q @ k_t) + mask) @ v as one node, tiled over query rows, normalized after the value product.
+def attention(q, k_t, v, scale: float) -> Tensor:
+    """softmax(scale * (q @ k_t)) @ v as one node, tiled over query rows, normalized after the value product.
 
     Each item (one matrix of the shared leading axes: one head of one
     page) runs alone, as it would outside a stack: its K^T and V are
@@ -326,19 +326,16 @@ def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None) -> Tensor
     len_k) buffer; its rows are E @ v divided by E's row sums, as in
     FlashAttention (arXiv 2205.14135). An output row depends only on its
     query row, and every tile sees all keys, so tiling is exact. Values
-    and gradients match ``matmul(attention_weights(q, k_t, scale, mask),
-    v)`` to rounding, not bit for bit. ``mask``, (len_q, len_k), is an
-    additive constant shared by every item; it gets no gradient.
+    and gradients match ``matmul(attention_weights(q, k_t, scale), v)`` to
+    rounding, not bit for bit.
 
     E is unshifted wherever a bound proves it safe, which saves a row max
     and a shift pass. By Hölder's inequality each logit of query row i is
-    at most ||scale * q_i||_1 * max|k_t| in magnitude (max|k_t| found once
-    per item), and a mask moves the row's largest logit by at most the
-    magnitude of its largest entry, so their sum B_i bounds the row. Where
-    a tile's largest B_i is at most ``EXP_BOUND``, no exponential overflows
-    and each row's largest is at least exp(-B_i), so no row sum is zero or
-    infinite; a tile over the bound, or whose bound is not finite, keeps
-    the per-row max shift.
+    at most B_i = ||scale * q_i||_1 * max|k_t| in magnitude (max|k_t| found
+    once per item). Where a tile's largest B_i is at most ``EXP_BOUND``, no
+    exponential overflows and each row's largest is at least exp(-B_i), so
+    no row sum is zero or infinite; a tile over the bound, or whose bound
+    is not finite, keeps the per-row max shift.
 
     Without autograd each tile's E is freed before the next tile allocates
     its own. With autograd every tile's E and row sums are kept, and the
@@ -351,15 +348,12 @@ def attention(q, k_t, v, scale: float, mask: np.ndarray | None = None) -> Tensor
     record = _records((q, k_t, v))
     kept = []  # with a graph: each tile's (item, rows, E, E's row sums)
     data = np.empty((*lead, len_q, v.shape[-1]))
-    mask_bounds = 0.0 if mask is None else np.abs(mask.max(axis=-1))
     for item in np.ndindex(*lead):
         q_item = q.data[item] * scale
         k_item, v_item = np.ascontiguousarray(k_t.data[item]), np.ascontiguousarray(v.data[item])
-        bounds = np.abs(q_item).sum(axis=-1) * np.abs(k_item).max() + mask_bounds
+        bounds = np.abs(q_item).sum(axis=-1) * np.abs(k_item).max()
         for rows in tiles:
             e = q_item[rows] @ k_item
-            if mask is not None:
-                e += mask[rows]
             if not bounds[rows].max() <= EXP_BOUND:
                 e -= e.max(axis=-1, keepdims=True)
             np.exp(e, out=e)

@@ -15,6 +15,7 @@ from . import autograd as ag
 from .autograd import ATTENTION_TILE, Tensor
 
 LN_EPS = 1e-12
+NEG_MASK = -1e30  # the additive mask of a key a causal query row may not see
 M_ARENA_MAX = -8  # glibc's mallopt parameter: the most malloc arenas the process may make
 
 
@@ -101,6 +102,16 @@ def run_parts(fn: Callable, jobs: Sequence[tuple]) -> list:
     Returns or raises only once every job has finished; the first job's
     error comes first, then the earliest failed pool job's. One job never
     touches the pool.
+
+    Its jobs are ``attend``'s head groups and the parts of a full block of
+    pages (``VqaModel.encode_grid``). Three rules keep the workers safe:
+    they call only ``ag`` ops (a block part through
+    ``VqaModel.embed_patches`` and ``encode``), never a model or scorer
+    method that a tracer might wrap; they never enter ``no_grad`` (the grad
+    switch is one module global, which they only read while the caller
+    waits); and a block part holds only pages that fit one tile, so a
+    worker never submits head groups to the pool it runs on, where they
+    would wait for it forever.
     """
     rest = [_attention_pool().submit(fn, *job) for job in jobs[1:]]
     try:
@@ -136,8 +147,8 @@ def multi_head_attention(
     The composition of ``project_kv`` (K and V of ``kv_in``) and ``attend``
     (everything else). The decoder calls the two apart: it projects the
     encoder feature's K/V once per answer, keeps its self-attention K/V
-    rows in a cache that grows by one row per generated token, and masks
-    its self-attention through ``attend``.
+    rows in a cache that grows by one row per generated token, and calls
+    ``attend`` with ``causal`` over that cache.
     """
     return attend(q_in, *project_kv(kv_in, params, prefix, n_heads), params, prefix, n_heads)
 
@@ -149,43 +160,33 @@ def attend(
     params: dict[str, Tensor],
     prefix: str,
     n_heads: int,
-    mask: np.ndarray | None = None,
+    causal: bool = False,
 ) -> Tensor:
     """Attention of ``q_in``'s rows over keys ``k`` and values ``v`` from ``project_kv``.
 
-    ``mask`` is an additive constant of shape (len_q, len_k) broadcast over
-    heads (the decoder's causal mask of -1e30 above the diagonal).
+    Under ``causal`` the query rows are the last ``len_q`` of the keys'
+    ``len_k`` positions, and each row sees the keys up to its own: more
+    than one row adds ``NEG_MASK`` above that diagonal, and one row (a
+    greedy step) sees every key, so it builds no mask.
 
-    Q is projected once. A query sequence of at most ``ATTENTION_TILE``
-    rows runs as one block, ``matmul(attention_weights(...), v)``, the
-    max-shifted arithmetic of desk pages, decoder steps and the
-    single-query scorer. A longer one splits its heads into
-    ``min(attention_workers(), n_heads)`` contiguous groups, each one
-    ``ag.attention`` node over the group's head slice, which tiles the
-    query rows itself, so tiled outputs match one block within 1e-12, not
-    bit for bit. The calling thread runs the first group and a shared pool
-    of ``attention_workers() - 1`` threads runs the others (``run_parts``;
-    with one group no pool is made), and the groups' contexts are joined
-    along the head axis once. Both paths take a stack of sequences with
-    leading axes, (..., len_q, d_model), and compute each one as it would
-    alone. Every head's arithmetic is the same whatever the group count,
-    so outputs and gradients are bit-identical across CPU counts;
-    ``backward`` stays serial. Without autograd memory is O(tile * len_k)
-    per CPU, not O(heads * len_q * len_k); with autograd the graph holds
-    every tile's exponentials, (..., heads, len_q, len_k) in all.
-
-    The same pool encodes the parts of a full block of pages
-    (``VqaModel.encode_grid``). Three rules keep the workers safe, for head
-    groups and block parts alike: they call only ``ag`` ops (a block part
-    through ``VqaModel.embed_patches`` and ``encode``), never a model or
-    scorer method that a tracer might wrap; they never enter ``no_grad``
-    (the grad switch is one module global, which they only read while the
-    caller waits); and a block part holds only pages that fit one tile, so
-    a worker never submits head groups to the pool it runs on, where they
-    would wait for it forever.
+    Q is projected once. A causal call, or one of at most
+    ``ATTENTION_TILE`` query rows, runs as one block,
+    ``matmul(attention_weights(...), v)``. A longer unmasked call splits
+    its heads into ``min(attention_workers(), n_heads)`` contiguous groups,
+    each one ``ag.attention`` node over the group's head slice, which tiles
+    the query rows itself, so its outputs match one block within 1e-12, not
+    bit for bit. The calling thread runs the first group and the shared
+    pool the others (``run_parts``), and the groups' contexts are joined
+    along the head axis once. Every head's arithmetic is the same whatever
+    the group count, so outputs and gradients are bit-identical across CPU
+    counts. Without autograd tiled memory is O(tile * len_k) per CPU; with
+    autograd the graph holds every tile's exponentials, as one block holds
+    its weights. A stack of sequences with leading axes, (..., len_q,
+    d_model), computes each one as it would alone.
     """
     p = params
     *lead, len_q, d_model = q_in.shape
+    len_k = k.shape[-3]
     head_dim = d_model // n_heads
     scale = 1.0 / math.sqrt(head_dim)
     n = len(lead)
@@ -198,12 +199,13 @@ def attend(
     k_t = ag.transpose(k, (*range(n), n + 1, n + 2, n))
     v = ag.transpose(v, swap)
 
-    if len_q <= ATTENTION_TILE:
+    if causal or len_q <= ATTENTION_TILE:
+        mask = np.triu(np.full((len_q, len_k), NEG_MASK), k=len_k - len_q + 1) if causal and len_q > 1 else None
         context = ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
     else:
         groups = [slice(g[0], g[-1] + 1) for g in np.array_split(np.arange(n_heads), min(attention_workers(), n_heads))]
         context = ag.concat_rows(run_parts(
-            lambda heads: ag.attention(*(ag.take_rows(x, np.s_[..., heads, :, :]) for x in (q, k_t, v)), scale, mask),
+            lambda heads: ag.attention(*(ag.take_rows(x, np.s_[..., heads, :, :]) for x in (q, k_t, v)), scale),
             [(heads,) for heads in groups]), axis=-3)
     return linear(merge_heads(context), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 

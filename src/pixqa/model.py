@@ -49,7 +49,6 @@ PRINTABLE_ASCII = string.printable[:-5]  # digits+letters+punctuation+space, no 
 PAD, BOS, EOS = 0, 1, 2
 N_SPECIALS = 3
 
-NEG_MASK = -1e30
 BLOCK_ROWS = 512  # patch rows of the pages stacked into one encoder call, at most
 
 
@@ -114,14 +113,6 @@ class ModelConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         Vocab(self.vocab_chars)  # validates uniqueness
-
-
-def _causal_mask(n: int, past: int) -> np.ndarray | None:
-    """Additive mask for ``n`` query rows at positions ``past``.. over keys 0..past+n-1.
-
-    None for a single row: the newest token may see every key.
-    """
-    return None if n == 1 else np.triu(np.full((n, past + n), NEG_MASK), k=past + 1)
 
 
 @dataclass
@@ -244,9 +235,10 @@ class VqaModel:
         """Logits for ``tokens_in``, the tokens that follow the ``cache.length`` already decoded.
 
         One decoder path for both uses: teacher forcing feeds every token to
-        an empty cache under a causal mask, and greedy decoding feeds one
-        token per step, whose query sees every cached key. Each layer's
-        self-attention K/V of ``tokens_in`` are appended to the cache.
+        an empty cache, each seeing the tokens up to its own (``causal``),
+        and greedy decoding feeds one token per step, whose query sees every
+        cached key. Each layer's self-attention K/V of ``tokens_in`` are
+        appended to the cache.
         ``tokens_in`` is (pages, n), one row of tokens per page of the
         cache's feature.
         """
@@ -254,14 +246,13 @@ class VqaModel:
         n, past = tokens_in.shape[-1], cache.length
         positions = np.broadcast_to(np.arange(past, past + n), tokens_in.shape)
         x = ag.take_rows(p["dec.tok_emb"], tokens_in) + ag.take_rows(p["dec.pos_emb"], positions)
-        mask = _causal_mask(n, past)
         for i in range(cfg.n_dec_layers):
             a = apply_layer_norm(x, p, f"dec.{i}.ln1")
             kv = project_kv(a, p, f"dec.{i}.self_attn", cfg.n_heads)
             if cache.self_kv[i] is not None:
                 kv = tuple(ag.concat_rows([old, new], axis=-3) for old, new in zip(cache.self_kv[i], kv))
             cache.self_kv[i] = kv
-            x = x + attend(a, *kv, p, f"dec.{i}.self_attn", cfg.n_heads, mask=mask)
+            x = x + attend(a, *kv, p, f"dec.{i}.self_attn", cfg.n_heads, causal=True)
             b = apply_layer_norm(x, p, f"dec.{i}.ln2")
             x = x + attend(b, *cache.cross[i], p, f"dec.{i}.cross_attn", cfg.n_heads)
             c = apply_layer_norm(x, p, f"dec.{i}.ln3")

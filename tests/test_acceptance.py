@@ -22,11 +22,10 @@ import numpy as np
 import pytest
 
 import pixqa
-from pixqa import autograd as ag
 from pixqa.autograd import Tensor
-from pixqa.checkpoint import load_checkpoint, save_checkpoint
+from pixqa.checkpoint import load_checkpoint
 from pixqa.cli import main as cli
-from pixqa.data import SynthConfig, gen_synthetic, load_mpdocvqa, split
+from pixqa.data import SynthConfig, gen_synthetic, load_mpdocvqa
 from pixqa.evaluate import anls_single, levenshtein, page_features, retrieve
 from pixqa.model import ModelConfig, VqaModel, parameter_gradients
 from pixqa.render import PatchGrid, blank_image, patchify, resize_to_patch_budget

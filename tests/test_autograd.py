@@ -3,8 +3,7 @@ import pytest
 
 from pixqa import autograd as ag
 from pixqa.autograd import Tensor
-from pixqa.layers import LN_EPS, apply_layer_norm, multi_head_attention
-from pixqa.model import NEG_MASK
+from pixqa.layers import LN_EPS, NEG_MASK, apply_layer_norm, multi_head_attention
 
 
 def finite_diff(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -158,9 +157,9 @@ class TestAttentionWeights:
         assert np.array_equal(k_t.grad, g_k)
 
 
-def reference_attention(q, k_t, v, scale, mask=None) -> Tensor:
+def reference_attention(q, k_t, v, scale) -> Tensor:
     """The two-node composition that ``ag.attention`` fuses: weights, then the value product."""
-    return ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
+    return ag.matmul(ag.attention_weights(q, k_t, scale), v)
 
 
 def holder_bound(q: np.ndarray, k_t: np.ndarray, scale: float) -> float:
@@ -168,10 +167,10 @@ def holder_bound(q: np.ndarray, k_t: np.ndarray, scale: float) -> float:
     return np.abs(scale * q).sum(axis=-1).max() * np.abs(k_t).max()
 
 
-def attend_and_backward(op, data, scale, mask, g) -> list[np.ndarray]:
+def attend_and_backward(op, data, scale, g) -> list[np.ndarray]:
     """``op``'s output on fresh leaves holding ``data``, then the leaves' gradients of sum(out * g)."""
     leaves = [Tensor(x.copy(), requires_grad=True) for x in data]
-    out = op(*leaves, scale, mask)
+    out = op(*leaves, scale)
     ag.sum_axis(ag.mul(out, g)).backward()
     return [out.data, *(t.grad for t in leaves)]
 
@@ -179,57 +178,51 @@ def attend_and_backward(op, data, scale, mask, g) -> list[np.ndarray]:
 class TestAttention:
     """``ag.attention``: the softmax normalized after the value product, one node."""
 
-    def test_gradient_with_causal_mask_slice_and_stack_axes(self):
+    def test_gradient_with_scale_and_stack_axes(self):
         q, k_t, v = leaf(2, 3, 4, 5), leaf(2, 3, 5, 7), leaf(2, 3, 7, 5)  # (stack, heads, rows, head_dim)
         w = rng.normal(0, 1, (2, 3, 4, 5))
-        check_op(lambda: ag.sum_axis(ag.mul(ag.attention(q, k_t, v, 0.37, causal(7)[3:]), w)), q, k_t, v)
+        check_op(lambda: ag.sum_axis(ag.mul(ag.attention(q, k_t, v, 0.37), w)), q, k_t, v)
 
     @pytest.mark.parametrize("rows", [1, 6, 2 * ag.ATTENTION_TILE + 5], ids=["one-row", "one-tile", "three-tiles"])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_weights_then_value_product(self, masked, rows):
+    def test_matches_weights_then_value_product(self, rows):
         """Values and gradients within 1e-12 of ``matmul(attention_weights(...), v)``, from unshifted exponentials."""
-        len_k = rows + 8  # room for the causal slice
+        len_k = rows + 8
         shapes, scale = ((2, 3, rows, 5), (2, 3, 5, len_k), (2, 3, len_k, 5)), 1.0 / np.sqrt(5)
-        mask = causal(len_k)[len_k - rows:] if masked else None
         data = [rng.normal(0.0, 2.0, shape) for shape in shapes]
         g = rng.normal(0.0, 1.0, (2, 3, rows, 5))
-        assert holder_bound(*data[:2], scale) <= ag.EXP_BOUND  # and each causal mask row's largest entry is 0
+        assert holder_bound(*data[:2], scale) <= ag.EXP_BOUND
 
-        for got, want in zip(attend_and_backward(ag.attention, data, scale, mask, g),
-                             attend_and_backward(reference_attention, data, scale, mask, g)):
+        for got, want in zip(attend_and_backward(ag.attention, data, scale, g),
+                             attend_and_backward(reference_attention, data, scale, g)):
             assert np.abs(got - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_a_tile_past_the_bound_after_one_under_it(self, masked):
+    def test_a_tile_past_the_bound_after_one_under_it(self):
         """An item whose first tile is under the bound and whose second is past it still matches the composition."""
         tile, rows, len_k = ag.ATTENTION_TILE, 2 * ag.ATTENTION_TILE + 5, 2 * ag.ATTENTION_TILE + 13
         shapes, scale = ((2, rows, 5), (2, 5, len_k), (2, len_k, 5)), 1.0 / np.sqrt(5)
-        mask = causal(len_k)[len_k - rows:] if masked else None
         q, k_t, v = (rng.normal(0.0, 1.0, shape) for shape in shapes)
         q[:, tile:2 * tile] *= 1000.0 / np.abs(scale * q[:, tile:2 * tile] @ k_t).max()
         g = rng.normal(0.0, 1.0, (2, rows, 5))
         for q_i, k_i in zip(q, k_t):
             assert holder_bound(q_i[:tile], k_i, scale) <= ag.EXP_BOUND < holder_bound(q_i[tile:2 * tile], k_i, scale)
 
-        got = attend_and_backward(ag.attention, [q, k_t, v], scale, mask, g)
-        want = attend_and_backward(reference_attention, [q, k_t, v], scale, mask, g)
+        got = attend_and_backward(ag.attention, [q, k_t, v], scale, g)
+        want = attend_and_backward(reference_attention, [q, k_t, v], scale, g)
         for a, b in zip(got, want):
             assert np.isfinite(a).all()
             assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_logits_past_the_bound_keep_the_max_shift(self, masked):
+    def test_logits_past_the_bound_keep_the_max_shift(self):
         """Logits of about +-1000, where unshifted exponentials overflow, still match the unfused composition."""
         shapes, scale = ((2, 3, 6, 5), (2, 3, 5, 9), (2, 3, 9, 5)), 1.0 / np.sqrt(5)
-        mask = causal(9)[3:] if masked else None
         q, k_t, v = (rng.normal(0.0, 1.0, shape) for shape in shapes)
         q *= 1000.0 / np.abs(scale * q @ k_t).max()
         g = rng.normal(0.0, 1.0, (2, 3, 6, 5))
         with np.errstate(over="ignore"):
             assert np.isinf(np.exp(scale * q @ k_t)).any()
 
-        got = attend_and_backward(ag.attention, [q, k_t, v], scale, mask, g)
-        want = attend_and_backward(reference_attention, [q, k_t, v], scale, mask, g)
+        got = attend_and_backward(ag.attention, [q, k_t, v], scale, g)
+        want = attend_and_backward(reference_attention, [q, k_t, v], scale, g)
         for a, b in zip(got, want):
             assert np.isfinite(a).all()
             assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
@@ -242,9 +235,9 @@ class TestAttention:
         g = rng.normal(0.0, 1.0, (2, 6, 5))
         assert holder_bound(q[0], k_t[0], scale) <= ag.EXP_BOUND < holder_bound(q[1], k_t[1], scale)
 
-        stacked = attend_and_backward(ag.attention, [q, k_t, v], scale, None, g)
+        stacked = attend_and_backward(ag.attention, [q, k_t, v], scale, g)
         for i in range(2):
-            alone = attend_and_backward(ag.attention, [q[i], k_t[i], v[i]], scale, None, g[i])
+            alone = attend_and_backward(ag.attention, [q[i], k_t[i], v[i]], scale, g[i])
             assert all(np.array_equal(a[i], b) for a, b in zip(stacked, alone))
 
     def test_stable_for_large_logits(self):

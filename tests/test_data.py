@@ -19,10 +19,8 @@ from pixqa.data import (
     fact_line,
     gen_synthetic,
     load_mpdocvqa,
-    question_text,
     read_pgm,
     split,
-    write_annotations,
     write_pgm,
 )
 from pixqa.errors import AnnotationParseError, ConfigError, DataError, PixqaError

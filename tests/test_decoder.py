@@ -3,11 +3,12 @@
 ``reference_logits`` is the decoder as it was before the cache, on one
 page's (length, d_model) matrix: every layer runs over all tokens so far,
 projects the feature's cross-attention K/V again, and builds each
-one-block attention from the ops ``attend`` uses (K transposed twice); a
-query sequence longer than one tile goes through ``attend``'s tiled path,
-which ``test_layers`` holds to the one-block result. Teacher forcing must equal the
-reference bit for bit; greedy decoding must emit its tokens with logits
-within 1e-12.
+one-block attention from the ops ``attend`` uses (K transposed twice),
+the self-attention under the causal triangle mask. Past one tile of
+query rows, only the unmasked cross-attention goes through ``attend``'s
+tiled path, which ``test_layers`` holds to the one-block result. Teacher
+forcing must equal the reference bit for bit; greedy decoding must emit
+its tokens with logits within 1e-12.
 """
 
 import math
@@ -19,8 +20,8 @@ from pixqa import autograd as ag
 from pixqa import model as model_module
 from pixqa.autograd import Tensor
 from pixqa.errors import NumericError
-from pixqa.layers import ATTENTION_TILE, apply_layer_norm, attend, ffn, linear, project_kv
-from pixqa.model import BOS, EOS, NEG_MASK, ModelConfig, VqaModel
+from pixqa.layers import ATTENTION_TILE, NEG_MASK, apply_layer_norm, attend, ffn, linear, project_kv
+from pixqa.model import BOS, EOS, ModelConfig, VqaModel
 
 CFG = ModelConfig(d_model=16, n_heads=4, n_enc_layers=1, n_dec_layers=2, d_ff=32, patch_size=4,
                   max_patches=8, vocab_chars="abcdefgh", max_answer_len=72, seed=3)
@@ -28,8 +29,8 @@ CFG = ModelConfig(d_model=16, n_heads=4, n_enc_layers=1, n_dec_layers=2, d_ff=32
 
 def reference_attention(q_in, kv_in, p, prefix, n_heads, mask=None):
     len_q, d_model = q_in.shape
-    if len_q > ATTENTION_TILE:
-        return attend(q_in, *project_kv(kv_in, p, prefix, n_heads), p, prefix, n_heads, mask=mask)
+    if len_q > ATTENTION_TILE and mask is None:
+        return attend(q_in, *project_kv(kv_in, p, prefix, n_heads), p, prefix, n_heads)
     head_dim = d_model // n_heads
 
     def split_heads(x, length):
@@ -109,7 +110,7 @@ def greedy_both_ways(model, feature, limit):
 
 
 class TestTeacherForcing:
-    # 73 decoder rows: the self- and cross-attention run tiled.
+    # 73 decoder rows: the cross-attention runs tiled, the causal self-attention as one block.
     @pytest.mark.parametrize("answer", ["", "a", "hgfedcba", "abcdefgh" * 9])
     @pytest.mark.parametrize("feature_len", [1, 9, 100])
     def test_loss_and_gradients_bit_identical(self, answer, feature_len):
@@ -129,7 +130,7 @@ class TestCachedGreedy:
         model = never_eos(VqaModel(CFG))
         feature = random_feature(feature_len, seed=feature_len)
         tokens, cached, full = greedy_both_ways(model, feature, CFG.max_answer_len)
-        assert len(tokens) == CFG.max_answer_len + 1  # every step ran; past step 64 the full-prefix pass is tiled
+        assert len(tokens) == CFG.max_answer_len + 1  # every step ran; past step 64 the full-prefix cross-attention is tiled
         for step, (c, f) in enumerate(zip(cached, full)):
             assert np.abs(c - f).max() <= 1e-12, step
             assert int(np.argmax(c)) == int(np.argmax(f)), step

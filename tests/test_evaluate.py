@@ -463,7 +463,7 @@ class TestPaperBudgetMemory:
         assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_one_page_at_2048_patches_holds_one_attention_buffer_per_tile(self, score_and_peak):
-        """Each 64-row tile's QK^T, scale, mask and softmax share one (heads, 64, L) buffer (8 MiB here)."""
+        """Each 64-row tile's QK^T, scale and softmax share one (heads, 64, L) buffer (8 MiB here)."""
         _, peak = score_and_peak
         assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 

@@ -1,7 +1,8 @@
-"""Every name a `pixqa` module or a script imports is used in that file, and so is every private helper it defines.
+"""Every name a `pixqa` module, a script or a test file imports is used in that file, and so is every private helper it defines.
 
 A local that a function never reads, or only appends, adds, extends, updates or inserts into, is not allowed
-either, and every public function of `pixqa.autograd` is read by another `pixqa` module.
+either, nor is a parameter that a `pixqa` or script function never reads, and every public function of
+`pixqa.autograd` is read by another `pixqa` module.
 
 No linter runs on this repository, so these stdlib-`ast` checks stand in
 for one. ``__init__.py`` is skipped by the import check: its imports are
@@ -15,8 +16,13 @@ import pixqa
 
 SRC = Path(pixqa.__file__).parent
 FILES = [*sorted(SRC.glob("*.py")), *sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))]
+LINTED = [*FILES, *sorted(Path(__file__).parent.glob("*.py"))]  # the program's files and the tests
 # perfbench/tests/test_helpers.py checks that its tracer rebinds `fuse_question_page` in `training` too.
 ALLOWED = {("training", "fuse_question_page")}
+# Parameters that a callable type fixes: an initializer takes (rng, shape, params), and `_fit`'s batch_stacks
+# (indices, rng), which stage 1's `stacks` draws nothing from.
+ALLOWED_PARAMETERS = {("layers", "glorot", "params"), ("layers", "zeros", "rng"), ("layers", "zeros", "params"),
+                      ("layers", "ones", "rng"), ("layers", "ones", "params"), ("training", "stacks", "rng")}
 
 
 def unused_imports(source: str) -> set[str]:
@@ -32,7 +38,7 @@ def unused_imports(source: str) -> set[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    found = {(path.stem, name) for path in FILES if path.name != "__init__.py"
+    found = {(path.stem, name) for path in LINTED if path.name != "__init__.py"
              for name in unused_imports(path.read_text())}
     assert found == ALLOWED, f"unused: {sorted(found - ALLOWED)}; allowed but no longer unused: {sorted(ALLOWED - found)}"
 
@@ -51,7 +57,7 @@ def unused_private_helpers(source: str) -> set[str]:
 
 
 def test_no_module_defines_a_private_helper_it_never_uses():
-    found = {(path.stem, name) for path in FILES for name in unused_private_helpers(path.read_text())}
+    found = {(path.stem, name) for path in LINTED for name in unused_private_helpers(path.read_text())}
     assert not found, f"unused private helpers: {sorted(found)}"
 
 
@@ -85,7 +91,7 @@ def write_only_locals(source: str) -> set[tuple[str, str]]:
 
 
 def test_no_function_binds_a_local_it_only_writes_into():
-    found = {(path.stem, *pair) for path in FILES for pair in write_only_locals(path.read_text())}
+    found = {(path.stem, *pair) for path in LINTED for pair in write_only_locals(path.read_text())}
     assert not found, f"locals written into and never read: {sorted(found)}"
 
 
@@ -128,7 +134,7 @@ def unread_locals(source: str) -> set[tuple[str, str]]:
 
 
 def test_no_function_binds_a_local_it_never_reads():
-    found = {(path.stem, *pair) for path in FILES for pair in unread_locals(path.read_text())}
+    found = {(path.stem, *pair) for path in LINTED for pair in unread_locals(path.read_text())}
     assert not found, f"locals bound and never read: {sorted(found)}"
 
 
@@ -138,6 +144,37 @@ def test_the_check_finds_an_unread_local():
               "    for r in rows:\n        pass\n    kept = 1\n    def g():\n        nonlocal total\n"
               "        total = kept\n        inner = 2\n    return g, total\n")
     assert unread_locals(source) == {("f", "len_k"), ("f", "count"), ("f", "n"), ("g", "inner")}
+
+
+def unread_parameters(source: str) -> set[tuple[str, str]]:
+    """(function, name) for each parameter a function never reads, in its body or a function nested in it.
+
+    ``self``, ``cls`` and ``_``-prefixed names are exempt.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+        read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found |= {(func.name, name) for name in names
+                  if name not in read and name not in ("self", "cls") and not name.startswith("_")}
+    return found
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    found = {(path.stem, *pair) for path in FILES for pair in unread_parameters(path.read_text())}
+    assert found == ALLOWED_PARAMETERS, (f"unread: {sorted(found - ALLOWED_PARAMETERS)}; "
+                                         f"allowed but read: {sorted(ALLOWED_PARAMETERS - found)}")
+
+
+def test_the_check_finds_an_unread_parameter():
+    source = ("def attention(q, k_t, v, scale, mask=None, *rest, _spare=0, **options):\n    return q @ k_t @ v * scale\n\n"
+              "class A:\n    def f(self, x, y):\n        def g():\n            return x\n        return g\n\n"
+              "    @classmethod\n    def h(cls, z):\n        return 1\n")
+    assert unread_parameters(source) == {("attention", "mask"), ("attention", "rest"), ("attention", "options"),
+                                         ("f", "y"), ("h", "z")}
 
 
 def autograd_reads(source: str) -> set[str]:

@@ -8,8 +8,17 @@ import pytest
 from pixqa import autograd as ag
 from pixqa import layers
 from pixqa.autograd import Tensor
-from pixqa.layers import ATTENTION_TILE, attend, attention_table, init_params, multi_head_attention, project_kv
-from pixqa.model import NEG_MASK, ModelConfig, VqaModel
+from pixqa.layers import (
+    ATTENTION_TILE,
+    NEG_MASK,
+    attend,
+    attention_table,
+    init_params,
+    linear,
+    multi_head_attention,
+    project_kv,
+)
+from pixqa.model import ModelConfig, VqaModel
 from pixqa.render import PatchGrid
 from pixqa.scorer import AGGREGATIONS, ScorerConfig, SelfAttentionScorer
 
@@ -20,19 +29,29 @@ def attention_params(seed=0) -> dict[str, Tensor]:
     return init_params(attention_table("a", D_MODEL), seed)
 
 
-def masked_attention(q_in, kv_in, params, mask) -> Tensor:
-    """Attention of ``q_in``'s rows over ``kv_in``'s under an additive ``mask``, called as the decoder calls it."""
-    return attend(q_in, *project_kv(kv_in, params, "a", N_HEADS), params, "a", N_HEADS, mask=mask)
+def decoder_attention(q_in, kv_in, params, causal: bool) -> Tensor:
+    """Attention of ``q_in``'s rows over ``kv_in``'s, called as the decoder calls it."""
+    return attend(q_in, *project_kv(kv_in, params, "a", N_HEADS), params, "a", N_HEADS, causal=causal)
 
 
-def run(q_in, kv_in, params, mask, grad: bool):
-    """Output, then (when grad) the gradients of a fixed random projection of it."""
+def one_block_attention(q_in, kv_in, params, mask) -> Tensor:
+    """``attend``'s one-block composition of one sequence under an additive ``mask``, built from the ops it uses."""
+    len_q, head_dim = q_in.shape[0], D_MODEL // N_HEADS
+    k, v = project_kv(kv_in, params, "a", N_HEADS)
+    q = ag.transpose(ag.reshape(linear(q_in, params["a.wq"], params["a.bq"]), (len_q, N_HEADS, head_dim)), (1, 0, 2))
+    weights = ag.attention_weights(q, ag.transpose(k, (1, 2, 0)), 1.0 / np.sqrt(head_dim), mask)
+    context = ag.matmul(weights, ag.transpose(v, (1, 0, 2)))
+    return linear(ag.reshape(ag.transpose(context, (1, 0, 2)), (len_q, D_MODEL)), params["a.wo"], params["a.bo"])
+
+
+def run(q_in, kv_in, params, causal, grad: bool, op=decoder_attention):
+    """``op``'s output, then (when grad) the gradients of a fixed random projection of it."""
     for t in (q_in, kv_in, *params.values()):
         t.zero_grad()
     if not grad:
         with ag.no_grad():
-            return masked_attention(q_in, kv_in, params, mask).data, {}
-    out = masked_attention(q_in, kv_in, params, mask)
+            return op(q_in, kv_in, params, causal).data, {}
+    out = op(q_in, kv_in, params, causal)
     weights = np.random.default_rng(1).normal(0.0, 1.0, out.shape)
     ag.sum_axis(ag.mul(out, weights)).backward()
     named = {"q_in": q_in, "kv_in": kv_in, **params}
@@ -41,40 +60,22 @@ def run(q_in, kv_in, params, mask, grad: bool):
 
 class TestQueryTiling:
     @pytest.mark.parametrize("grad", [True, False])
-    @pytest.mark.parametrize(
-        "len_q, len_k, causal",
-        [(150, 150, False), (150, 150, True), (150, 90, False), (ATTENTION_TILE + 1, 40, False)],
-    )
-    def test_tiled_matches_untiled(self, monkeypatch, len_q, len_k, causal, grad):
+    @pytest.mark.parametrize("len_q, len_k", [(150, 150), (150, 90), (ATTENTION_TILE + 1, 40)])
+    def test_tiled_matches_untiled(self, monkeypatch, len_q, len_k, grad):
         assert len_q > ATTENTION_TILE and len_q % ATTENTION_TILE != 0
         r = np.random.default_rng(7)
         q_in = Tensor(r.normal(0.0, 1.0, (len_q, D_MODEL)), requires_grad=True)
         kv_in = q_in if len_q == len_k else Tensor(r.normal(0.0, 1.0, (len_k, D_MODEL)), requires_grad=True)
-        mask = np.triu(np.full((len_q, len_k), NEG_MASK), k=1) if causal else None
         params = attention_params()
 
-        tiled, tiled_grads = run(q_in, kv_in, params, mask, grad)
+        tiled, tiled_grads = run(q_in, kv_in, params, False, grad)
         monkeypatch.setattr(layers, "ATTENTION_TILE", len_q)  # one block of every query row
-        untiled, untiled_grads = run(q_in, kv_in, params, mask, grad)
+        untiled, untiled_grads = run(q_in, kv_in, params, False, grad)
 
         assert np.abs(tiled - untiled).max() <= 1e-12
         assert tiled_grads.keys() == untiled_grads.keys()
         for name, g in untiled_grads.items():
             assert np.abs(tiled_grads[name] - g).max() <= 1e-12, name
-
-    def test_causal_mask_sliced_by_tile_rows(self):
-        # Row i may only see keys 0..i, so changing the last key leaves all earlier rows unchanged.
-        r = np.random.default_rng(3)
-        n = 2 * ATTENTION_TILE + 5
-        x = r.normal(0.0, 1.0, (n, D_MODEL))
-        mask = np.triu(np.full((n, n), NEG_MASK), k=1)
-        params = attention_params()
-        with ag.no_grad():
-            base = masked_attention(Tensor(x), Tensor(x), params, mask).data
-            x[-1] += 1.0
-            moved = masked_attention(Tensor(x), Tensor(x), params, mask).data
-        assert (base[:-1] == moved[:-1]).all()
-        assert not np.allclose(base[-1], moved[-1])
 
     def test_one_tile_adds_no_graph_node(self):
         def graph_size(len_q: int) -> int:
@@ -92,6 +93,58 @@ class TestQueryTiling:
         assert graph_size(ATTENTION_TILE + 1) == graph_size(4 * ATTENTION_TILE + 3)  # one node per head group
 
 
+class TestCausal:
+    """``attend(causal=True)`` runs one block under the triangle mask, never ``ag.attention``'s tiles."""
+
+    @pytest.mark.parametrize("past", [0, 3])
+    def test_past_one_tile_equals_one_block_under_the_triangle_mask(self, monkeypatch, past):
+        """Values and gradients bit for bit, with ``past`` keys before the first query row's own."""
+        n = 2 * ATTENTION_TILE + 5
+        r = np.random.default_rng(17)
+        q_in = Tensor(r.normal(0.0, 1.0, (n, D_MODEL)), requires_grad=True)
+        kv_in = Tensor(r.normal(0.0, 1.0, (past + n, D_MODEL)), requires_grad=True)
+        params = attention_params()
+        mask = np.triu(np.full((n, past + n), NEG_MASK), k=past + 1)
+
+        want, want_grads = run(q_in, kv_in, params, True, True, op=lambda *args: one_block_attention(*args[:3], mask))
+        monkeypatch.setattr(ag, "attention", lambda *args: pytest.fail("a causal call must not tile"))
+        got, got_grads = run(q_in, kv_in, params, True, True)
+        assert np.array_equal(got, want)
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert np.array_equal(got_grads[name], g), name
+
+    def test_one_row_builds_no_mask(self, monkeypatch):
+        """A greedy step's query is the newest token, which sees every key: the unmasked call, bit for bit."""
+        r = np.random.default_rng(18)
+        q_in = Tensor(r.normal(0.0, 1.0, (1, D_MODEL)), requires_grad=True)
+        kv_in = Tensor(r.normal(0.0, 1.0, (9, D_MODEL)), requires_grad=True)
+        params = attention_params()
+        unmasked, unmasked_grads = run(q_in, kv_in, params, False, True)
+
+        masks = []
+        weights = ag.attention_weights
+        monkeypatch.setattr(ag, "attention_weights", lambda *args: masks.append(args[3]) or weights(*args))
+        out, grads = run(q_in, kv_in, params, True, True)
+        assert masks == [None]
+        assert np.array_equal(out, unmasked)
+        for name, g in unmasked_grads.items():
+            assert np.array_equal(grads[name], g), name
+
+    def test_rows_do_not_see_later_keys(self):
+        # Row i may only see keys 0..i, so changing the last key leaves all earlier rows unchanged.
+        r = np.random.default_rng(3)
+        n = 2 * ATTENTION_TILE + 5
+        x = r.normal(0.0, 1.0, (n, D_MODEL))
+        params = attention_params()
+        with ag.no_grad():
+            base = decoder_attention(Tensor(x), Tensor(x), params, True).data
+            x[-1] += 1.0
+            moved = decoder_attention(Tensor(x), Tensor(x), params, True).data
+        assert (base[:-1] == moved[:-1]).all()
+        assert not np.allclose(base[-1], moved[-1])
+
+
 def force_workers(monkeypatch, n: int) -> None:
     monkeypatch.setattr(layers, "attention_workers", lambda: n)
 
@@ -100,18 +153,17 @@ class TestHeadGroups:
     """Tiled attention split across 1, 2 or more head groups gives the same bits."""
 
     @pytest.mark.parametrize("grad", [True, False])
-    @pytest.mark.parametrize("len_q, len_k, causal", [(150, 150, False), (150, 150, True), (150, 90, False)])
-    def test_groups_are_bit_identical(self, monkeypatch, len_q, len_k, causal, grad):
+    @pytest.mark.parametrize("len_q, len_k", [(150, 150), (150, 90)])
+    def test_groups_are_bit_identical(self, monkeypatch, len_q, len_k, grad):
         r = np.random.default_rng(11)
         q_in = Tensor(r.normal(0.0, 1.0, (len_q, D_MODEL)), requires_grad=True)
         kv_in = q_in if len_q == len_k else Tensor(r.normal(0.0, 1.0, (len_k, D_MODEL)), requires_grad=True)
-        mask = np.triu(np.full((len_q, len_k), NEG_MASK), k=1) if causal else None
         params = attention_params()
 
         results = []
         for workers in (1, 2, 5):  # 5 is capped at N_HEADS groups
             force_workers(monkeypatch, workers)
-            results.append(run(q_in, kv_in, params, mask, grad))
+            results.append(run(q_in, kv_in, params, False, grad))
         (one, one_grads), *others = results
         for out, grads in others:
             assert np.array_equal(out, one)
@@ -195,9 +247,9 @@ class TestTileMemory:
         assert peak < rest + workers * 1.5 * tile, f"peak {peak / 2**20:.2f} MiB"
 
 
-def weights_then_value_product(q, k_t, v, scale, mask=None):
+def weights_then_value_product(q, k_t, v, scale):
     """A head group's ``ag.attention`` call unfused and untiled: the softmax weights, then their product with v."""
-    return ag.matmul(ag.attention_weights(q, k_t, scale, mask), v)
+    return ag.matmul(ag.attention_weights(q, k_t, scale), v)
 
 
 class TestFusedTiles:
@@ -221,7 +273,7 @@ class TestFusedTiles:
         feature, scores, answer = outputs()
         group_calls = []
         monkeypatch.setattr(ag, "attention",
-                            lambda *args, **kw: group_calls.append(1) or weights_then_value_product(*args, **kw))
+                            lambda *args: group_calls.append(1) or weights_then_value_product(*args))
         want_feature, want_scores, want_answer = outputs()
         assert group_calls  # the encoder and the avgpool scorer ran tiled
         assert np.abs(feature - want_feature).max() <= 1e-12
@@ -242,14 +294,13 @@ class TestPageStacks:
         r = np.random.default_rng(15)
         x = r.normal(0.0, 1.0, (pages, n, D_MODEL))
         weights = r.normal(0.0, 1.0, x.shape)
-        mask = np.triu(np.full((n, n), NEG_MASK), k=1) if causal else None
         params = attention_params()
 
         def attend(x_in: Tensor, w: np.ndarray) -> np.ndarray:
             if not grad:
                 with ag.no_grad():
-                    return masked_attention(x_in, x_in, params, mask).data
-            out = masked_attention(x_in, x_in, params, mask)
+                    return decoder_attention(x_in, x_in, params, causal).data
+            out = decoder_attention(x_in, x_in, params, causal)
             ag.sum_axis(ag.mul(out, w)).backward()
             return out.data
 
@@ -277,8 +328,7 @@ class TestKeyBias:
         params = attention_params()
         for name in ("a.bq", "a.bk"):
             params[name].data = r.normal(0.0, 0.5, D_MODEL)
-        mask = np.triu(np.full((n, n), NEG_MASK), k=1) if causal else None
-        _, grads = run(x, x, params, mask, grad=True)
+        _, grads = run(x, x, params, causal, grad=True)
         assert np.abs(grads["a.bq"]).max() > 1.0
         assert np.abs(grads["a.bk"]).max() <= 1e-12 * np.abs(grads["a.bq"]).max()
 
