@@ -183,7 +183,8 @@ class TestAttention:
         w = rng.normal(0, 1, (2, 3, 4, 5))
         check_op(lambda: ag.sum_axis(ag.mul(ag.attention(q, k_t, v, 0.37), w)), q, k_t, v)
 
-    @pytest.mark.parametrize("rows", [1, 6, 2 * ag.ATTENTION_TILE + 5], ids=["one-row", "one-tile", "three-tiles"])
+    @pytest.mark.parametrize("rows", [1, 6, 2 * ag.ATTENTION_TILE, 2 * ag.ATTENTION_TILE + 5],
+                             ids=["one-row", "one-tile", "two-full-tiles", "three-tiles"])
     def test_matches_weights_then_value_product(self, rows):
         """Values and gradients within 1e-12 of ``matmul(attention_weights(...), v)``, from unshifted exponentials."""
         len_k = rows + 8

@@ -96,9 +96,13 @@ class TestQueryTiling:
 class TestCausal:
     """``attend(causal=True)`` runs one block under the triangle mask, never ``ag.attention``'s tiles."""
 
+    @pytest.mark.parametrize("grad", [True, False])
     @pytest.mark.parametrize("past", [0, 3])
-    def test_past_one_tile_equals_one_block_under_the_triangle_mask(self, monkeypatch, past):
-        """Values and gradients bit for bit, with ``past`` keys before the first query row's own."""
+    def test_past_one_tile_equals_one_block_under_the_triangle_mask(self, monkeypatch, past, grad):
+        """Values and (when grad) gradients bit for bit, with ``past`` keys before the first query row's own.
+
+        Without autograd a causal call runs one block too, although tiles would free their exponentials there.
+        """
         n = 2 * ATTENTION_TILE + 5
         r = np.random.default_rng(17)
         q_in = Tensor(r.normal(0.0, 1.0, (n, D_MODEL)), requires_grad=True)
@@ -106,41 +110,43 @@ class TestCausal:
         params = attention_params()
         mask = np.triu(np.full((n, past + n), NEG_MASK), k=past + 1)
 
-        want, want_grads = run(q_in, kv_in, params, True, True, op=lambda *args: one_block_attention(*args[:3], mask))
+        want, want_grads = run(q_in, kv_in, params, True, grad, op=lambda *args: one_block_attention(*args[:3], mask))
         monkeypatch.setattr(ag, "attention", lambda *args: pytest.fail("a causal call must not tile"))
-        got, got_grads = run(q_in, kv_in, params, True, True)
+        got, got_grads = run(q_in, kv_in, params, True, grad)
         assert np.array_equal(got, want)
         assert got_grads.keys() == want_grads.keys()
         for name, g in want_grads.items():
             assert np.array_equal(got_grads[name], g), name
 
-    def test_one_row_builds_no_mask(self, monkeypatch):
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_one_row_builds_no_mask(self, monkeypatch, grad):
         """A greedy step's query is the newest token, which sees every key: the unmasked call, bit for bit."""
         r = np.random.default_rng(18)
         q_in = Tensor(r.normal(0.0, 1.0, (1, D_MODEL)), requires_grad=True)
         kv_in = Tensor(r.normal(0.0, 1.0, (9, D_MODEL)), requires_grad=True)
         params = attention_params()
-        unmasked, unmasked_grads = run(q_in, kv_in, params, False, True)
+        unmasked, unmasked_grads = run(q_in, kv_in, params, False, grad)
 
         masks = []
         weights = ag.attention_weights
         monkeypatch.setattr(ag, "attention_weights", lambda *args: masks.append(args[3]) or weights(*args))
-        out, grads = run(q_in, kv_in, params, True, True)
+        out, grads = run(q_in, kv_in, params, True, grad)
         assert masks == [None]
         assert np.array_equal(out, unmasked)
+        assert grads.keys() == unmasked_grads.keys()
         for name, g in unmasked_grads.items():
             assert np.array_equal(grads[name], g), name
 
-    def test_rows_do_not_see_later_keys(self):
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_rows_do_not_see_later_keys(self, grad):
         # Row i may only see keys 0..i, so changing the last key leaves all earlier rows unchanged.
         r = np.random.default_rng(3)
         n = 2 * ATTENTION_TILE + 5
         x = r.normal(0.0, 1.0, (n, D_MODEL))
         params = attention_params()
-        with ag.no_grad():
-            base = decoder_attention(Tensor(x), Tensor(x), params, True).data
-            x[-1] += 1.0
-            moved = decoder_attention(Tensor(x), Tensor(x), params, True).data
+        base, _ = run(Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True), params, True, grad)
+        x[-1] += 1.0
+        moved, _ = run(Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True), params, True, grad)
         assert (base[:-1] == moved[:-1]).all()
         assert not np.allclose(base[-1], moved[-1])
 
